@@ -24,10 +24,8 @@ from .control import (
     ReducedSystem,
     VariationalControl,
     benchmark_problem,
-    coefficient_residual,
     post_process,
     project_interval,
-    reduced_gradient,
     solve_discrete,
 )
 from .error import (
@@ -116,7 +114,6 @@ __all__ = [
     "centroid_project",
     "classify_cells",
     "clipped_field_l2_sq",
-    "coefficient_residual",
     "cut_area_ratio",
     "eoc_least_squares",
     "estimate_eoc",
@@ -135,7 +132,6 @@ __all__ = [
     "parse_mesh",
     "post_process",
     "project_interval",
-    "reduced_gradient",
     "refine_uniform",
     "solve_discrete",
     "__version__",

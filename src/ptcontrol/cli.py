@@ -4,8 +4,8 @@ Subcommands: ``study`` (level sweep of one discretization variant, CSV
 output), ``solve`` (single solve with field dumps), ``oracle`` (dense
 cross-check on a coarse level), ``mesh-dump`` (triangulation as text).
 Configs are flat "key = value" text files; every value can be overridden
-on the command line.  Exit codes: 0 success, 2 solver failure, 3 config
-error.
+on the command line.  Exit codes: 0 success, 1 oracle comparison failed,
+2 solver failure, 3 config error.  Every output file is written atomically.
 """
 
 import argparse
@@ -216,6 +216,26 @@ def _build_mesh(config, level):
     return build_square_mesh(level)
 
 
+def _solve_variant(config, problem, mesh):
+    """Solve the control variant of ``config`` on ``mesh``.
+
+    Returns the DiscreteSolution and the control it stands for: the
+    solution's own control, or its post-processed control for "postproc".
+    """
+    variant = (
+        control.VARIATIONAL if config.variant == "variational" else control.CELLWISE
+    )
+    solution = control.solve_discrete(
+        problem, mesh, variant, tol=config.tol, solver=config.solver
+    )
+    discrete = solution.control
+    if config.variant == "postproc":
+        discrete = control.post_process(
+            solution, config.alpha, config.lower, config.upper
+        )
+    return solution, discrete
+
+
 def _level_error(config, exact, level):
     """Solve one level and measure its error against the exact solution."""
     mesh = _build_mesh(config, level)
@@ -231,23 +251,9 @@ def _level_error(config, exact, level):
             depth=config.subdivision,
         )
     else:
-        problem = control.benchmark_problem(exact)
-        if config.variant == "variational":
-            solution = control.solve_discrete(
-                problem, mesh, control.VARIATIONAL, tol=config.tol,
-                solver=config.solver,
-            )
-            discrete = solution.control
-        else:
-            solution = control.solve_discrete(
-                problem, mesh, control.CELLWISE, tol=config.tol,
-                solver=config.solver,
-            )
-            discrete = solution.control
-            if config.variant == "postproc":
-                discrete = control.post_process(
-                    solution, config.alpha, config.lower, config.upper
-                )
+        _, discrete = _solve_variant(
+            config, control.benchmark_problem(exact), mesh
+        )
         value = error.l2_error_control(
             mesh, exact.control, discrete, depth=config.subdivision
         )
@@ -299,7 +305,7 @@ def run_study(config, parallel=False):
 
 
 def _write_csv(records, path):
-    """Write the convergence table atomically (no partial files)."""
+    """Write the convergence table."""
     lines = ["level,h,n_vertices,n_cells,error,eoc"]
     for r in records:
         eoc = "" if r.eoc is None else _fmt(r.eoc)
@@ -307,7 +313,15 @@ def _write_csv(records, path):
             f"{r.level},{_fmt(r.h)},{r.n_vertices},{r.n_cells},"
             f"{_fmt(r.error)},{eoc}"
         )
-    data = "\n".join(lines) + "\n"
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, data):
+    """Write text to ``path`` atomically (no partial files).
+
+    The text goes to a temp file in the target's directory, which is then
+    renamed over the target; on failure the temp file is removed.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -338,18 +352,9 @@ def run_solve(config):
     exact = _exact_solution(config)
     level = config.level_min
     mesh = _build_mesh(config, level)
-    problem = control.benchmark_problem(exact)
-    variant = (
-        control.VARIATIONAL if config.variant == "variational" else control.CELLWISE
+    solution, discrete = _solve_variant(
+        config, control.benchmark_problem(exact), mesh
     )
-    solution = control.solve_discrete(
-        problem, mesh, variant, tol=config.tol, solver=config.solver
-    )
-    discrete = solution.control
-    if config.variant == "postproc":
-        discrete = control.post_process(
-            solution, config.alpha, config.lower, config.upper
-        )
     lines = [
         f"# level {level} variant {config.variant}",
         f"# iterations {solution.iterations} residual {_fmt(solution.residual)}",
@@ -363,8 +368,7 @@ def run_solve(config):
     values = discrete.sample_cells(third[None, :]).ravel()
     for (x, y), q in zip(centroids, values):
         lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(q)}")
-    with open(config.out, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text(config.out, "\n".join(lines) + "\n")
     return solution
 
 
@@ -390,9 +394,7 @@ def run_oracle_check(config):
     reports = []
     for level in config.levels:
         mesh = _build_mesh(config, level)
-        solution = control.solve_discrete(
-            problem, mesh, control.CELLWISE, tol=config.tol, solver=config.solver
-        )
+        solution, _ = _solve_variant(config, problem, mesh)
         values = solution.control.values.values
         if unbounded:
             reference = oracle.unconstrained_kkt(problem, mesh)[0]
@@ -413,8 +415,7 @@ def run_mesh_dump(config):
     if config.out is None:
         raise ConfigError("mesh-dump requires an output path")
     mesh = _build_mesh(config, config.level_min)
-    with open(config.out, "w", newline="\n") as handle:
-        handle.write(format_mesh(mesh))
+    _write_text(config.out, format_mesh(mesh))
     return mesh
 
 

@@ -11,8 +11,9 @@ c_i = u_h(x_i) - target_i, so the whole optimality system collapses to N
 equations in c: F(c) = c - (u_h(c)(x_i) - target_i) = 0, where the control
 induced by c is the clamped, scaled adjoint (variational discretization) or
 its clamped cell-mean (cellwise constant discretization).  Each residual
-evaluation costs one sparse solve against the reused factorization; the
-fixed point is solved by a damped semismooth Newton iteration with a
+evaluation costs one sparse solve against the reused factorization, and
+``ReducedSystem.evaluate`` is the one place F is computed; the fixed point
+is solved by a damped semismooth Newton iteration with a
 finite-difference Jacobian and a Picard fallback.
 """
 
@@ -35,9 +36,7 @@ __all__ = [
     "DivergenceError",
     "ReducedSystem",
     "project_interval",
-    "coefficient_residual",
     "solve_discrete",
-    "reduced_gradient",
     "post_process",
     "benchmark_problem",
 ]
@@ -264,20 +263,23 @@ class ReducedSystem:
         """Adjoint nodal field sum_i c_i g_i."""
         return FeFunction(self.mesh, np.asarray(c, dtype=float) @ self._adjoint_nodal)
 
+    def _cell_values(self, c):
+        """Clamped cell means of the scaled adjoint (cellwise variant)."""
+        p = self.problem
+        means = np.asarray(c, dtype=float) @ self._adjoint_cell_means
+        return np.clip(-means / p.alpha, p.lower, p.upper)
+
     def control_of(self, c):
         """Control representation induced by coefficients c."""
         p = self.problem
         if self.variant == CELLWISE:
-            means = np.asarray(c, dtype=float) @ self._adjoint_cell_means
-            values = np.clip(-means / p.alpha, p.lower, p.upper)
-            return CellwiseControl(CellwiseFunction(self.mesh, values))
+            return CellwiseControl(CellwiseFunction(self.mesh, self._cell_values(c)))
         return VariationalControl(self.adjoint_of(c), p.alpha, p.lower, p.upper)
 
     def _control_load(self, c):
         p = self.problem
         if self.variant == CELLWISE:
-            means = c @ self._adjoint_cell_means
-            values = np.clip(-means / p.alpha, p.lower, p.upper)
+            values = self._cell_values(c)
             return fem.load_cellwise(self.mesh, values), values
         z = c @ self._adjoint_nodal
         return fem.load_clipped_linear(self.mesh, z, p.lower, p.upper, p.alpha), z
@@ -310,50 +312,6 @@ class ReducedSystem:
                 self.mesh, control_data, p.lower, p.upper, p.alpha
             )
         return 0.5 * float(misfit @ misfit) + 0.5 * p.alpha * reg
-
-
-def coefficient_residual(c, problem, mesh, factorization, point_fields, variant):
-    """Fixed-point residual F(c) = c - (u_h(c)(x_i) - target_i).
-
-    Standalone audit entry point: rebuilds the adjoint combination
-    z = sum_i c_i g_i from the supplied point-load solutions, forms the
-    induced control load (clamped implicit field, or cell-mean projection
-    then clamp), solves the state equation, and evaluates at the tracking
-    points.  ``solve_discrete`` uses an equivalent cached path.
-
-    Parameters
-    ----------
-    c : (N,) array
-    problem : ControlProblem
-    mesh : Mesh
-    factorization : Factorization
-        Of the interior stiffness matrix on ``mesh``.
-    point_fields : sequence of FeFunction
-        Solutions g_i of the point-load problems, one per tracking point.
-    variant : str
-
-    Returns
-    -------
-    (N,) array
-    """
-    if variant not in (VARIATIONAL, CELLWISE):
-        raise ValueError(f"unknown variant {variant!r}")
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    z = c @ np.stack([g.values for g in point_fields])
-    if variant == CELLWISE:
-        means = fem.l2_project_cells(mesh, FeFunction(mesh, z)).values
-        clamped = np.clip(-means / problem.alpha, problem.lower, problem.upper)
-        load = fem.load_cellwise(mesh, clamped)
-    else:
-        load = fem.load_clipped_linear(
-            mesh, z, problem.lower, problem.upper, problem.alpha
-        )
-    u = factorization.solve(fem.load_smooth(mesh, problem.source) + load)
-    values = np.zeros(mesh.n_vertices)
-    values[mesh.interior_vertices()] = u
-    u_h = FeFunction(mesh, values)
-    at_points = np.array([fem.evaluate(u_h, x) for x in problem.points])
-    return c - (at_points - problem.targets)
 
 
 def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200,
@@ -445,22 +403,6 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200,
         residual=res,
         objective_history=objective_history,
     )
-
-
-def reduced_gradient(q, z_h, alpha):
-    """Pointwise reduced-gradient field alpha * q(x) + z(x) for audits.
-
-    ``q`` may be a control representation or any callable on single points;
-    the returned callable maps (m, 2) point arrays to (m,) values.
-    """
-
-    def gradient(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        qv = np.array([q(x) for x in pts])
-        zv = np.array([fem.evaluate(z_h, x) for x in pts])
-        return alpha * qv + zv
-
-    return gradient
 
 
 def post_process(solution, alpha, lower, upper):

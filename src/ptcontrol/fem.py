@@ -67,13 +67,6 @@ class FeFunction:
         self.mesh = mesh
         self.values = values
 
-    @classmethod
-    def from_interior(cls, mesh, interior_values):
-        """Extend a dof-ordered interior vector by exact zeros on the boundary."""
-        values = np.zeros(mesh.n_vertices)
-        values[mesh.interior_vertices()] = interior_values
-        return cls(mesh, values)
-
     def interior(self):
         """Restriction to the interior dofs, in dof order."""
         return self.values[self.mesh.interior_vertices()]
@@ -113,8 +106,7 @@ class StiffnessMatrix:
     Attributes
     ----------
     mat : scipy.sparse.csr_matrix
-        The assembled matrix (symmetric positive definite when Dirichlet
-        elimination is on).
+        The assembled matrix, symmetric positive definite.
     mesh : Mesh
     interior : int array
         Vertex index of each dof (mesh order).
@@ -129,18 +121,6 @@ class StiffnessMatrix:
     def n(self):
         return self.mat.shape[0]
 
-    @property
-    def row_offsets(self):
-        return self.mat.indptr
-
-    @property
-    def col_indices(self):
-        return self.mat.indices
-
-    @property
-    def values(self):
-        return self.mat.data
-
     def field(self, dof_values):
         """Wrap a dof vector as an FeFunction (zeros at eliminated vertices)."""
         values = np.zeros(self.mesh.n_vertices)
@@ -148,13 +128,11 @@ class StiffnessMatrix:
         return FeFunction(self.mesh, values)
 
 
-def assemble_stiffness(mesh, dirichlet=True):
+def assemble_stiffness(mesh):
     """Assemble the P1 stiffness matrix integral of grad(phi_i).grad(phi_j).
 
-    With ``dirichlet=True`` (the default) boundary rows and columns are
-    eliminated and the result is symmetric positive definite on the interior
-    vertices.  ``dirichlet=False`` assembles over all vertices (singular,
-    zero row sums; diagnostic use only).
+    Boundary rows and columns are eliminated, so the result is symmetric
+    positive definite on the interior vertices.
 
     The element matrix is K_ij = (e_i . e_j) / (4 |K|) with e_i the edge
     opposite vertex i, which is the exact integral of the constant P1
@@ -172,12 +150,8 @@ def assemble_stiffness(mesh, dirichlet=True):
     # e_i = edge opposite vertex i
     e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
     k_elem = np.einsum("nid,njd->nij", e, e) / (4.0 * areas)[:, None, None]
-    if dirichlet:
-        dof = mesh.dof_map()
-        interior = mesh.interior_vertices()
-    else:
-        dof = np.arange(mesh.n_vertices)
-        interior = np.arange(mesh.n_vertices)
+    dof = mesh.dof_map()
+    interior = mesh.interior_vertices()
     cell_dofs = dof[mesh.cells]
     rows = np.repeat(cell_dofs, 3, axis=1).reshape(-1)
     cols = np.tile(cell_dofs, (1, 3)).reshape(-1)

@@ -5,8 +5,7 @@ its center, homogeneous Dirichlet conditions, one target value, and box
 bounds on the control.  The optimal adjoint is then the disc's Green's
 function at the center,
 
-    d=2:  z(r) = ln(R/r) / (2 pi),
-    d=3:  z(r) = (1/r - 1/R) / (4 pi),
+    z(r) = ln(R/r) / (2 pi),
 
 the optimal state is chosen as cos(pi r) with r the distance to the center,
 the optimal control follows from the projection formula
@@ -14,9 +13,6 @@ q(x) = clamp(-z(x)/alpha, a, b), and the source term f is manufactured so
 that the optimality system holds exactly for the state equation
 -Laplace(u) = f + q.  With R = 1/2 the target is state(center) - 1 = 0, so
 the adjoint coefficient (tracking misfit at the center) equals 1.
-
-All formulas are radial; d=3 is provided as formulas only (the finite
-element part of the package is two-dimensional).
 """
 
 import numpy as np
@@ -30,18 +26,16 @@ class ExactSolution:
     Parameters
     ----------
     center : sequence of floats
-        Tracking point = domain center; length ``dim``.
+        Tracking point = domain center, a point of the plane.
     radius : float
         Disc radius.
     alpha : float
         Regularization weight (positive).
     lower, upper : float
         Control bounds, lower < upper; either may be infinite.
-    dim : int
-        2 or 3 (3 gives formulas only).
 
-    All evaluation methods accept a single point of shape (dim,) or a batch
-    of shape (m, dim) and return a scalar or an (m,) array accordingly.
+    All evaluation methods accept a single point of shape (2,) or a batch
+    of shape (m, 2) and return a scalar or an (m,) array accordingly.
     """
 
     def __init__(
@@ -51,40 +45,33 @@ class ExactSolution:
         alpha=1.0,
         lower=-1.0,
         upper=1.0,
-        dim=2,
     ):
-        if dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
         if not radius > 0:
             raise ValueError("radius must be positive")
         if not alpha > 0:
             raise ValueError("alpha must be positive")
         if not lower < upper:
             raise ValueError("bounds must satisfy lower < upper")
-        self.center = np.asarray(center, dtype=float).reshape(dim)
+        self.center = np.asarray(center, dtype=float).reshape(2)
         self.center.setflags(write=False)
         self.radius = float(radius)
         self.alpha = float(alpha)
         self.lower = float(lower)
         self.upper = float(upper)
-        self.dim = dim
 
     def _radius_of(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape == (self.dim,):
+        if x.shape == (2,):
             return float(np.linalg.norm(x - self.center))
-        if x.ndim == 2 and x.shape[1] == self.dim:
+        if x.ndim == 2 and x.shape[1] == 2:
             return np.linalg.norm(x - self.center, axis=1)
-        raise ValueError(f"points must have shape ({self.dim},) or (m, {self.dim})")
+        raise ValueError("points must have shape (2,) or (m, 2)")
 
     def greens_radial(self, r):
         """Adjoint value at distance r from the center; +inf at r = 0."""
         r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
-            if self.dim == 2:
-                out = np.log(self.radius / r) / (2.0 * np.pi)
-            else:
-                out = (1.0 / r - 1.0 / self.radius) / (4.0 * np.pi)
+            out = np.log(self.radius / r) / (2.0 * np.pi)
         return out if out.ndim else float(out)
 
     def greens(self, x):
@@ -123,25 +110,20 @@ class ExactSolution:
         level = -self.lower * self.alpha
         if not np.isfinite(level) or level <= 0:
             return 0.0
-        if self.dim == 2:
-            return self.radius * np.exp(-2.0 * np.pi * level)
-        return 1.0 / (1.0 / self.radius + 4.0 * np.pi * level)
+        return self.radius * np.exp(-2.0 * np.pi * level)
 
     def source_radial(self, r):
         """Manufactured source at distance r from the center.
 
         f = -Laplace(state) - control with the radial Laplacian of cos(pi r):
-        f = pi^2 cos(pi r) + (dim-1) (pi/r) sin(pi r) - control(r).  The
-        middle term is continued by its series limit (dim-1) pi^2 for
-        r < 1e-8, so f(center) = dim * pi^2 - lower (2 pi^2 - lower in 2D).
+        f = pi^2 cos(pi r) + (pi/r) sin(pi r) - control(r).  The middle
+        term is continued by its series limit pi^2 for r < 1e-8, so
+        f(center) = 2 pi^2 - lower.
         """
         r = np.asarray(r, dtype=float)
         small = r < 1e-8
         safe = np.where(small, 1.0, r)
-        factor = self.dim - 1
-        radial = factor * np.where(
-            small, np.pi**2, np.pi * np.sin(np.pi * safe) / safe
-        )
+        radial = np.where(small, np.pi**2, np.pi * np.sin(np.pi * safe) / safe)
         out = np.pi**2 * np.cos(np.pi * r) + radial - np.asarray(self.control_radial(r))
         return out if out.ndim else float(out)
 
@@ -152,5 +134,5 @@ class ExactSolution:
     def __repr__(self):
         return (
             f"ExactSolution(center={tuple(map(float, self.center))}, radius={self.radius}, "
-            f"alpha={self.alpha}, bounds=({self.lower}, {self.upper}), dim={self.dim})"
+            f"alpha={self.alpha}, bounds=({self.lower}, {self.upper}))"
         )

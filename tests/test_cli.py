@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -165,6 +166,25 @@ def test_oracle_subcommand(capsys):
     code = main(["oracle", "--levels", "1..1", "--bounds=-0.2,0.2"])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_oracle_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr("ptcontrol.cli.ORACLE_MATCH_TOL", -1.0)
+    code = main(["oracle", "--levels", "1..1", "--bounds=-0.2,0.2"])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, command):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "out.txt"
+    with pytest.raises(OSError, match="rename refused"):
+        main([command, "--levels", "1..1", "--out", str(out)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_reports(tmp_path):

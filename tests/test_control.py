@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptcontrol import fem, oracle
 from ptcontrol.control import (
@@ -9,10 +10,8 @@ from ptcontrol.control import (
     DivergenceError,
     ReducedSystem,
     benchmark_problem,
-    coefficient_residual,
     post_process,
     project_interval,
-    reduced_gradient,
     solve_discrete,
 )
 from ptcontrol.greens import ExactSolution
@@ -32,6 +31,34 @@ def narrow_problem():
 @pytest.fixture(scope="module")
 def narrow_exact():
     return ExactSolution(lower=-0.2, upper=0.2)
+
+
+def fresh_residual(c, problem, mesh, variant):
+    """F(c) = c - (u_h(c)(x_i) - target_i), rebuilt without ReducedSystem.
+
+    Fresh stiffness and factorization, point-load solutions, the induced
+    control load (cell-mean projection then clamp, or the clipped implicit
+    field), one state solve, and point evaluation by barycentric lookup.
+    """
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    matrix = fem.assemble_stiffness(mesh)
+    fact = fem.factorize(matrix)
+    fields = [
+        matrix.field(fact.solve(fem.load_point(mesh, x))) for x in problem.points
+    ]
+    z = c @ np.stack([g.values for g in fields])
+    if variant == CELLWISE:
+        means = fem.l2_project_cells(mesh, fem.FeFunction(mesh, z)).values
+        load = fem.load_cellwise(
+            mesh, np.clip(-means / problem.alpha, problem.lower, problem.upper)
+        )
+    else:
+        load = fem.load_clipped_linear(
+            mesh, z, problem.lower, problem.upper, problem.alpha
+        )
+    u = matrix.field(fact.solve(fem.load_smooth(mesh, problem.source) + load))
+    at_points = np.array([fem.evaluate(u, x) for x in problem.points])
+    return c - (at_points - problem.targets)
 
 
 def test_project_interval():
@@ -79,27 +106,39 @@ def test_converged_residual_is_fixed_point(wide_problem):
     mesh = build_disc_mesh(level=2)
     solution = solve_discrete(wide_problem, mesh, CELLWISE)
     assert solution.residual <= 1e-12
-    matrix = fem.assemble_stiffness(mesh)
-    fact = fem.factorize(matrix)
-    fields = [
-        matrix.field(fact.solve(fem.load_point(mesh, x)))
-        for x in wide_problem.points
-    ]
-    residual = coefficient_residual(
-        solution.coefficients, wide_problem, mesh, fact, fields, CELLWISE
-    )
+    residual = fresh_residual(solution.coefficients, wide_problem, mesh, CELLWISE)
     assert np.max(np.abs(residual)) <= 1e-12
 
 
-def test_standalone_residual_matches_cached_path(wide_problem):
-    mesh = build_disc_mesh(level=1)
-    system = ReducedSystem(wide_problem, mesh, VARIATIONAL)
-    c = np.array([0.7])
-    standalone = coefficient_residual(
-        c, wide_problem, mesh, system.factorization, system.point_fields,
-        VARIATIONAL,
-    )
-    assert np.max(np.abs(standalone - system.residual(c))) <= 1e-13
+LEVEL1_MESH = build_disc_mesh(level=1)
+TRACKING_SETS = (
+    (np.array([[0.5, 0.5]]), np.array([0.0])),
+    (np.array([[0.42, 0.5], [0.6, 0.57]]), np.array([0.3, -0.1])),
+)
+BOUNDS = st.tuples(
+    st.one_of(st.just(-np.inf), st.floats(-1.5, 0.5)),
+    st.one_of(st.just(np.inf), st.floats(-0.5, 1.5)),
+).filter(lambda b: b[0] < b[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from([CELLWISE, VARIATIONAL]),
+    tracking=st.sampled_from(range(len(TRACKING_SETS))),
+    bounds=BOUNDS,
+    c=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+)
+def test_standalone_residual_matches_cached_path(variant, tracking, bounds, c):
+    # the cached ReducedSystem path against a from-scratch recomputation,
+    # over random coefficients and bounds (infinite ones included)
+    points, targets = TRACKING_SETS[tracking]
+    exact = ExactSolution()
+    problem = ControlProblem(points, targets, 1.0, bounds[0], bounds[1],
+                             exact.source)
+    c = np.array(c[: len(points)])
+    system = ReducedSystem(problem, LEVEL1_MESH, variant)
+    fresh = fresh_residual(c, problem, LEVEL1_MESH, variant)
+    assert np.max(np.abs(fresh - system.residual(c))) <= 1e-13
 
 
 def test_large_alpha_limit_matches_source_state():
@@ -228,9 +267,6 @@ def test_divergence_error_carries_history(wide_problem):
 def test_variational_gradient_vanishes_where_free(narrow_exact, narrow_problem):
     mesh = build_disc_mesh(level=2)
     solution = solve_discrete(narrow_problem, mesh, VARIATIONAL)
-    gradient = reduced_gradient(
-        solution.control, solution.adjoint, narrow_problem.alpha
-    )
     rng = np.random.default_rng(14)
     t = 2 * np.pi * rng.random(50)
     r = 0.48 * np.sqrt(rng.random(50))
@@ -238,7 +274,10 @@ def test_variational_gradient_vanishes_where_free(narrow_exact, narrow_problem):
     q = np.array([solution.control(x) for x in points])
     free = (q > -0.2 + 1e-6) & (q < 0.2 - 1e-6)
     assert free.any()
-    assert np.max(np.abs(gradient(points[free]))) <= 1e-10
+    # reduced gradient alpha * q + z at the free points
+    z = np.array([fem.evaluate(solution.adjoint, x) for x in points[free]])
+    gradient = narrow_problem.alpha * q[free] + z
+    assert np.max(np.abs(gradient)) <= 1e-10
 
 
 def test_cellwise_gradient_sign_conditions(narrow_problem):
@@ -254,14 +293,6 @@ def test_cellwise_gradient_sign_conditions(narrow_problem):
     assert np.all(cell_gradient[at_lower] >= -1e-10)
     assert np.all(cell_gradient[at_upper] <= 1e-10)
     assert np.max(np.abs(cell_gradient[free])) <= 1e-10
-
-
-def test_reduced_gradient_zero_fields():
-    mesh = build_disc_mesh(level=1)
-    zero_fe = fem.FeFunction(mesh, np.zeros(mesh.n_vertices))
-    gradient = reduced_gradient(lambda x: 0.0, zero_fe, 1.0)
-    points = np.array([[0.5, 0.5], [0.6, 0.4]])
-    assert np.array_equal(gradient(points), np.zeros(2))
 
 
 def test_post_process_basics(narrow_problem):

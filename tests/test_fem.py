@@ -36,23 +36,37 @@ from oracles import (
 )
 
 
-def unit_triangle_mesh():
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    cells = np.array([[0, 1, 2]])
-    boundary = np.array([True, True, True])
+def split_unit_triangle_mesh():
+    # unit triangle split into three cells at one interior vertex
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.3]])
+    cells = np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]])
+    boundary = np.array([True, True, True, False])
     return Mesh(vertices, cells, boundary)
 
 
 def test_element_stiffness_unit_triangle():
-    matrix = assemble_stiffness(unit_triangle_mesh(), dirichlet=False)
-    expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
-    assert np.allclose(matrix.mat.toarray(), expected, atol=1e-15)
+    # the only dof is the interior vertex; each cell adds |e|^2 / (4 |K|)
+    # with e its boundary edge (squared lengths 1, 2, 1; areas 0.15, 0.25, 0.1)
+    matrix = assemble_stiffness(split_unit_triangle_mesh())
+    expected = 1.0 / 0.6 + 2.0 / 1.0 + 1.0 / 0.4
+    assert matrix.mat.shape == (1, 1)
+    assert matrix.mat[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
-def test_stiffness_rows_sum_to_zero_without_dirichlet():
+def test_stiffness_interior_rows_sum_to_zero():
+    # constants lie in the kernel of the full operator, so the row of a dof
+    # that couples to no boundary vertex still sums to zero after the
+    # boundary columns are eliminated
     mesh = build_disc_mesh(level=2)
-    matrix = assemble_stiffness(mesh, dirichlet=False).mat
-    assert np.max(np.abs(matrix.sum(axis=1))) <= 1e-13
+    matrix = assemble_stiffness(mesh).mat
+    a, b = mesh.edges()[0].T
+    touches_boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    touches_boundary[a[mesh.boundary[b]]] = True
+    touches_boundary[b[mesh.boundary[a]]] = True
+    inner = ~touches_boundary[mesh.interior_vertices()]
+    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    assert inner.any() and not inner.all()
+    assert np.max(np.abs(row_sums[inner])) <= 1e-13
     assert (matrix != matrix.T).nnz == 0
 
 

@@ -27,10 +27,6 @@ def test_greens_closed_form_values(narrow):
         np.log(2.0) / (2 * np.pi), rel=1e-15
     )
     assert narrow.greens_radial(0.0) == np.inf
-    three_d = ExactSolution(center=(0.5, 0.5, 0.5), lower=-0.2, upper=0.2, dim=3)
-    assert three_d.greens_radial(0.25) == pytest.approx(
-        1.0 / (2 * np.pi), rel=1e-15
-    )
 
 
 def test_greens_radial_monotone(narrow):
@@ -53,11 +49,6 @@ def test_active_radius_matches_bisection(narrow):
     r_star = narrow.active_radius()
     assert r_star == pytest.approx(root, abs=1e-12)
     assert r_star == pytest.approx(0.142307, abs=5e-6)
-    three_d = ExactSolution(center=(0.5, 0.5, 0.5), lower=-0.2, upper=0.2, dim=3)
-    root3 = bisect_root(
-        lambda r: three_d.greens_radial(r) - level, 1e-6, 0.4999
-    )
-    assert three_d.active_radius() == pytest.approx(root3, abs=1e-12)
 
 
 def test_active_radius_wide_bounds():
@@ -133,7 +124,5 @@ def test_validation():
         ExactSolution(alpha=0.0)
     with pytest.raises(ValueError):
         ExactSolution(lower=0.3, upper=0.2)
-    with pytest.raises(ValueError):
-        ExactSolution(dim=4)
     with pytest.raises(ValueError):
         ExactSolution(radius=-0.5)
