@@ -10,8 +10,8 @@ on the command line.  Exit codes: 0 success, 1 oracle comparison failed,
 
 import argparse
 import os
+import secrets
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -59,7 +59,6 @@ class StudyConfig:
     upper: float = 1.0
     tol: float = 1e-12
     subdivision: int = 2
-    solver: str = "direct"
     out: Optional[str] = None
 
     def validate(self):
@@ -81,8 +80,6 @@ class StudyConfig:
             raise ConfigError("tol must be at least 1e-13")
         if self.subdivision < 0:
             raise ConfigError("subdivision must be non-negative")
-        if self.solver not in ("direct", "cg"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
         return self
 
     @property
@@ -168,8 +165,6 @@ def parse_config(text):
                 fields["subdivision"] = int(value)
             except ValueError:
                 raise ConfigError(f"subdivision: not an integer: {value!r}")
-        elif key == "solver":
-            fields["solver"] = value
         elif key == "out":
             fields["out"] = value
         else:
@@ -189,7 +184,6 @@ def format_config(config):
         f"bounds = {_fmt(config.lower)}, {_fmt(config.upper)}",
         f"tol = {_fmt(config.tol)}",
         f"subdivision = {config.subdivision}",
-        f"solver = {config.solver}",
     ]
     if config.out is not None:
         lines.append(f"out = {config.out}")
@@ -225,9 +219,7 @@ def _solve_variant(config, problem, mesh):
     variant = (
         control.VARIATIONAL if config.variant == "variational" else control.CELLWISE
     )
-    solution = control.solve_discrete(
-        problem, mesh, variant, tol=config.tol, solver=config.solver
-    )
+    solution = control.solve_discrete(problem, mesh, variant, tol=config.tol)
     discrete = solution.control
     if config.variant == "postproc":
         discrete = control.post_process(
@@ -241,7 +233,7 @@ def _level_error(config, exact, level):
     mesh = _build_mesh(config, level)
     if config.variant == "greens":
         g = fem.assemble_stiffness(mesh)
-        factorization = fem.factorize(g, method=config.solver)
+        factorization = fem.factorize(g)
         field = g.field(factorization.solve(fem.load_point(mesh, config.center)))
         value = error.l1_error_fe(
             mesh,
@@ -320,10 +312,16 @@ def _write_text(path, data):
     """Write text to ``path`` atomically (no partial files).
 
     The text goes to a temp file in the target's directory, which is then
-    renamed over the target; on failure the temp file is removed.
+    renamed over the target; on failure the temp file is removed.  The
+    temp file is created with mode 0o666 for the kernel to mask with the
+    umask, as ``open`` would; reading the umask in Python means setting
+    it, which races other threads.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(
+        directory, f"{os.path.basename(path)}.{secrets.token_hex(8)}.tmp"
+    )
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(data)
@@ -332,6 +330,14 @@ def _write_text(path, data):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _format_rows(points, values):
+    """Lines "x y value" in the 17-digit format of ``_fmt``."""
+    return map(
+        "{:.17g} {:.17g} {:.17g}".format,
+        points[:, 0].tolist(), points[:, 1].tolist(), values.tolist(),
+    )
 
 
 def run_solve(config):
@@ -360,14 +366,12 @@ def run_solve(config):
         f"# iterations {solution.iterations} residual {_fmt(solution.residual)}",
         f"# adjoint ({mesh.n_vertices} vertices: x y value)",
     ]
-    for (x, y), z in zip(mesh.vertices, solution.adjoint.values):
-        lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}")
+    lines.extend(_format_rows(mesh.vertices, solution.adjoint.values))
     lines.append(f"# control ({mesh.n_cells} cell centroids: x y value)")
     centroids = mesh.vertices[mesh.cells].mean(axis=1)
     third = np.full(3, 1.0 / 3.0)
     values = discrete.sample_cells(third[None, :]).ravel()
-    for (x, y), q in zip(centroids, values):
-        lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(q)}")
+    lines.extend(_format_rows(centroids, values))
     _write_text(config.out, "\n".join(lines) + "\n")
     return solution
 

@@ -212,14 +212,14 @@ class ReducedSystem:
     residual evaluation then costs a single sparse solve.
     """
 
-    def __init__(self, problem, mesh, variant, solver="direct"):
+    def __init__(self, problem, mesh, variant):
         if variant not in (VARIATIONAL, CELLWISE):
             raise ValueError(f"unknown variant {variant!r}")
         self.problem = problem
         self.mesh = mesh
         self.variant = variant
         self.matrix = fem.assemble_stiffness(mesh)
-        self.factorization = fem.factorize(self.matrix, method=solver)
+        self.factorization = fem.factorize(self.matrix)
         self.load_source = fem.load_smooth(mesh, problem.source)
         self.u_source = self.factorization.solve(self.load_source)
 
@@ -314,8 +314,7 @@ class ReducedSystem:
         return 0.5 * float(misfit @ misfit) + 0.5 * p.alpha * reg
 
 
-def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200,
-                   solver="direct"):
+def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     """Solve the discrete control problem by the reduced coefficient iteration.
 
     Damped Newton with a finite-difference Jacobian (step 1e-6 (1 + |c_j|),
@@ -334,8 +333,6 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200,
         Convergence threshold on max|F(c)|; at least 1e-13.
     max_iter : int
         Iteration cap.
-    solver : str
-        Factorization method, "direct" or "cg".
 
     Returns
     -------
@@ -349,7 +346,7 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200,
     """
     if not tol >= 1e-13:
         raise ValueError("tol must be at least 1e-13")
-    system = ReducedSystem(problem, mesh, variant, solver=solver)
+    system = ReducedSystem(problem, mesh, variant)
     n = problem.n_points
     c = system.initial_guess()
     F, u, data = system.evaluate(c)

@@ -11,6 +11,7 @@ from ptcontrol.cli import (
     main,
     parse_config,
     run_oracle_check,
+    run_solve,
     run_study,
 )
 from ptcontrol.control import DivergenceError
@@ -60,6 +61,7 @@ bounds = -1, 1
     "subdivision = 1.5",
     "tol = 1e-20",
     "solver = quantum",
+    "solver = direct",
     "domain = hexagon",
 ])
 def test_config_rejects_invalid(text):
@@ -152,6 +154,27 @@ def test_solve_dump(tmp_path):
     assert sample.shape == (3,)
 
 
+def test_solve_dump_matches_per_value_format(tmp_path):
+    out = tmp_path / "fields.txt"
+    solution = run_solve(StudyConfig(
+        variant="variational", level_min=2, level_max=2,
+        lower=-0.2, upper=0.2, out=str(out),
+    ))
+    mesh = solution.adjoint.mesh
+    centroids = mesh.vertices[mesh.cells].mean(axis=1)
+    controls = solution.control.sample_cells(np.full((1, 3), 1.0 / 3.0)).ravel()
+    expected = [
+        f"{x:.17g} {y:.17g} {z:.17g}"
+        for points, values in (
+            (mesh.vertices, solution.adjoint.values), (centroids, controls)
+        )
+        for (x, y), z in zip(points, values)
+    ]
+    values = [line for line in out.read_text().splitlines()
+              if not line.startswith("#")]
+    assert values == expected
+
+
 def test_solve_requires_out():
     assert main(["solve", "--levels", "2..2"]) == 3
 
@@ -185,6 +208,18 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, command):
     with pytest.raises(OSError, match="rename refused"):
         main([command, "--levels", "1..1", "--out", str(out)])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
+def test_written_files_respect_umask(tmp_path, command):
+    out = tmp_path / "out.txt"
+    previous = os.umask(0o022)
+    try:
+        assert main([command, "--levels", "1..1", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o644
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_oracle_reports(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from ptcontrol import fem
 from ptcontrol.fem import (
@@ -116,6 +117,22 @@ def test_factorize_rejects_indefinite():
         factorize(asymmetric)
 
 
+@settings(max_examples=40, deadline=None)
+@given(ratio=st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)))
+def test_factorize_detects_indefinite_shift(ratio):
+    # K - sigma I is SPD exactly when sigma < lambda_min(K); the sign test
+    # on the pivots is an inertia test only under symmetric permutations
+    matrix = assemble_stiffness(build_disc_mesh(level=3)).mat
+    lambda_min = np.linalg.eigvalsh(matrix.toarray())[0]
+    shifted = (matrix - ratio * lambda_min * sp.identity(matrix.shape[0])).tocsr()
+    if ratio > 1.0:
+        with pytest.raises(FactorizationError):
+            factorize(shifted)
+    else:
+        lu = factorize(shifted)._lu
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+
+
 def test_solve_residual_contract():
     mesh = build_disc_mesh(level=4)
     matrix = assemble_stiffness(mesh)
@@ -128,13 +145,13 @@ def test_solve_residual_contract():
         assert residual <= fact.RESIDUAL_CONTRACT * np.max(np.abs(b))
 
 
-def test_cg_matches_direct():
+def test_direct_matches_dense_solve():
     mesh = build_disc_mesh(level=2)
     matrix = assemble_stiffness(mesh)
     b = load_smooth(mesh, lambda p: np.ones(len(p)))
-    direct = factorize(matrix, method="direct").solve(b)
-    iterative = factorize(matrix, method="cg").solve(b)
-    assert np.max(np.abs(direct - iterative)) <= 1e-9
+    sparse_x = factorize(matrix).solve(b)
+    dense_x = np.linalg.solve(matrix.mat.toarray(), b)
+    assert np.max(np.abs(sparse_x - dense_x)) <= 1e-12 * np.max(np.abs(dense_x))
 
 
 def test_load_smooth_constant_gives_star_areas():
