@@ -4,7 +4,8 @@ Solving the discrete control problem
 
 The discrete optimality system collapses to one equation per tracking
 point: the adjoint is a combination of precomputed point-load solutions,
-so a residual evaluation costs a single sparse solve.  This script solves
+which also give the state at the tracking points as dot products with the
+load, so a residual evaluation needs no sparse solve.  This script solves
 the benchmark on a moderate mesh with both control discretizations,
 inspects the iteration, and shows what post-processing buys.
 """

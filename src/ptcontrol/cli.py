@@ -58,7 +58,6 @@ class StudyConfig:
     lower: float = -1.0
     upper: float = 1.0
     tol: float = 1e-12
-    subdivision: int = 2
     out: Optional[str] = None
 
     def validate(self):
@@ -70,16 +69,16 @@ class StudyConfig:
             raise ConfigError(
                 f"levels must satisfy 0 <= min <= max <= {MAX_STUDY_LEVEL}"
             )
-        if not self.radius > 0:
-            raise ConfigError("radius must be positive")
+        if not np.all(np.isfinite(self.center)):
+            raise ConfigError("center must be finite")
+        if not (self.radius > 0 and np.isfinite(self.radius)):
+            raise ConfigError("radius must be positive and finite")
         if not self.alpha > 0:
             raise ConfigError("alpha must be positive")
         if not self.lower < self.upper:
             raise ConfigError("bounds must satisfy lower < upper")
         if not self.tol >= 1e-13:
             raise ConfigError("tol must be at least 1e-13")
-        if self.subdivision < 0:
-            raise ConfigError("subdivision must be non-negative")
         return self
 
     @property
@@ -160,11 +159,6 @@ def parse_config(text):
             fields["lower"], fields["upper"] = _parse_pair(value, "bounds")
         elif key == "tol":
             fields["tol"] = _parse_float(value, "tol")
-        elif key == "subdivision":
-            try:
-                fields["subdivision"] = int(value)
-            except ValueError:
-                raise ConfigError(f"subdivision: not an integer: {value!r}")
         elif key == "out":
             fields["out"] = value
         else:
@@ -183,7 +177,6 @@ def format_config(config):
         f"alpha = {_fmt(config.alpha)}",
         f"bounds = {_fmt(config.lower)}, {_fmt(config.upper)}",
         f"tol = {_fmt(config.tol)}",
-        f"subdivision = {config.subdivision}",
     ]
     if config.out is not None:
         lines.append(f"out = {config.out}")
@@ -240,15 +233,12 @@ def _level_error(config, exact, level):
             exact.greens,
             field,
             singular_point=config.center,
-            depth=config.subdivision,
         )
     else:
         _, discrete = _solve_variant(
             config, control.benchmark_problem(exact), mesh
         )
-        value = error.l2_error_control(
-            mesh, exact.control, discrete, depth=config.subdivision
-        )
+        value = error.l2_error_control(mesh, exact.control, discrete)
     return error.ConvergenceRecord(
         level=level,
         h=mesh.h,

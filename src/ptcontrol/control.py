@@ -10,11 +10,14 @@ solutions g_i (one per tracking point) with coefficients
 c_i = u_h(x_i) - target_i, so the whole optimality system collapses to N
 equations in c: F(c) = c - (u_h(c)(x_i) - target_i) = 0, where the control
 induced by c is the clamped, scaled adjoint (variational discretization) or
-its clamped cell-mean (cellwise constant discretization).  Each residual
-evaluation costs one sparse solve against the reused factorization, and
-``ReducedSystem.evaluate`` is the one place F is computed; the fixed point
-is solved by a damped semismooth Newton iteration with a
-finite-difference Jacobian and a Picard fallback.
+its clamped cell-mean (cellwise constant discretization).  The stiffness
+matrix K is symmetric and the point load of x_i is the evaluation
+functional at x_i, so u_h(x_i) = g_i . b for the state load b (Green's
+representation): a residual evaluation assembles the control load and
+takes N dot products, with no sparse solve.  ``ReducedSystem.evaluate`` is
+the one place F is computed; the fixed point is solved by a damped
+semismooth Newton iteration with a finite-difference Jacobian and a
+Picard fallback.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +27,6 @@ import numpy as np
 
 from . import fem
 from .fem import CellwiseFunction, FeFunction
-from .mesh import locate_point
 
 __all__ = [
     "VARIATIONAL",
@@ -208,8 +210,10 @@ class ReducedSystem:
     """Precomputed machinery shared by all residual evaluations on one mesh.
 
     Bundles the problem, the mesh, the stiffness factorization, the source
-    state u_f (state with q = 0), and the point-load solutions g_i; one
-    residual evaluation then costs a single sparse solve.
+    load b_f, and the point-load solutions g_i.  With G stacking the
+    interior dofs of the g_i, the residual is
+    F(c) = c - (G (b_f + b(c)) - target) for the control load b(c), so one
+    residual evaluation costs a load assembly and no sparse solve.
     """
 
     def __init__(self, problem, mesh, variant):
@@ -221,43 +225,24 @@ class ReducedSystem:
         self.matrix = fem.assemble_stiffness(mesh)
         self.factorization = fem.factorize(self.matrix)
         self.load_source = fem.load_smooth(mesh, problem.source)
-        self.u_source = self.factorization.solve(self.load_source)
 
-        dof = mesh.dof_map()
         point_loads = []
-        self._eval_dofs = []
-        self._eval_weights = []
         for x in problem.points:
             try:
-                load = fem.load_point(mesh, x)
+                point_loads.append(fem.load_point(mesh, x))
             except Exception as exc:
                 raise ValueError(f"tracking point {tuple(x)} is not usable: {exc}")
-            point_loads.append(load)
-            k, lam = locate_point(mesh, x)
-            cell_dofs = dof[mesh.cells[k]]
-            keep = cell_dofs >= 0
-            self._eval_dofs.append(cell_dofs[keep])
-            self._eval_weights.append(lam[keep])
         # discrete point-source solutions, one per tracking point
-        self.point_fields = [
-            self.matrix.field(self.factorization.solve(b)) for b in point_loads
-        ]
+        self._green = np.stack([self.factorization.solve(b) for b in point_loads])
+        self.point_fields = [self.matrix.field(g) for g in self._green]
+        self._source_misfit = self._green @ self.load_source - problem.targets
         self._adjoint_nodal = np.stack([g.values for g in self.point_fields])
         if variant == CELLWISE:
             self._adjoint_cell_means = self._adjoint_nodal[:, mesh.cells].mean(axis=2)
 
-    def state_values(self, u_interior):
-        """Evaluate a dof vector at the tracking points."""
-        return np.array(
-            [
-                w @ u_interior[d] if len(d) else 0.0
-                for d, w in zip(self._eval_dofs, self._eval_weights)
-            ]
-        )
-
     def initial_guess(self):
         """Coefficients of the q = 0 state: u_f(x_i) - target_i."""
-        return self.state_values(self.u_source) - self.problem.targets
+        return self._source_misfit.copy()
 
     def adjoint_of(self, c):
         """Adjoint nodal field sum_i c_i g_i."""
@@ -285,12 +270,16 @@ class ReducedSystem:
         return fem.load_clipped_linear(self.mesh, z, p.lower, p.upper, p.alpha), z
 
     def evaluate(self, c):
-        """Residual F(c), the state dof vector, and the control data at c."""
+        """Residual F(c) and the control data at c."""
         c = np.asarray(c, dtype=float)
         load, control_data = self._control_load(c)
-        u = self.factorization.solve(self.load_source + load)
-        F = c - (self.state_values(u) - self.problem.targets)
-        return F, u, control_data
+        F = c - (self._source_misfit + self._green @ load)
+        return F, control_data
+
+    def state_of(self, c):
+        """State field induced by coefficients c (one sparse solve)."""
+        load, _ = self._control_load(np.asarray(c, dtype=float))
+        return self.matrix.field(self.factorization.solve(self.load_source + load))
 
     def residual(self, c):
         """Residual F(c) = c - (u_h(c)(x_i) - target_i)."""
@@ -349,7 +338,7 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     system = ReducedSystem(problem, mesh, variant)
     n = problem.n_points
     c = system.initial_guess()
-    F, u, data = system.evaluate(c)
+    F, data = system.evaluate(c)
     res = float(np.max(np.abs(F)))
     residual_history = [res]
     objective_history = [system.objective(c, F, data)]
@@ -378,22 +367,21 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
             t = 1.0
             for _ in range(MAX_DAMPINGS):
                 trial = c + t * direction
-                F_t, u_t, data_t = system.evaluate(trial)
+                F_t, data_t = system.evaluate(trial)
                 if np.max(np.abs(F_t)) < res:
-                    accepted = (trial, F_t, u_t, data_t)
+                    accepted = (trial, F_t, data_t)
                     break
                 t *= 0.5
         if accepted is None:
             trial = c - PICARD_FACTOR * F
-            F_t, u_t, data_t = system.evaluate(trial)
-            accepted = (trial, F_t, u_t, data_t)
-        c, F, u, data = accepted
+            accepted = (trial, *system.evaluate(trial))
+        c, F, data = accepted
         res = float(np.max(np.abs(F)))
         residual_history.append(res)
         objective_history.append(system.objective(c, F, data))
     return DiscreteSolution(
         control=system.control_of(c),
-        state=system.matrix.field(u),
+        state=system.state_of(c),
         adjoint=system.adjoint_of(c),
         coefficients=c,
         iterations=iterations,

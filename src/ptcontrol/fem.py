@@ -8,10 +8,10 @@ projections (cell mean and centroid sampling).
 
 Degrees of freedom are the interior vertices in mesh order; load vectors
 and solution vectors are aligned with that ordering.  The clipped-linear
-load integrates clamp(-w/alpha, a, b) times each hat function exactly by
-splitting every crossed cell into polygonal regions along the level lines
-of the affine field, so no quadrature error pollutes second-order
-convergence of the variational control.
+load integrates clamp(-w/alpha, a, b) times each hat function exactly, in
+closed form for all cells at once by the ramp identity of the clipped-loads
+section, so no quadrature error pollutes second-order convergence of the
+variational control.
 """
 
 import numpy as np
@@ -208,6 +208,8 @@ class Factorization:
 
     def __init__(self, mat):
         self.mat = mat
+        if not np.all(np.isfinite(mat.data)):
+            raise FactorizationError("matrix has a non-finite entry")
         asym = _relative_asymmetry(mat)
         if asym > 1e-12:
             raise FactorizationError(
@@ -215,12 +217,16 @@ class Factorization:
             )
         if np.any(mat.diagonal() <= 0.0):
             raise FactorizationError("matrix has a nonpositive diagonal entry")
-        self._lu = sparse_linalg.splu(
-            mat.tocsc(),
-            permc_spec="COLAMD",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
+        try:
+            self._lu = sparse_linalg.splu(
+                mat.tocsc(),
+                permc_spec="COLAMD",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:
+            # SuperLU reports an exactly singular matrix this way
+            raise FactorizationError(f"factorization failed: {exc}") from exc
         if np.any(self._lu.U.diagonal() <= 0.0):
             raise FactorizationError("matrix is not positive definite")
 
@@ -394,113 +400,90 @@ def l2_norm(u):
 # ---------------------------------------------------------------------------
 # Clipped-linear loads.
 #
-# The field is g = clamp(-w/alpha, lower, upper) with w in P1, so g is the
-# affine field v = -w/alpha flattened outside its level lines v = lower and
-# v = upper.  On each cell the three regions (v below lower, between, above
-# upper) are convex polygons obtained by Sutherland-Hodgman clipping in
-# reference coordinates; over each region the integrands g*lambda_j and g^2
-# have degree <= 2, so the three-edge-midpoint rule on a fan triangulation
-# integrates them exactly.
-
-_REF_TRIANGLE = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
-def _clip_halfplane(points, values, level, keep_below):
-    """Clip a convex polygon against a level line of the tracked affine field."""
-    out_p, out_v = [], []
-    n = len(points)
-    for i in range(n):
-        p_cur, v_cur = points[i], values[i]
-        p_nxt, v_nxt = points[(i + 1) % n], values[(i + 1) % n]
-        keep_cur = v_cur <= level if keep_below else v_cur >= level
-        keep_nxt = v_nxt <= level if keep_below else v_nxt >= level
-        if keep_cur:
-            out_p.append(p_cur)
-            out_v.append(v_cur)
-        if keep_cur != keep_nxt:
-            t = (level - v_cur) / (v_nxt - v_cur)
-            out_p.append(p_cur + t * (p_nxt - p_cur))
-            out_v.append(level)
-    return out_p, out_v
+# The field is g = clamp(v, a, b) with v = -w/alpha affine on each cell and
+# a < b.  With the ramp r(x) = max(x, 0),
+#
+#     g   = v + r(a - v) - r(v - b),
+#     g^2 = v^2 + (a + v) r(a - v) - (b + v) r(v - b),
+#
+# the second because r(a - v) is nonzero only where it equals a - v, and
+# likewise r(v - b).  As v = sum_j v_j lambda_j, every integral is a sum of
+# P1 mass-matrix integrals of v and of ramp loads R_j(u) = int r(u) lambda_j,
+# e.g. int (a + v) r(a - v) = sum_j (a + v_j) R_j(a - v).  A ramp positive
+# at exactly one vertex i lives on the corner triangle of area
+# S = t_k t_l |K|, t_k = u_i / (u_i - u_k), cut off by the zero line of u;
+# there it is affine with vertex values (u_i, 0, 0), so
+# R_i = S u_i (4 - t_k - t_l) / 12 and R_k = S u_i t_k / 12.  A ramp
+# positive at two vertices is r(u) = u + r(-u), at three r(u) = u.  An
+# infinite bound contributes no term.
 
 
-def _fan_quadrature(points, values, constant, want_loads, want_square):
-    """Exact degree-2 integration over a convex polygon in reference coordinates.
+def _mass_loads(u, areas):
+    """Per-cell integrals of an affine u times each hat, u (n, 3) vertex values."""
+    return areas[:, None] / 12.0 * (u + u.sum(axis=1, keepdims=True))
 
-    Integrates g * lambda_j (j = 0, 1, 2) and/or g^2 where g is either the
-    affine field interpolating ``values`` or the given constant.
+
+def _ramp_loads(u, areas):
+    """Per-cell integrals of max(u, 0) times each hat, u (n, 3) vertex values."""
+    positive = np.count_nonzero(u > 0.0, axis=1)
+    loads = np.zeros_like(u)
+    affine = positive >= 2
+    loads[affine] = _mass_loads(u[affine], areas[affine])
+    cells = np.flatnonzero((positive == 1) | (positive == 2))
+    # flip to the ramp of -u on two-vertex cells: r(u) = u + r(-u); there -u
+    # is positive at most at one vertex, and a zero maximum gives a zero load
+    c = np.where((positive[cells] == 2)[:, None], -u[cells], u[cells])
+    n = np.arange(len(cells))
+    i = np.argmax(c, axis=1)
+    k, l = (i + 1) % 3, (i + 2) % 3
+    ci = c[n, i]
+    tk = ci / (ci - c[n, k])
+    tl = ci / (ci - c[n, l])
+    scale = tk * tl * areas[cells] * ci / 12.0
+    loads[cells, i] += scale * (4.0 - tk - tl)
+    loads[cells, k] += scale * tk
+    loads[cells, l] += scale * tl
+    return loads
+
+
+def _clipped_integrals(mesh, w, lower, upper, alpha):
+    """Per-cell exact integrals of g = clamp(-w/alpha, lower, upper).
+
+    Returns the loads (n_cells, 3), int g * lambda_j, and the squares
+    (n_cells,), int g^2.
     """
-    loads = np.zeros(3)
-    square = 0.0
-    if len(points) < 3:
-        return loads, square
-    p0, v0 = points[0], values[0]
-    for i in range(1, len(points) - 1):
-        p1, p2 = points[i], points[i + 1]
-        v1, v2 = values[i], values[i + 1]
-        area = 0.5 * (
-            (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
-        )
-        mids = ((p0 + p1) / 2, (p1 + p2) / 2, (p2 + p0) / 2)
-        if constant is None:
-            gvals = ((v0 + v1) / 2, (v1 + v2) / 2, (v2 + v0) / 2)
-        else:
-            gvals = (constant, constant, constant)
-        third = area / 3.0
-        for m, g in zip(mids, gvals):
-            if want_loads:
-                loads[0] += third * g * (1.0 - m[0] - m[1])
-                loads[1] += third * g * m[0]
-                loads[2] += third * g * m[1]
-            if want_square:
-                square += third * g * g
-    return loads, square
-
-
-def _clipped_cell_integrals(v, lower, upper, want_loads=True, want_square=False):
-    """Reference-triangle integrals of clamp(v,.)*lambda_j and clamp(v,.)^2.
-
-    ``v`` holds the three vertex values of the affine field.  Returns
-    (loads (3,), square) over the reference triangle; physical values are
-    2*|K| times these.
-    """
-    points = list(_REF_TRIANGLE)
-    values = list(v)
-    mid_p, mid_v = points, values
+    if not lower < upper:
+        raise ValueError("bounds must satisfy lower < upper")
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    nodal = w.values if isinstance(w, FeFunction) else np.asarray(w, dtype=float)
+    v = -nodal[mesh.cells] / alpha
+    areas = mesh.cell_areas()
+    # clamp(v, a, b) = s + clamp(v - s, a - s, b - s) for a cell constant s;
+    # with s the clamped vertex mean, a cell past a bound cancels exactly,
+    # not to a rounding error of the size of v
+    shift = np.clip(v.mean(axis=1), lower, upper)[:, None]
+    v, lo, hi = v - shift, lower - shift, upper - shift
+    loads = _mass_loads(v, areas)
+    square = np.einsum("ni,ni->n", v, loads)
+    if np.isfinite(lower):
+        ramp = _ramp_loads(lo - v, areas)
+        loads += ramp
+        square += np.einsum("ni,ni->n", lo + v, ramp)
     if np.isfinite(upper):
-        mid_p, mid_v = _clip_halfplane(mid_p, mid_v, upper, keep_below=True)
-    if np.isfinite(lower) and len(mid_p) >= 3:
-        mid_p, mid_v = _clip_halfplane(mid_p, mid_v, lower, keep_below=False)
-    loads, square = _fan_quadrature(mid_p, mid_v, None, want_loads, want_square)
-    if np.isfinite(lower) and min(values) < lower:
-        lo_p, lo_v = _clip_halfplane(points, values, lower, keep_below=True)
-        lo_loads, lo_square = _fan_quadrature(lo_p, lo_v, lower, want_loads, want_square)
-        loads += lo_loads
-        square += lo_square
-    if np.isfinite(upper) and max(values) > upper:
-        hi_p, hi_v = _clip_halfplane(points, values, upper, keep_below=False)
-        hi_loads, hi_square = _fan_quadrature(hi_p, hi_v, upper, want_loads, want_square)
-        loads += hi_loads
-        square += hi_square
+        ramp = _ramp_loads(v - hi, areas)
+        loads -= ramp
+        square -= np.einsum("ni,ni->n", hi + v, ramp)
+    square += shift[:, 0] * (2.0 * loads.sum(axis=1) + shift[:, 0] * areas)
+    loads += shift * areas[:, None] / 3.0
     return loads, square
-
-
-def _classify_clip_cells(v, lower, upper):
-    """Masks for the fast paths: fully linear, fully at a bound, or crossed."""
-    within = np.all((v >= lower) & (v <= upper), axis=1)
-    below = np.all(v <= lower, axis=1) & ~within
-    above = np.all(v >= upper, axis=1) & ~within
-    crossed = ~(within | below | above)
-    return within, below, above, crossed
 
 
 def load_clipped_linear(mesh, w, lower, upper, alpha):
     """Load vector (clamp(-w/alpha, lower, upper), phi_i), integrated exactly.
 
-    Cells where the affine field -w/alpha stays within the bounds reduce to
-    a mass-matrix row; cells fully past a bound reduce to a constant load;
-    only cells crossed by a level line take the polygon-clipping path.
-    Bounds may be infinite.
+    Every cell is integrated in closed form from the ramp identity above;
+    bounds may be infinite.
 
     Parameters
     ----------
@@ -511,55 +494,11 @@ def load_clipped_linear(mesh, w, lower, upper, alpha):
     alpha : float
         Positive scaling of the argument -w/alpha.
     """
-    if not lower < upper:
-        raise ValueError("bounds must satisfy lower < upper")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    nodal = w.values if isinstance(w, FeFunction) else np.asarray(w, dtype=float)
-    v = -nodal[mesh.cells] / alpha
-    areas = mesh.cell_areas()
-    within, below, above, crossed = _classify_clip_cells(v, lower, upper)
-    contrib = np.zeros((mesh.n_cells, 3))
-    if within.any():
-        vw = v[within]
-        contrib[within] = (
-            areas[within, None] / 12.0 * (vw + vw.sum(axis=1, keepdims=True))
-        )
-    if below.any():
-        contrib[below] = lower * areas[below, None] / 3.0
-    if above.any():
-        contrib[above] = upper * areas[above, None] / 3.0
-    for k in np.flatnonzero(crossed):
-        loads, _ = _clipped_cell_integrals(v[k], lower, upper)
-        contrib[k] = 2.0 * areas[k] * loads
-    return _scatter_cell_loads(mesh, contrib)
+    loads, _ = _clipped_integrals(mesh, w, lower, upper, alpha)
+    return _scatter_cell_loads(mesh, loads)
 
 
 def clipped_field_l2_sq(mesh, w, lower, upper, alpha):
     """Exact squared L2 norm of clamp(-w/alpha, lower, upper) over the mesh."""
-    if not lower < upper:
-        raise ValueError("bounds must satisfy lower < upper")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    nodal = w.values if isinstance(w, FeFunction) else np.asarray(w, dtype=float)
-    v = -nodal[mesh.cells] / alpha
-    areas = mesh.cell_areas()
-    within, below, above, crossed = _classify_clip_cells(v, lower, upper)
-    total = 0.0
-    if within.any():
-        vw = v[within]
-        squares = (vw**2).sum(axis=1)
-        cross = vw[:, 0] * vw[:, 1] + vw[:, 1] * vw[:, 2] + vw[:, 2] * vw[:, 0]
-        total += np.sum(areas[within] / 6.0 * (squares + cross))
-    # guard the saturated terms: with an infinite bound the mask is empty
-    # and inf**2 * 0 would turn the sum into nan
-    if below.any():
-        total += lower**2 * np.sum(areas[below])
-    if above.any():
-        total += upper**2 * np.sum(areas[above])
-    for k in np.flatnonzero(crossed):
-        _, square = _clipped_cell_integrals(
-            v[k], lower, upper, want_loads=False, want_square=True
-        )
-        total += 2.0 * areas[k] * square
-    return float(total)
+    _, square = _clipped_integrals(mesh, w, lower, upper, alpha)
+    return float(np.sum(square))

@@ -63,6 +63,9 @@ bounds = -1, 1
     "solver = quantum",
     "solver = direct",
     "domain = hexagon",
+    "center = nan, 0.5",
+    "center = inf, 0.5",
+    "radius = inf",
 ])
 def test_config_rejects_invalid(text):
     with pytest.raises(ConfigError):

@@ -161,6 +161,18 @@ def test_large_alpha_limit_matches_source_state():
     assert np.all(np.isfinite(solution.objective_history))
 
 
+@pytest.mark.parametrize("variant", [CELLWISE, VARIATIONAL])
+def test_state_at_points_matches_coefficients(variant, narrow_problem):
+    # the returned state comes from its own solve; at the tracking points
+    # it must reproduce c_i = u_h(x_i) - target_i of the Green's residual
+    solution = solve_discrete(narrow_problem, build_disc_mesh(level=3), variant)
+    at_points = np.array(
+        [fem.evaluate(solution.state, x) for x in narrow_problem.points]
+    )
+    misfit = at_points - narrow_problem.targets
+    assert np.max(np.abs(misfit - solution.coefficients)) <= 1e-11
+
+
 def test_residual_finite_difference_slope(wide_problem):
     mesh = build_disc_mesh(level=2)
     system = ReducedSystem(wide_problem, mesh, CELLWISE)

@@ -117,6 +117,16 @@ def test_factorize_rejects_indefinite():
         factorize(asymmetric)
 
 
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 1.0], [1.0, 1.0]],
+], ids=["nan", "inf", "singular"])
+def test_factorize_failures_are_typed(entries):
+    with pytest.raises(FactorizationError):
+        factorize(sp.csr_matrix(np.array(entries)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(ratio=st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)))
 def test_factorize_detects_indefinite_shift(ratio):
@@ -381,6 +391,50 @@ def test_clipped_load_random_fields_match_oracle():
         reference = clipped_loads_on_mesh(mesh, w, lower, upper, alpha)
         worst = max(worst, float(np.max(np.abs(ours - reference))))
     assert worst <= 1e-12
+
+
+LEVEL1_MESH = build_disc_mesh(level=1)
+
+
+def _on_level(level, alpha):
+    """A nodal w with -w/alpha == level exactly, if one lies next to -alpha*level."""
+    w = -alpha * level
+    for candidate in (w, np.nextafter(w, np.inf), np.nextafter(w, -np.inf)):
+        if -candidate / alpha == level:
+            return candidate
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.1, 10.0),
+    bounds=st.tuples(
+        st.one_of(st.just(-np.inf), st.floats(-1.5, 0.5)),
+        st.one_of(st.just(np.inf), st.floats(-0.5, 1.5)),
+    ).filter(lambda b: b[0] < b[1]),
+    snapped=st.floats(0.0, 0.6),
+)
+def test_clipped_integrals_match_scanline_property(seed, alpha, bounds, snapped):
+    # random affine-per-cell fields, some vertex values exactly on a level
+    lower, upper = bounds
+    mesh = LEVEL1_MESH
+    rng = np.random.default_rng(seed)
+    w = alpha * rng.uniform(-2.0, 2.0, mesh.n_vertices)
+    levels = [b for b in bounds if np.isfinite(b)]
+    if levels:
+        for i in np.flatnonzero(rng.random(mesh.n_vertices) < snapped):
+            w[i] = _on_level(levels[rng.integers(len(levels))], alpha)
+    # no nan/inf path: invalid, divide and overflow raise; gradual underflow
+    # (subnormal bounds, corner areas t_k t_l |K| below 1e-308) is benign
+    with np.errstate(all="raise", under="ignore"):
+        loads = load_clipped_linear(mesh, w, lower, upper, alpha)
+        square = clipped_field_l2_sq(mesh, w, lower, upper, alpha)
+    reference = clipped_loads_on_mesh(mesh, w, lower, upper, alpha)
+    assert np.max(np.abs(loads - reference)) <= 1e-12
+    assert square == pytest.approx(
+        clipped_square_on_mesh(mesh, w, lower, upper, alpha), abs=1e-12
+    )
 
 
 def test_clipped_square_matches_oracle():
