@@ -27,7 +27,7 @@ for level in (0, 1, 2):
     mesh = build_disc_mesh(level=level)
     solution = solve_discrete(problem, mesh, CELLWISE)
     reference = cellwise_qp_oracle(problem, mesh)
-    diff = np.max(np.abs(solution.control.values.values - reference))
+    diff = np.max(np.abs(solution.control.values - reference))
     print(f"level {level} ({mesh.n_cells:>3} cells): "
           f"max difference vs dense QP {diff:.3e}")
 
@@ -40,5 +40,5 @@ mesh = build_disc_mesh(level=2)
 solution = solve_discrete(free, mesh, CELLWISE)
 q_ref, u_ref, _ = unconstrained_kkt(free, mesh)
 print(f"\nunconstrained, level 2: "
-      f"control gap {np.max(np.abs(solution.control.values.values - q_ref)):.3e}, "
+      f"control gap {np.max(np.abs(solution.control.values - q_ref)):.3e}, "
       f"state gap {np.max(np.abs(solution.state.interior() - u_ref)):.3e}")

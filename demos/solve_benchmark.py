@@ -38,7 +38,7 @@ print("objective along accepted steps:",
 
 # The returned control satisfies the projection formula cellwise: each
 # value is the clamped negative cell mean of the adjoint over alpha.
-values = cellwise.control.values.values
+values = cellwise.control.values
 means = cellwise.adjoint.values[mesh.cells].mean(axis=1)
 gap = np.max(np.abs(values - np.clip(-means / problem.alpha, -0.2, 0.2)))
 print(f"projection-formula gap: {gap:.2e}")

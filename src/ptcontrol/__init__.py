@@ -17,7 +17,6 @@ drives convergence studies; `ptcontrol.cli` runs them from config files.
 from .control import (
     CELLWISE,
     VARIATIONAL,
-    CellwiseControl,
     ControlProblem,
     DiscreteSolution,
     DivergenceError,
@@ -25,7 +24,6 @@ from .control import (
     VariationalControl,
     benchmark_problem,
     post_process,
-    project_interval,
     solve_discrete,
 )
 from .error import (
@@ -66,14 +64,11 @@ from .mesh import (
     Mesh,
     MeshError,
     PointNotFoundError,
-    SquareDomain,
     audit_mesh,
     build_disc_mesh,
     build_square_mesh,
-    cell_centroid,
     format_mesh,
     locate_point,
-    parse_mesh,
     refine_uniform,
 )
 
@@ -84,7 +79,6 @@ __all__ = [
     "CELLWISE",
     "CUT",
     "CapacityError",
-    "CellwiseControl",
     "CellwiseFunction",
     "ControlProblem",
     "ConvergenceRecord",
@@ -100,7 +94,6 @@ __all__ = [
     "MeshError",
     "PointNotFoundError",
     "ReducedSystem",
-    "SquareDomain",
     "StiffnessMatrix",
     "VARIATIONAL",
     "VariationalControl",
@@ -110,7 +103,6 @@ __all__ = [
     "benchmark_problem",
     "build_disc_mesh",
     "build_square_mesh",
-    "cell_centroid",
     "centroid_project",
     "classify_cells",
     "clipped_field_l2_sq",
@@ -129,9 +121,7 @@ __all__ = [
     "load_point",
     "load_smooth",
     "locate_point",
-    "parse_mesh",
     "post_process",
-    "project_interval",
     "refine_uniform",
     "solve_discrete",
     "__version__",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import control, error, fem, oracle
 from .greens import ExactSolution
-from .mesh import build_disc_mesh, build_square_mesh, format_mesh
+from .mesh import build_disc_mesh, build_square_mesh, cell_centroids, format_mesh
 
 __all__ = [
     "ConfigError",
@@ -358,7 +358,7 @@ def run_solve(config):
     ]
     lines.extend(_format_rows(mesh.vertices, solution.adjoint.values))
     lines.append(f"# control ({mesh.n_cells} cell centroids: x y value)")
-    centroids = mesh.vertices[mesh.cells].mean(axis=1)
+    centroids = cell_centroids(mesh)
     third = np.full(3, 1.0 / 3.0)
     values = discrete.sample_cells(third[None, :]).ravel()
     lines.extend(_format_rows(centroids, values))
@@ -389,7 +389,7 @@ def run_oracle_check(config):
     for level in config.levels:
         mesh = _build_mesh(config, level)
         solution, _ = _solve_variant(config, problem, mesh)
-        values = solution.control.values.values
+        values = solution.control.values
         if unbounded:
             reference = oracle.unconstrained_kkt(problem, mesh)[0]
             tol = KKT_MATCH_TOL

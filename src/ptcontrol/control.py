@@ -33,11 +33,9 @@ __all__ = [
     "CELLWISE",
     "ControlProblem",
     "VariationalControl",
-    "CellwiseControl",
     "DiscreteSolution",
     "DivergenceError",
     "ReducedSystem",
-    "project_interval",
     "solve_discrete",
     "post_process",
     "benchmark_problem",
@@ -63,16 +61,6 @@ class DivergenceError(Exception):
     def __init__(self, message, residual_history):
         super().__init__(message)
         self.residual_history = list(residual_history)
-
-
-def project_interval(v, lower, upper):
-    """Clamp to [lower, upper]: min(upper, max(lower, v)).
-
-    Accepts scalars or arrays and infinite inputs or bounds; an input of
-    -inf clamps to lower, +inf to upper.
-    """
-    out = np.clip(v, lower, upper)
-    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +131,6 @@ class VariationalControl:
     adjoint, so sampled values lie in [lower, upper] exactly.
     """
 
-    variant = VARIATIONAL
-
     def __init__(self, adjoint, alpha, lower, upper):
         if not isinstance(adjoint, FeFunction):
             raise TypeError("adjoint must be an FeFunction")
@@ -152,10 +138,6 @@ class VariationalControl:
         self.alpha = float(alpha)
         self.lower = float(lower)
         self.upper = float(upper)
-
-    @property
-    def mesh(self):
-        return self.adjoint.mesh
 
     def sample_cells(self, bary, cells=None):
         z = self.adjoint.sample_cells(bary, cells)
@@ -167,34 +149,15 @@ class VariationalControl:
         )
 
 
-class CellwiseControl:
-    """Piecewise-constant control with values clamped into [lower, upper]."""
-
-    variant = CELLWISE
-
-    def __init__(self, values):
-        if not isinstance(values, CellwiseFunction):
-            raise TypeError("values must be a CellwiseFunction")
-        self.values = values
-
-    @property
-    def mesh(self):
-        return self.values.mesh
-
-    def sample_cells(self, bary, cells=None):
-        return self.values.sample_cells(bary, cells)
-
-    def __call__(self, x):
-        return float(self.values(x))
-
-
 @dataclass
 class DiscreteSolution:
     """Converged discrete solution of the reduced fixed point.
 
-    ``adjoint`` equals the coefficient combination of the point-load
-    solutions by construction; ``objective_history`` records the discrete
-    objective at every accepted iterate (diagnostic).
+    ``control`` is a CellwiseFunction of clamped cell values (cellwise
+    variant) or a VariationalControl (variational variant).  ``adjoint``
+    equals the coefficient combination of the point-load solutions by
+    construction; ``objective_history`` records the discrete objective at
+    every accepted iterate (diagnostic).
     """
 
     control: object
@@ -258,7 +221,7 @@ class ReducedSystem:
         """Control representation induced by coefficients c."""
         p = self.problem
         if self.variant == CELLWISE:
-            return CellwiseControl(CellwiseFunction(self.mesh, self._cell_values(c)))
+            return CellwiseFunction(self.mesh, self._cell_values(c))
         return VariationalControl(self.adjoint_of(c), p.alpha, p.lower, p.upper)
 
     def _control_load(self, c):
@@ -270,15 +233,14 @@ class ReducedSystem:
         return fem.load_clipped_linear(self.mesh, z, p.lower, p.upper, p.alpha), z
 
     def evaluate(self, c):
-        """Residual F(c) and the control data at c."""
+        """Residual F(c), the control data and the control load at c."""
         c = np.asarray(c, dtype=float)
         load, control_data = self._control_load(c)
         F = c - (self._source_misfit + self._green @ load)
-        return F, control_data
+        return F, control_data, load
 
-    def state_of(self, c):
-        """State field induced by coefficients c (one sparse solve)."""
-        load, _ = self._control_load(np.asarray(c, dtype=float))
+    def state_of_load(self, load):
+        """State field for a control load from ``evaluate`` (one sparse solve)."""
         return self.matrix.field(self.factorization.solve(self.load_source + load))
 
     def residual(self, c):
@@ -338,7 +300,7 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     system = ReducedSystem(problem, mesh, variant)
     n = problem.n_points
     c = system.initial_guess()
-    F, data = system.evaluate(c)
+    F, data, load = system.evaluate(c)
     res = float(np.max(np.abs(F)))
     residual_history = [res]
     objective_history = [system.objective(c, F, data)]
@@ -367,21 +329,21 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
             t = 1.0
             for _ in range(MAX_DAMPINGS):
                 trial = c + t * direction
-                F_t, data_t = system.evaluate(trial)
+                F_t, data_t, load_t = system.evaluate(trial)
                 if np.max(np.abs(F_t)) < res:
-                    accepted = (trial, F_t, data_t)
+                    accepted = (trial, F_t, data_t, load_t)
                     break
                 t *= 0.5
         if accepted is None:
             trial = c - PICARD_FACTOR * F
             accepted = (trial, *system.evaluate(trial))
-        c, F, data = accepted
+        c, F, data, load = accepted
         res = float(np.max(np.abs(F)))
         residual_history.append(res)
         objective_history.append(system.objective(c, F, data))
     return DiscreteSolution(
         control=system.control_of(c),
-        state=system.state_of(c),
+        state=system.state_of_load(load),
         adjoint=system.adjoint_of(c),
         coefficients=c,
         iterations=iterations,
@@ -402,6 +364,6 @@ def post_process(solution, alpha, lower, upper):
     ValueError
         If the solution does not come from the cellwise variant.
     """
-    if getattr(solution.control, "variant", None) != CELLWISE:
+    if not isinstance(solution.control, CellwiseFunction):
         raise ValueError("post-processing requires a cellwise solution")
     return VariationalControl(solution.adjoint, alpha, lower, upper)

@@ -17,6 +17,8 @@ the adjoint coefficient (tracking misfit at the center) equals 1.
 
 import numpy as np
 
+from .mesh import DiscDomain
+
 __all__ = ["ExactSolution"]
 
 
@@ -26,9 +28,9 @@ class ExactSolution:
     Parameters
     ----------
     center : sequence of floats
-        Tracking point = domain center, a point of the plane.
+        Tracking point = domain center, a finite point of the plane.
     radius : float
-        Disc radius.
+        Disc radius, positive and finite.
     alpha : float
         Regularization weight (positive).
     lower, upper : float
@@ -46,15 +48,13 @@ class ExactSolution:
         lower=-1.0,
         upper=1.0,
     ):
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        disc = DiscDomain(center, radius)
         if not alpha > 0:
             raise ValueError("alpha must be positive")
         if not lower < upper:
             raise ValueError("bounds must satisfy lower < upper")
-        self.center = np.asarray(center, dtype=float).reshape(2)
-        self.center.setflags(write=False)
-        self.radius = float(radius)
+        self.center = disc.center
+        self.radius = disc.radius
         self.alpha = float(alpha)
         self.lower = float(lower)
         self.upper = float(upper)

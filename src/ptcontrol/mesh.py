@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Mesh",
     "DiscDomain",
-    "SquareDomain",
     "MeshError",
     "CapacityError",
     "PointNotFoundError",
@@ -26,11 +25,9 @@ __all__ = [
     "build_square_mesh",
     "refine_uniform",
     "locate_point",
-    "cell_centroid",
     "cell_centroids",
     "audit_mesh",
     "format_mesh",
-    "parse_mesh",
 ]
 
 MAX_LEVEL = 10
@@ -61,12 +58,12 @@ class DiscDomain:
     circle.
     """
 
-    kind = "disc"
-
     def __init__(self, center, radius):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(radius) and radius > 0):
+            raise ValueError("radius must be positive and finite")
         self.center = np.asarray(center, dtype=float).reshape(2)
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be finite")
         self.center.setflags(write=False)
         self.radius = float(radius)
 
@@ -76,30 +73,8 @@ class DiscDomain:
         r = np.hypot(d[:, 0], d[:, 1])
         return self.center + self.radius * d / r[:, None]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiscDomain)
-            and np.array_equal(self.center, other.center)
-            and self.radius == other.radius
-        )
-
     def __repr__(self):
         return f"DiscDomain(center={tuple(self.center)}, radius={self.radius})"
-
-
-class SquareDomain:
-    """Unit square domain descriptor; the boundary is exactly polygonal."""
-
-    kind = "square"
-
-    def snap_to_boundary(self, points):
-        return points
-
-    def __eq__(self, other):
-        return isinstance(other, SquareDomain)
-
-    def __repr__(self):
-        return "SquareDomain()"
 
 
 class Mesh:
@@ -113,8 +88,10 @@ class Mesh:
         Vertex index triples, counterclockwise.
     boundary : array_like of shape (n_v,), bool
         Mask of vertices on the domain boundary.
-    domain : DiscDomain or SquareDomain or None
-        Domain descriptor; None for free-standing meshes (no snapping).
+    domain : DiscDomain or None
+        Disc whose circle new boundary vertices snap onto; None when the
+        boundary is exactly polygonal (the unit square, free-standing
+        meshes), so refinement moves no vertex.
     level : int
         Number of uniform refinements applied to the coarse mesh.
 
@@ -220,7 +197,7 @@ class Mesh:
         return self._inv_maps
 
     def __repr__(self):
-        dom = "free" if self.domain is None else self.domain.kind
+        dom = "polygonal" if self.domain is None else "disc"
         return (
             f"Mesh({dom}, level={self.level}, n_vertices={self.n_vertices}, "
             f"n_cells={self.n_cells}, h={self.h:.6g})"
@@ -266,32 +243,32 @@ def build_disc_mesh(center=(0.5, 0.5), radius=0.5, level=0):
     ------
     CapacityError
         If ``level`` exceeds the memory guard.
+    ValueError
+        If ``level`` is negative, or the center or the radius is not finite.
     """
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if level > MAX_LEVEL:
-        raise CapacityError(f"level {level} exceeds the guard MAX_LEVEL={MAX_LEVEL}")
     domain = DiscDomain(center, radius)
     vertices = np.vstack([domain.center, domain.center + radius * _OCTAGON])
     cells = np.array([[0, 1 + k, 1 + (k + 1) % 8] for k in range(8)], dtype=np.int64)
     boundary = np.ones(9, dtype=bool)
     boundary[0] = False
-    mesh = Mesh(vertices, cells, boundary, domain, level=0)
-    for _ in range(level):
-        mesh = refine_uniform(mesh)
-    return mesh
+    return _refined(Mesh(vertices, cells, boundary, domain), level)
 
 
 def build_square_mesh(level=0):
     """Build the unit-square mesh at a given refinement level (2 coarse cells)."""
+    vertices = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    cells = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
+    boundary = np.ones(4, dtype=bool)
+    return _refined(Mesh(vertices, cells, boundary), level)
+
+
+def _refined(coarse, level):
+    """Refine a level-0 mesh ``level`` times, after guarding the level."""
     if level < 0:
         raise ValueError("level must be nonnegative")
     if level > MAX_LEVEL:
         raise CapacityError(f"level {level} exceeds the guard MAX_LEVEL={MAX_LEVEL}")
-    vertices = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    cells = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
-    boundary = np.ones(4, dtype=bool)
-    mesh = Mesh(vertices, cells, boundary, SquareDomain(), level=0)
+    mesh = coarse
     for _ in range(level):
         mesh = refine_uniform(mesh)
     return mesh
@@ -300,9 +277,9 @@ def build_square_mesh(level=0):
 def refine_uniform(mesh):
     """Split every cell into 4 children through the edge midpoints.
 
-    Midpoints of boundary edges are snapped onto the true domain boundary
-    (radial projection for the disc; no-op for the square and for
-    free-standing meshes).  Children of cell k occupy rows 4k..4k+3 of the
+    Midpoints of boundary edges are projected radially onto the circle of
+    a disc domain; without a domain (the square, free-standing meshes)
+    they stay where they are.  Children of cell k occupy rows 4k..4k+3 of the
     refined cell array: the three corner children in vertex order, then the
     central child.
 
@@ -377,11 +354,6 @@ def locate_point(mesh, x):
     return k, lam[k]
 
 
-def cell_centroid(mesh, k):
-    """Centroid (vertex average) of cell k."""
-    return mesh.vertices[mesh.cells[k]].mean(axis=0)
-
-
 def cell_centroids(mesh):
     """Centroids of all cells, shape (n_c, 2)."""
     return mesh.vertices[mesh.cells].mean(axis=1)
@@ -435,19 +407,3 @@ def format_mesh(mesh):
         lines.append(f"{i} {j} {k}")
     return "\n".join(lines) + "\n"
 
-
-def parse_mesh(text, domain=None, level=0):
-    """Parse the text dump format back into a Mesh."""
-    tokens = text.split("\n")
-    header = tokens[0].split()
-    n_v, n_c = int(header[0]), int(header[1])
-    vertices = np.empty((n_v, 2))
-    boundary = np.empty(n_v, dtype=bool)
-    for i in range(n_v):
-        x, y, flag = tokens[1 + i].split()
-        vertices[i] = (float(x), float(y))
-        boundary[i] = bool(int(flag))
-    cells = np.empty((n_c, 3), dtype=np.int64)
-    for k in range(n_c):
-        cells[k] = [int(t) for t in tokens[1 + n_v + k].split()]
-    return Mesh(vertices, cells, boundary, domain, level=level)

@@ -141,7 +141,7 @@ def test_a5_oracle_equivalence():
             solution = solve_discrete(problem, mesh, CELLWISE)
             reference = oracle.cellwise_qp_oracle(problem, mesh)
             diff = float(
-                np.max(np.abs(solution.control.values.values - reference))
+                np.max(np.abs(solution.control.values - reference))
             )
             worst = max(worst, diff)
     ok = worst <= 1e-8
@@ -157,7 +157,7 @@ def test_a6_optimality_system_audit():
     mesh = build_disc_mesh(level=3)
 
     cellwise = solve_discrete(problem, mesh, CELLWISE)
-    values = cellwise.control.values.values
+    values = cellwise.control.values
     z_means = cellwise.adjoint.values[mesh.cells].mean(axis=1)
     projection_gap = float(
         np.max(np.abs(values - np.clip(-z_means / problem.alpha, -0.2, 0.2)))

@@ -5,7 +5,6 @@ PUBLIC_API = [
     "CELLWISE",
     "CUT",
     "CapacityError",
-    "CellwiseControl",
     "CellwiseFunction",
     "ControlProblem",
     "ConvergenceRecord",
@@ -21,7 +20,6 @@ PUBLIC_API = [
     "MeshError",
     "PointNotFoundError",
     "ReducedSystem",
-    "SquareDomain",
     "StiffnessMatrix",
     "VARIATIONAL",
     "VariationalControl",
@@ -32,7 +30,6 @@ PUBLIC_API = [
     "benchmark_problem",
     "build_disc_mesh",
     "build_square_mesh",
-    "cell_centroid",
     "centroid_project",
     "classify_cells",
     "clipped_field_l2_sq",
@@ -51,9 +48,7 @@ PUBLIC_API = [
     "load_point",
     "load_smooth",
     "locate_point",
-    "parse_mesh",
     "post_process",
-    "project_interval",
     "refine_uniform",
     "solve_discrete",
 ]
@@ -65,6 +60,14 @@ def test_public_api_is_pinned():
     assert sorted(ptcontrol.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(ptcontrol, name) is not None
-    for removed in ("coefficient_residual", "reduced_gradient"):
+    for removed in (
+        "coefficient_residual",
+        "reduced_gradient",
+        "CellwiseControl",
+        "project_interval",
+        "SquareDomain",
+        "cell_centroid",
+        "parse_mesh",
+    ):
         assert removed not in ptcontrol.__all__
         assert not hasattr(ptcontrol, removed)

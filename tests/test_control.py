@@ -11,7 +11,6 @@ from ptcontrol.control import (
     ReducedSystem,
     benchmark_problem,
     post_process,
-    project_interval,
     solve_discrete,
 )
 from ptcontrol.greens import ExactSolution
@@ -59,15 +58,6 @@ def fresh_residual(c, problem, mesh, variant):
     u = matrix.field(fact.solve(fem.load_smooth(mesh, problem.source) + load))
     at_points = np.array([fem.evaluate(u, x) for x in problem.points])
     return c - (at_points - problem.targets)
-
-
-def test_project_interval():
-    assert project_interval(0.5, -1.0, 1.0) == 0.5
-    assert project_interval(2.0, -1.0, 1.0) == 1.0
-    assert project_interval(-np.inf, -0.2, 0.2) == -0.2
-    assert project_interval(np.inf, -0.2, 0.2) == 0.2
-    values = project_interval(np.array([-3.0, 0.1, 3.0]), -1.0, 1.0)
-    assert np.array_equal(values, [-1.0, 0.1, 1.0])
 
 
 def test_problem_validation():
@@ -190,7 +180,7 @@ def test_cellwise_matches_dense_qp_oracle(level, wide_problem):
     mesh = build_disc_mesh(level=level)
     solution = solve_discrete(wide_problem, mesh, CELLWISE)
     reference = oracle.cellwise_qp_oracle(wide_problem, mesh)
-    values = solution.control.values.values
+    values = solution.control.values
     assert np.max(np.abs(values - reference)) <= 1e-8
 
 
@@ -204,7 +194,7 @@ def test_pinned_control_by_extreme_targets():
             np.array([[0.5, 0.5]]), np.array([target]), 1.0, -1.0, 1.0, zero
         )
         solution = solve_discrete(problem, mesh, CELLWISE)
-        assert np.max(np.abs(solution.control.values.values - bound)) == 0.0
+        assert np.max(np.abs(solution.control.values - bound)) == 0.0
 
 
 @pytest.mark.parametrize("n_points", [1, 2])
@@ -221,14 +211,14 @@ def test_unconstrained_matches_dense_kkt(n_points):
     mesh = build_disc_mesh(level=2)
     solution = solve_discrete(problem, mesh, CELLWISE)
     q_ref, u_ref, _ = oracle.unconstrained_kkt(problem, mesh)
-    assert np.max(np.abs(solution.control.values.values - q_ref)) <= 1e-10
+    assert np.max(np.abs(solution.control.values - q_ref)) <= 1e-10
     assert np.max(np.abs(solution.state.interior() - u_ref)) <= 1e-10
 
 
 def test_cellwise_control_eight_fold_symmetric(narrow_problem):
     mesh = build_disc_mesh(level=2)
     solution = solve_discrete(narrow_problem, mesh, CELLWISE)
-    values = solution.control.values.values
+    values = solution.control.values
     centroids = mesh.vertices[mesh.cells].mean(axis=1)
     angle = np.pi / 4
     rot = np.array([[np.cos(angle), -np.sin(angle)],
@@ -255,7 +245,7 @@ def test_fixed_point_projection_consistency(narrow_problem):
     solution = solve_discrete(narrow_problem, mesh, CELLWISE)
     z_means = solution.adjoint.values[mesh.cells].mean(axis=1)
     recomputed = np.clip(-z_means / narrow_problem.alpha, -0.2, 0.2)
-    assert np.max(np.abs(solution.control.values.values - recomputed)) <= 1e-12
+    assert np.max(np.abs(solution.control.values - recomputed)) <= 1e-12
 
 
 def test_adjoint_is_point_field_combination(narrow_problem):
@@ -274,6 +264,46 @@ def test_divergence_error_carries_history(wide_problem):
         solve_discrete(wide_problem, mesh, CELLWISE, max_iter=0)
     assert len(info.value.residual_history) == 1
     assert info.value.residual_history[0] > 0
+
+
+def test_newton_fallbacks_reach_the_fixed_point():
+    # tiny alpha and far-off targets: full Newton steps overshoot, so the
+    # step is halved five times and the iteration falls back to a Picard
+    # step before it converges
+    mesh = build_disc_mesh(level=2)
+    problem = ControlProblem(
+        np.array([[0.43, 0.69], [0.68, 0.19], [0.37, 0.38], [0.62, 0.78]]),
+        np.array([7.7, 3.8, -26.1, 2.5]),
+        4e-8,
+        -3.0,
+        3.5,
+        ExactSolution().source,
+    )
+    tol = 1e-12
+    solution = solve_discrete(problem, mesh, VARIATIONAL, tol=tol)
+    assert solution.residual <= tol
+    residual = fresh_residual(solution.coefficients, problem, mesh, VARIATIONAL)
+    assert np.max(np.abs(residual)) <= tol
+
+
+def test_singular_jacobian_falls_back_to_picard(narrow_problem, monkeypatch):
+    # with every Newton direction refused, the damped Picard iteration
+    # alone must still reach the Newton fixed point
+    mesh = build_disc_mesh(level=1)
+    newton = solve_discrete(narrow_problem, mesh, VARIATIONAL)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", singular)
+        picard = solve_discrete(narrow_problem, mesh, VARIATIONAL)
+    assert picard.iterations > newton.iterations
+    assert picard.residual <= 1e-12
+    gap = np.max(np.abs(picard.coefficients - newton.coefficients))
+    assert gap <= 1e-11
+    residual = fresh_residual(picard.coefficients, narrow_problem, mesh, VARIATIONAL)
+    assert np.max(np.abs(residual)) <= 1e-12
 
 
 def test_variational_gradient_vanishes_where_free(narrow_exact, narrow_problem):
@@ -295,7 +325,7 @@ def test_variational_gradient_vanishes_where_free(narrow_exact, narrow_problem):
 def test_cellwise_gradient_sign_conditions(narrow_problem):
     mesh = build_disc_mesh(level=3)
     solution = solve_discrete(narrow_problem, mesh, CELLWISE)
-    values = solution.control.values.values
+    values = solution.control.values
     z_means = solution.adjoint.values[mesh.cells].mean(axis=1)
     cell_gradient = narrow_problem.alpha * values + z_means
     at_lower = values <= -0.2 + 1e-13
@@ -310,6 +340,7 @@ def test_cellwise_gradient_sign_conditions(narrow_problem):
 def test_post_process_basics(narrow_problem):
     mesh = build_disc_mesh(level=2)
     solution = solve_discrete(narrow_problem, mesh, CELLWISE)
+    assert isinstance(solution.control, fem.CellwiseFunction)
     processed = post_process(solution, 1.0, -0.2, 0.2)
     bary = np.array([[1 / 3, 1 / 3, 1 / 3], [0.6, 0.3, 0.1]])
     samples = processed.sample_cells(bary)
@@ -355,7 +386,7 @@ def test_control_representations_stay_in_bounds(narrow_problem):
         samples = solution.control.sample_cells(bary)
         assert samples.min() >= -0.2
         assert samples.max() <= 0.2
-    cells = solve_discrete(narrow_problem, mesh, CELLWISE).control.values.values
+    cells = solve_discrete(narrow_problem, mesh, CELLWISE).control.values
     assert cells.min() >= -0.2 - 1e-14
     assert cells.max() <= 0.2 + 1e-14
 

@@ -126,3 +126,7 @@ def test_validation():
         ExactSolution(lower=0.3, upper=0.2)
     with pytest.raises(ValueError):
         ExactSolution(radius=-0.5)
+    with pytest.raises(ValueError):
+        ExactSolution(radius=np.inf)
+    with pytest.raises(ValueError):
+        ExactSolution(center=(np.nan, 0.5))

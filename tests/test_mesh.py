@@ -10,10 +10,9 @@ from ptcontrol.mesh import (
     audit_mesh,
     build_disc_mesh,
     build_square_mesh,
-    cell_centroid,
+    cell_centroids,
     format_mesh,
     locate_point,
-    parse_mesh,
     refine_uniform,
 )
 
@@ -140,8 +139,9 @@ def test_eight_fold_symmetry_of_vertex_set():
 def test_locate_point_centroids():
     mesh = build_disc_mesh(level=2)
     rng = np.random.default_rng(3)
+    centroids = cell_centroids(mesh)
     for k in rng.integers(0, mesh.n_cells, 20):
-        x = cell_centroid(mesh, int(k))
+        x = centroids[k]
         found, lam = locate_point(mesh, x)
         assert found == k
         assert lam == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-12)
@@ -166,26 +166,52 @@ def test_locate_point_outside_raises():
 
 
 def test_cell_centroid_is_vertex_mean():
-    mesh = build_square_mesh(level=1)
-    for k in range(mesh.n_cells):
-        expected = mesh.vertices[mesh.cells[k]].mean(axis=0)
-        assert np.allclose(cell_centroid(mesh, k), expected)
+    # the two coarse square cells (0,0)-(1,0)-(1,1) and (0,0)-(1,1)-(0,1)
+    centroids = cell_centroids(build_square_mesh(level=0))
+    assert np.allclose(centroids, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-15)
+    # area-weighted cell centroids average to the centroid of the square
+    mesh = build_square_mesh(level=3)
+    areas = mesh.cell_areas()
+    mean = areas @ cell_centroids(mesh) / areas.sum()
+    assert np.allclose(mean, [0.5, 0.5], atol=1e-15)
 
 
 def test_dump_round_trip():
+    # the dump is deterministic and holds the mesh to the last bit: reading
+    # its numbers back gives the vertex, flag and cell arrays exactly
     mesh = build_disc_mesh(level=2)
     text = format_mesh(mesh)
-    back = parse_mesh(text)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.cells, mesh.cells)
-    assert np.array_equal(back.boundary, mesh.boundary)
-    assert back.h == mesh.h
-    assert format_mesh(back) == text
+    assert text.encode() == format_mesh(build_disc_mesh(level=2)).encode()
+    lines = text.split("\n")
+    assert lines[0] == f"{mesh.n_vertices} {mesh.n_cells}" == "81 128"
+    assert lines[-1] == ""
+    rows = [line.split() for line in lines[1:-1]]
+    assert len(rows) == mesh.n_vertices + mesh.n_cells
+    vertex_rows = np.array(rows[: mesh.n_vertices], dtype=float)
+    assert np.array_equal(vertex_rows[:, :2], mesh.vertices)
+    assert np.array_equal(vertex_rows[:, 2] == 1.0, mesh.boundary)
+    cell_rows = np.array(rows[mesh.n_vertices :], dtype=np.int64)
+    assert np.array_equal(cell_rows, mesh.cells)
 
 
 def test_capacity_limit():
     with pytest.raises(CapacityError):
         build_disc_mesh(level=11)
+    with pytest.raises(CapacityError):
+        build_square_mesh(level=11)
+    for build in (build_disc_mesh, build_square_mesh):
+        with pytest.raises(ValueError):
+            build(level=-1)
+
+
+@pytest.mark.parametrize("disc", [
+    {"radius": np.nan},
+    {"radius": np.inf},
+    {"center": (np.nan, 0.5)},
+])
+def test_non_finite_disc_rejected(disc):
+    with pytest.raises(ValueError):
+        build_disc_mesh(level=1, **disc)
 
 
 def test_interior_and_dof_map_agree():
