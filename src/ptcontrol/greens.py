@@ -64,14 +64,25 @@ class ExactSolution:
         if x.shape == (2,):
             return float(np.linalg.norm(x - self.center))
         if x.ndim == 2 and x.shape[1] == 2:
-            return np.linalg.norm(x - self.center, axis=1)
+            # sqrt(dx*dx + dy*dy) in place: equals np.linalg.norm(x - center,
+            # axis=1) bit for bit, without its temporaries
+            cx, cy = self.center
+            dx = x[:, 0] - cx
+            dy = x[:, 1] - cy
+            dx *= dx
+            dy *= dy
+            dx += dy
+            return np.sqrt(dx, out=dx)
         raise ValueError("points must have shape (2,) or (m, 2)")
 
     def greens_radial(self, r):
         """Adjoint value at distance r from the center; +inf at r = 0."""
         r = np.asarray(r, dtype=float)
+        out = np.empty_like(r)
         with np.errstate(divide="ignore"):
-            out = np.log(self.radius / r) / (2.0 * np.pi)
+            np.divide(self.radius, r, out=out)
+            np.log(out, out=out)
+        out /= 2.0 * np.pi
         return out if out.ndim else float(out)
 
     def greens(self, x):
@@ -93,8 +104,10 @@ class ExactSolution:
 
     def control_radial(self, r):
         """Optimal control at distance r: clamp(-greens/alpha); equals lower at r=0."""
-        z = np.asarray(self.greens_radial(r))
-        out = np.clip(-z / self.alpha, self.lower, self.upper)
+        out = np.asarray(self.greens_radial(r))
+        np.negative(out, out=out)
+        out /= self.alpha
+        np.clip(out, self.lower, self.upper, out=out)
         return out if out.ndim else float(out)
 
     def control(self, x):

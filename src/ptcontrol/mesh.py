@@ -121,6 +121,7 @@ class Mesh:
         self._interior = None
         self._dof = None
         self._inv_maps = None
+        self._areas = None
 
     @property
     def n_vertices(self):
@@ -131,11 +132,18 @@ class Mesh:
         return len(self.cells)
 
     def cell_areas(self):
-        """Signed areas of all cells; positive for counterclockwise cells."""
-        p = self.vertices[self.cells]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Cached signed areas of all cells; positive for counterclockwise cells.
+
+        The array is read-only and computed once per mesh.
+        """
+        if self._areas is None:
+            p = self.vertices[self.cells]
+            d1 = p[:, 1] - p[:, 0]
+            d2 = p[:, 2] - p[:, 0]
+            areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            areas.setflags(write=False)
+            self._areas = areas
+        return self._areas
 
     def edges(self):
         """Unique edges and their cell multiplicity.

@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ptcontrol import fem
 from ptcontrol.control import CELLWISE, VARIATIONAL, benchmark_problem, solve_discrete
@@ -16,6 +19,7 @@ from ptcontrol.error import (
 )
 from ptcontrol.greens import ExactSolution
 from ptcontrol.mesh import build_disc_mesh
+from ptcontrol.quadrature import rule_degree4
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +71,65 @@ def test_l2_is_a_metric_on_sampled_fields():
     )
     shifted = fem.FeFunction(mesh, a.values + 1e-3)
     assert l2_error_control(mesh, a, shifted) > 0
+
+
+@lru_cache(maxsize=None)
+def disc_mesh(level):
+    return build_disc_mesh(level=level)
+
+
+def quadratic(c):
+    """The polynomial c0 + c1 x + c2 y + c3 x^2 + c4 x y + c5 y^2."""
+    return lambda p: (c[0] + c[1] * p[:, 0] + c[2] * p[:, 1] + c[3] * p[:, 0] ** 2
+                      + c[4] * p[:, 0] * p[:, 1] + c[5] * p[:, 1] ** 2)
+
+
+def degree4_cell_sum(mesh, integrand):
+    """Sum over cells of |K| times the 6-point degree-4 rule, cell by cell.
+
+    ``integrand(points, bary, ids)`` gets the rule's physical points in one
+    cell, shape (6, 2), their barycentric coordinates and the cell's vertex
+    indices.
+    """
+    bary, weights = rule_degree4()
+    total = 0.0
+    for ids in mesh.cells:
+        p0, p1, p2 = mesh.vertices[ids]
+        area = 0.5 * abs((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0]))
+        points = np.array([l0 * p0 + l1 * p1 + l2 * p2 for l0, l1, l2 in bary])
+        total += area * float(np.dot(weights, integrand(points, bary, ids)))
+    return total
+
+
+coefficients = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(0, 2), ca=coefficients, cb=coefficients)
+def test_l2_matches_degree4_cell_sum(level, ca, cb):
+    # (a - b)^2 has degree 4, so the 6-point rule integrates it exactly
+    assume(max(abs(x - y) for x, y in zip(ca, cb)) > 1e-3)
+    mesh = disc_mesh(level)
+    a, b = quadratic(ca), quadratic(cb)
+    want = degree4_cell_sum(mesh, lambda p, bary, ids: (a(p) - b(p)) ** 2)
+    assert l2_error_control(mesh, a, b) ** 2 == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(level=st.integers(0, 2), c=coefficients,
+       nodal=st.lists(st.floats(-1.0, 1.0), min_size=81, max_size=81))
+def test_l1_singular_matches_degree4_cell_sum(level, c, nodal):
+    # exact - fe >= 1 on the unit square, so |exact - fe| is a quadratic and
+    # the 6-point rule integrates it exactly; the cells at the center take
+    # the extra-depth branch
+    mesh = disc_mesh(level)
+    values = np.array(nodal[: mesh.n_vertices])
+    shift = 2.0 + sum(abs(x) for x in c)
+    exact = lambda p: quadratic(c)(p) + shift
+    want = degree4_cell_sum(mesh, lambda p, bary, ids: exact(p) - bary @ values[ids])
+    got = l1_error_fe(mesh, exact, fem.FeFunction(mesh, values),
+                      singular_point=mesh.domain.center)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_l1_affine_interpolant_is_exact():

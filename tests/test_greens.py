@@ -106,6 +106,33 @@ def test_source_vectorized_matches_radial(narrow):
     assert np.allclose(narrow.source(points), narrow.source_radial(r), rtol=1e-13)
 
 
+@pytest.mark.parametrize("bounds", [(-0.2, 0.2), (-1.0, 1.0), (-np.inf, 0.3)])
+def test_fields_match_norm_based_values_bitwise(bounds):
+    # the distance to the center and the fields built on it equal, bit for
+    # bit, the plain formulas on np.linalg.norm(x - center, axis=1)
+    lower, upper = bounds
+    exact = ExactSolution(center=(0.3, 0.6), radius=0.5, alpha=0.7,
+                          lower=lower, upper=upper)
+    rng = np.random.default_rng(3)
+    points = np.vstack([(0.3, 0.6), 0.3 + rng.random((500, 2)) - 0.5, (0.8, 0.6)])
+    with np.errstate(divide="ignore"):
+        r = np.linalg.norm(points - exact.center, axis=1)
+        greens = np.log(exact.radius / r) / (2.0 * np.pi)
+    control = np.clip(-greens / exact.alpha, lower, upper)
+    small = r < 1e-8
+    safe = np.where(small, 1.0, r)
+    radial = np.where(small, np.pi**2, np.pi * np.sin(np.pi * safe) / safe)
+    source = np.pi**2 * np.cos(np.pi * r) + radial - control
+    assert greens[0] == np.inf and control[0] == lower
+    assert np.array_equal(exact.greens(points), greens)
+    assert np.array_equal(exact.control(points), control)
+    assert np.array_equal(exact.source(points), source)
+    for k in (0, 1, len(points) - 1):
+        assert exact.greens(points[k]) == greens[k]
+        assert exact.control(points[k]) == control[k]
+        assert exact.source(points[k]) == source[k]
+
+
 def test_fem_self_check_reproduces_state(narrow):
     # solving the state equation with the exact control reproduces the
     # exact state at the tracking point

@@ -176,6 +176,21 @@ def test_cell_centroid_is_vertex_mean():
     assert np.allclose(mean, [0.5, 0.5], atol=1e-15)
 
 
+def test_cell_areas_cached_read_only():
+    mesh = build_disc_mesh(level=3)
+    areas = mesh.cell_areas()
+    assert mesh.cell_areas() is areas
+    assert not areas.flags.writeable
+    with pytest.raises(ValueError):
+        areas[0] = 1.0
+    # the shoelace formula, cell by cell
+    x = mesh.vertices[mesh.cells, 0]
+    y = mesh.vertices[mesh.cells, 1]
+    shoelace = 0.5 * (x[:, 0] * (y[:, 1] - y[:, 2]) + x[:, 1] * (y[:, 2] - y[:, 0])
+                      + x[:, 2] * (y[:, 0] - y[:, 1]))
+    assert np.allclose(areas, shoelace, rtol=1e-13, atol=0.0)
+
+
 def test_dump_round_trip():
     # the dump is deterministic and holds the mesh to the last bit: reading
     # its numbers back gives the vertex, flag and cell arrays exactly
