@@ -221,9 +221,22 @@ def _solve_variant(config, problem, mesh):
     return solution, discrete
 
 
-def _level_error(config, exact, level):
-    """Solve one level and measure its error against the exact solution."""
-    mesh = _build_mesh(config, level)
+def _study_meshes(config):
+    """The meshes of the study's levels, coarsest first, from one chain.
+
+    The finest level is built once; each coarser one is its ancestor in the
+    refinement chain that ``refine_uniform`` keeps.
+    """
+    mesh = _build_mesh(config, config.level_max)
+    meshes = [mesh]
+    while mesh.level > config.level_min:
+        mesh = mesh._parent
+        meshes.append(mesh)
+    return meshes[::-1]
+
+
+def _level_error(config, exact, mesh):
+    """Solve on one level's mesh and measure the error against the exact solution."""
     if config.variant == "greens":
         g = fem.assemble_stiffness(mesh)
         factorization = fem.factorize(g)
@@ -240,7 +253,7 @@ def _level_error(config, exact, level):
         )
         value = error.l2_error_control(mesh, exact.control, discrete)
     return error.ConvergenceRecord(
-        level=level,
+        level=mesh.level,
         h=mesh.h,
         n_vertices=mesh.n_vertices,
         n_cells=mesh.n_cells,
@@ -251,9 +264,10 @@ def _level_error(config, exact, level):
 def run_study(config, parallel=False):
     """Run the level sweep of ``config.variant`` and write the CSV.
 
-    Levels run sequentially unless ``parallel`` is set (levels are
-    independent; results are ordered by level either way, so the CSV is
-    identical).  On solver divergence nothing is written.
+    The meshes of all levels come from one refinement chain, built before
+    any level is solved.  Levels run sequentially unless ``parallel`` is set
+    (levels are independent; results are ordered by level either way, so
+    the CSV is identical).  On solver divergence nothing is written.
 
     Returns
     -------
@@ -261,21 +275,21 @@ def run_study(config, parallel=False):
     """
     config.validate()
     exact = _exact_solution(config)
-    levels = list(config.levels)
+    meshes = _study_meshes(config)
 
-    def solve_level(level):
+    def solve_level(mesh):
         try:
-            return _level_error(config, exact, level)
+            return _level_error(config, exact, mesh)
         except control.DivergenceError as exc:
             raise control.DivergenceError(
-                f"level {level}: {exc}", exc.residual_history
+                f"level {mesh.level}: {exc}", exc.residual_history
             )
 
     if parallel:
-        with ThreadPoolExecutor(max_workers=len(levels)) as pool:
-            records = list(pool.map(solve_level, levels))
+        with ThreadPoolExecutor(max_workers=len(meshes)) as pool:
+            records = list(pool.map(solve_level, meshes))
     else:
-        records = [solve_level(level) for level in levels]
+        records = [solve_level(mesh) for mesh in meshes]
     records.sort(key=lambda r: r.level)
     pairs = [(r.h, r.error) for r in records]
     if len(records) >= 2:

@@ -122,6 +122,10 @@ class Mesh:
         self._dof = None
         self._inv_maps = None
         self._areas = None
+        # set by refine_uniform: the coarser mesh and its unique edges,
+        # whose midpoints are vertices parent.n_vertices onward
+        self._parent = None
+        self._edges = None
 
     @property
     def n_vertices(self):
@@ -291,6 +295,10 @@ def refine_uniform(mesh):
     refined cell array: the three corner children in vertex order, then the
     central child.
 
+    The refined mesh keeps the coarse mesh and its unique-edge array:
+    vertex ``mesh.n_vertices + e`` is the midpoint of edge ``e``.  That
+    chain is the hierarchy of the multigrid solver in ``fem``.
+
     Returns
     -------
     Mesh
@@ -321,7 +329,11 @@ def refine_uniform(mesh):
     children[1::4] = np.column_stack([m01, b, m12])
     children[2::4] = np.column_stack([m20, m12, c])
     children[3::4] = np.column_stack([m01, m12, m20])
-    return Mesh(vertices, children, boundary, mesh.domain, level=mesh.level + 1)
+    fine = Mesh(vertices, children, boundary, mesh.domain, level=mesh.level + 1)
+    uniq.setflags(write=False)
+    fine._parent = mesh
+    fine._edges = uniq
+    return fine
 
 
 BARYCENTRIC_TOL = 1e-12

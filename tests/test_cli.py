@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ptcontrol import cli, mesh as mesh_module
 from ptcontrol.cli import (
     ConfigError,
     StudyConfig,
@@ -116,6 +117,29 @@ def test_parallel_levels_identical_output(tmp_path):
     run_study(replace(config, out=str(serial)))
     run_study(replace(config, out=str(parallel)), parallel=True)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["cellwise", "greens"])
+def test_study_builds_one_refinement_chain(tmp_path, monkeypatch, variant):
+    calls = []
+    refine = mesh_module.refine_uniform
+
+    def counted(mesh):
+        calls.append(mesh.level)
+        return refine(mesh)
+
+    monkeypatch.setattr(mesh_module, "refine_uniform", counted)
+    config = StudyConfig(variant=variant, level_min=2, level_max=4,
+                         out=str(tmp_path / "chain.csv"))
+    run_study(config)
+    assert calls == [0, 1, 2, 3]
+    monkeypatch.undo()
+    # the same table from one mesh built from level 0 per study level
+    monkeypatch.setattr(cli, "_study_meshes", lambda c: [
+        build_disc_mesh(level=level) for level in c.levels])
+    run_study(replace(config, out=str(tmp_path / "per-level.csv")))
+    assert (tmp_path / "chain.csv").read_bytes() == (
+        tmp_path / "per-level.csv").read_bytes()
 
 
 def test_greens_study_runs(tmp_path):

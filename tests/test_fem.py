@@ -8,6 +8,7 @@ from ptcontrol.fem import (
     CellwiseFunction,
     FactorizationError,
     FeFunction,
+    StiffnessMatrix,
     assemble_mass,
     assemble_stiffness,
     centroid_project,
@@ -27,6 +28,7 @@ from ptcontrol.mesh import (
     PointNotFoundError,
     build_disc_mesh,
     build_square_mesh,
+    refine_uniform,
 )
 
 from oracles import (
@@ -132,12 +134,17 @@ def test_factorize_failures_are_typed(entries):
 def test_factorize_detects_indefinite_shift(ratio):
     # K - sigma I is SPD exactly when sigma < lambda_min(K); the sign test
     # on the pivots is an inertia test only under symmetric permutations
-    matrix = assemble_stiffness(build_disc_mesh(level=3)).mat
+    stiffness = assemble_stiffness(build_disc_mesh(level=3))
+    matrix = stiffness.mat
     lambda_min = np.linalg.eigvalsh(matrix.toarray())[0]
     shifted = (matrix - ratio * lambda_min * sp.identity(matrix.shape[0])).tocsr()
     if ratio > 1.0:
         with pytest.raises(FactorizationError):
             factorize(shifted)
+        # multigrid skips the pivot-sign test only for assemble_stiffness
+        # output; the shift wrapped by hand still goes through the LU
+        with pytest.raises(FactorizationError):
+            factorize(StiffnessMatrix(shifted, stiffness.mesh, stiffness.interior))
     else:
         lu = factorize(shifted)._lu
         assert np.array_equal(lu.perm_r, lu.perm_c)
@@ -162,6 +169,137 @@ def test_direct_matches_dense_solve():
     sparse_x = factorize(matrix).solve(b)
     dense_x = np.linalg.solve(matrix.mat.toarray(), b)
     assert np.max(np.abs(sparse_x - dense_x)) <= 1e-12 * np.max(np.abs(dense_x))
+
+
+MULTIGRID_MESHES = {
+    (build, level): build(level=level)
+    for build in (build_disc_mesh, build_square_mesh)
+    for level in (3, 4, 5)
+}
+MULTIGRID_SYSTEMS = {}
+
+
+def multigrid_system(key):
+    """Assembled matrix with its multigrid and its LU-only handle, cached."""
+    if key not in MULTIGRID_SYSTEMS:
+        matrix = assemble_stiffness(MULTIGRID_MESHES[key])
+        MULTIGRID_SYSTEMS[key] = matrix, factorize(matrix), factorize(matrix.mat)
+    return MULTIGRID_SYSTEMS[key]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(list(MULTIGRID_MESHES)),
+    kind=st.sampled_from(["random", "point", "vertex", "midpoint"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multigrid_matches_coarse_lu_property(key, kind, seed):
+    matrix, multigrid, direct = multigrid_system(key)
+    mesh = matrix.mesh
+    assert multigrid._levels and not direct._levels
+    rng = np.random.default_rng(seed)
+    interior = mesh.vertices[mesh.interior_vertices()]
+    if kind == "random":
+        b = rng.standard_normal(matrix.n)
+    else:
+        # a random point of a random cell, an interior vertex, or the
+        # midpoint of a cell edge that is not a boundary edge
+        cell = mesh.cells[rng.integers(mesh.n_cells)]
+        corners = mesh.vertices[cell]
+        edge = 0.5 * (corners[0] + corners[1])
+        point = {
+            "point": rng.dirichlet(np.ones(3)) @ corners,
+            "vertex": interior[rng.integers(len(interior))],
+            "midpoint": corners.mean(axis=0) if mesh.boundary[cell[:2]].all() else edge,
+        }[kind]
+        b = load_point(mesh, point)
+    x = multigrid.solve(b)
+    reference = direct.solve(b)
+    assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+    residual = np.max(np.abs(matrix.mat @ x - b))
+    assert residual <= multigrid.RESIDUAL_CONTRACT * np.max(np.abs(b))
+    # the stop rule, not only the contract: a normwise backward error near
+    # machine precision
+    assert residual <= 1e-14 * np.max(abs(matrix.mat) @ np.abs(x) + np.abs(b))
+
+
+def test_multigrid_matches_dense_solve():
+    mesh = build_disc_mesh(level=3)
+    matrix = assemble_stiffness(mesh)
+    fact = factorize(matrix)
+    assert len(fact._levels) == 1
+    for b in (load_smooth(mesh, lambda p: np.ones(len(p))), load_point(mesh, (0.3, 0.6))):
+        dense_x = np.linalg.solve(matrix.mat.toarray(), b)
+        x = fact.solve(b)
+        assert np.max(np.abs(x - dense_x)) <= 1e-12 * np.max(np.abs(dense_x))
+
+
+@pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_prolongation_interpolates_coarse_fields(build, level):
+    # coarse field: affine at interior vertices, zero on the boundary.  At a
+    # fine vertex that is a parent vertex, or the midpoint of an edge with
+    # two interior ends, P reproduces the affine function in closed form; at
+    # the midpoint of an edge with a boundary end, half the interior value
+    coarse = build(level=level)
+    fine = refine_uniform(coarse)
+    affine = lambda p: 0.3 - 1.7 * p[..., 0] + 2.9 * p[..., 1]
+    coarse_values = affine(coarse.vertices) * ~coarse.boundary
+    prolonged = fem._prolongation(fine) @ coarse_values[coarse.interior_vertices()]
+    n_c = coarse.n_vertices
+    edges = fine._edges
+    expected = np.concatenate([
+        coarse_values,
+        np.where(
+            coarse.boundary[edges].any(axis=1),
+            0.5 * coarse_values[edges].sum(axis=1),
+            affine(fine.vertices[n_c:]),
+        ),
+    ])
+    assert np.allclose(prolonged, expected[fine.interior_vertices()], rtol=0, atol=1e-14)
+    # independent check: barycentric interpolation of the coarse P1 field
+    coarse_field = FeFunction(coarse, coarse_values)
+    at_vertices = [evaluate(coarse_field, x) for x in fine.vertices[fine.interior_vertices()]]
+    assert np.allclose(prolonged, at_vertices, rtol=0, atol=1e-14)
+
+
+def test_multigrid_iterates_to_the_contract(monkeypatch):
+    # on fine meshes the load shrinks like h^2, so the contract can be the
+    # tighter stop rule; with the backward-error rule made void the solve
+    # must still iterate until the contract holds
+    monkeypatch.setattr(fem.Factorization, "BACKWARD_ERROR", 1.0)
+    mesh = build_disc_mesh(level=4)
+    matrix = assemble_stiffness(mesh)
+    fact = factorize(matrix)
+    b = load_smooth(mesh, lambda p: np.ones(len(p)))
+    x = fact.solve(b)
+    assert fact.iterations[-1] > 1
+    assert np.max(np.abs(matrix.mat @ x - b)) <= fact.RESIDUAL_CONTRACT * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
+def test_multigrid_iterations_do_not_grow_with_level(build):
+    rng = np.random.default_rng(5)
+    for level in range(3, 8):
+        mesh = build(level=level)
+        matrix = assemble_stiffness(mesh)
+        fact = factorize(matrix)
+        assert len(fact._levels) == level - fem.COARSE_LEVEL
+        fact.solve(rng.standard_normal(matrix.n))
+        fact.solve(load_point(mesh, (0.5 + 1e-3, 0.5 - 2e-3)))
+        assert len(fact.iterations) == 2
+        assert max(fact.iterations) <= 15, (level, fact.iterations)
+
+
+def test_coarse_and_plain_matrices_use_the_lu_alone():
+    for matrix in (
+        assemble_stiffness(build_disc_mesh(level=2)),
+        assemble_stiffness(build_disc_mesh(level=3)).mat,
+    ):
+        fact = factorize(matrix)
+        assert fact._levels == []
+        fact.solve(np.ones(fact.mat.shape[0]))
+        assert fact.iterations == [1]
 
 
 def test_load_smooth_constant_gives_star_areas():
