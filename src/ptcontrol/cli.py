@@ -20,7 +20,13 @@ import numpy as np
 
 from . import control, error, fem, oracle
 from .greens import ExactSolution
-from .mesh import build_disc_mesh, build_square_mesh, cell_centroids, format_mesh
+from .mesh import (
+    _ancestors,
+    build_disc_mesh,
+    build_square_mesh,
+    cell_centroids,
+    format_mesh,
+)
 
 __all__ = [
     "ConfigError",
@@ -227,12 +233,7 @@ def _study_meshes(config):
     The finest level is built once; each coarser one is its ancestor in the
     refinement chain that ``refine_uniform`` keeps.
     """
-    mesh = _build_mesh(config, config.level_max)
-    meshes = [mesh]
-    while mesh.level > config.level_min:
-        mesh = mesh._parent
-        meshes.append(mesh)
-    return meshes[::-1]
+    return _ancestors(_build_mesh(config, config.level_max), config.level_min)[::-1]
 
 
 def _level_error(config, exact, mesh):

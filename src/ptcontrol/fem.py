@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
-from .mesh import PointNotFoundError, locate_point, cell_centroids
+from .mesh import PointNotFoundError, _ancestors, locate_point, cell_centroids
 from .quadrature import rule_degree4
 
 __all__ = [
@@ -365,15 +365,14 @@ def _relative_asymmetry(mat):
     return float(np.max(np.abs(diff.data)) / scale)
 
 
-def _prolongation(fine):
-    """Interpolation from the parent mesh's dofs to the dofs of ``fine``.
+def _prolongation(fine, coarse):
+    """Interpolation from the dofs of ``coarse``, the parent, to those of ``fine``.
 
     A parent vertex keeps its value and an edge midpoint takes the mean of
     the edge's two endpoints; eliminated boundary dofs carry zero and are
     dropped.  Disc snapping moves only boundary midpoints, which are never
     dofs, so the parent's P1 fields are interpolated exactly.
     """
-    coarse = fine._parent
     fine_dof, coarse_dof = fine.dof_map(), coarse.dof_map()
     n_c = coarse.n_vertices
     rows = np.concatenate([fine_dof[:n_c], np.repeat(fine_dof[n_c:], 2)])
@@ -391,12 +390,13 @@ def _coarse_levels(matrix):
     construction, so no inertia test is skipped.  The chain stops at
     ``COARSE_LEVEL`` or at a mesh without a parent.
     """
-    levels = []
-    mesh = matrix.mesh
-    while matrix._assembled and mesh.level > COARSE_LEVEL and mesh._parent is not None:
-        levels.append((assemble_stiffness(mesh._parent).mat, _prolongation(mesh)))
-        mesh = mesh._parent
-    return levels
+    if not matrix._assembled:
+        return []
+    chain = _ancestors(matrix.mesh, COARSE_LEVEL)
+    return [
+        (assemble_stiffness(coarse).mat, _prolongation(fine, coarse))
+        for fine, coarse in zip(chain, chain[1:])
+    ]
 
 
 def factorize(matrix):

@@ -336,6 +336,17 @@ def refine_uniform(mesh):
     return fine
 
 
+def _ancestors(mesh, level):
+    """``mesh`` and its refinement-chain ancestors down to ``level``, finest first.
+
+    The chain ends early at a mesh that ``refine_uniform`` did not make.
+    """
+    chain = [mesh]
+    while chain[-1].level > level and chain[-1]._parent is not None:
+        chain.append(chain[-1]._parent)
+    return chain
+
+
 BARYCENTRIC_TOL = 1e-12
 
 

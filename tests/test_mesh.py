@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ptcontrol.mesh import (
+    _ancestors,
     CapacityError,
     Mesh,
     MeshError,
@@ -102,6 +103,20 @@ def test_refinement_keeps_parent_vertices():
         coarse = build(level=2)
         fine = refine_uniform(coarse)
         assert np.array_equal(fine.vertices[: coarse.n_vertices], coarse.vertices)
+
+
+def test_ancestors_follow_the_refinement_chain():
+    mesh = build_disc_mesh(level=4)
+    chain = _ancestors(mesh, 1)
+    assert chain[0] is mesh
+    assert [m.level for m in chain] == [4, 3, 2, 1]
+    for fine, coarse in zip(chain, chain[1:]):
+        assert np.array_equal(fine.vertices[: coarse.n_vertices], coarse.vertices)
+        assert fine.n_cells == 4 * coarse.n_cells
+    # the chain ends at a mesh that refine_uniform did not make
+    assert [m.level for m in _ancestors(mesh, 0)] == [4, 3, 2, 1, 0]
+    base = Mesh(mesh.vertices, mesh.cells, mesh.boundary, level=4)
+    assert _ancestors(base, 2) == [base]
 
 
 def test_square_refinement_moves_nothing():
