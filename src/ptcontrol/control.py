@@ -140,8 +140,11 @@ class VariationalControl:
         self.upper = float(upper)
 
     def sample_cells(self, bary, cells=None):
-        z = self.adjoint.sample_cells(bary, cells)
-        return np.clip(-z / self.alpha, self.lower, self.upper)
+        # -z / alpha, clamped, in place on the fresh sample; z / (-alpha)
+        # rounds to the same bits as (-z) / alpha
+        values = self.adjoint.sample_cells(bary, cells)
+        np.divide(values, -self.alpha, out=values)
+        return np.clip(values, self.lower, self.upper, out=values)
 
     def __call__(self, x):
         return float(
@@ -225,19 +228,25 @@ class ReducedSystem:
         return VariationalControl(self.adjoint_of(c), p.alpha, p.lower, p.upper)
 
     def _control_load(self, c):
+        """Control load at c and the squared L2 norm of the control on each cell."""
         p = self.problem
         if self.variant == CELLWISE:
             values = self._cell_values(c)
-            return fem.load_cellwise(self.mesh, values), values
+            squares = values**2 * self.mesh.cell_areas()
+            return fem.load_cellwise(self.mesh, values), squares
         z = c @ self._adjoint_nodal
-        return fem.load_clipped_linear(self.mesh, z, p.lower, p.upper, p.alpha), z
+        return fem._clipped_load_and_squares(self.mesh, z, p.lower, p.upper, p.alpha)
 
     def evaluate(self, c):
-        """Residual F(c), the control data and the control load at c."""
+        """Residual F(c), the control's per-cell squared L2 norms and its load.
+
+        The squares come from the same pass as the load; ``objective`` sums
+        them.
+        """
         c = np.asarray(c, dtype=float)
-        load, control_data = self._control_load(c)
+        load, squares = self._control_load(c)
         F = c - (self._source_misfit + self._green @ load)
-        return F, control_data, load
+        return F, squares, load
 
     def state_of_load(self, load):
         """State field for a control load from ``evaluate`` (one sparse solve)."""
@@ -247,22 +256,17 @@ class ReducedSystem:
         """Residual F(c) = c - (u_h(c)(x_i) - target_i)."""
         return self.evaluate(c)[0]
 
-    def objective(self, c, F, control_data):
-        """Discrete objective at c, reusing the residual evaluation.
+    def objective(self, c, F, squares):
+        """Discrete objective at c from the residual evaluation at c.
 
         The misfit values are u(x_i) - target_i = c_i - F_i; the control
-        norm is exact in both variants (cell sums, or exact clipped-field
-        integration).
+        norm sums the per-cell squares that ``evaluate`` returns, which are
+        exact in both variants (cell values times areas, or exact
+        clipped-field integration).
         """
-        p = self.problem
         misfit = c - F
-        if self.variant == CELLWISE:
-            reg = float(np.sum(control_data**2 * self.mesh.cell_areas()))
-        else:
-            reg = fem.clipped_field_l2_sq(
-                self.mesh, control_data, p.lower, p.upper, p.alpha
-            )
-        return 0.5 * float(misfit @ misfit) + 0.5 * p.alpha * reg
+        reg = float(np.sum(squares))
+        return 0.5 * float(misfit @ misfit) + 0.5 * self.problem.alpha * reg
 
 
 def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
@@ -300,10 +304,10 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     system = ReducedSystem(problem, mesh, variant)
     n = problem.n_points
     c = system.initial_guess()
-    F, data, load = system.evaluate(c)
+    F, squares, load = system.evaluate(c)
     res = float(np.max(np.abs(F)))
     residual_history = [res]
-    objective_history = [system.objective(c, F, data)]
+    objective_history = [system.objective(c, F, squares)]
     iterations = 0
     while res > tol:
         if iterations >= max_iter:
@@ -329,18 +333,18 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
             t = 1.0
             for _ in range(MAX_DAMPINGS):
                 trial = c + t * direction
-                F_t, data_t, load_t = system.evaluate(trial)
+                F_t, squares_t, load_t = system.evaluate(trial)
                 if np.max(np.abs(F_t)) < res:
-                    accepted = (trial, F_t, data_t, load_t)
+                    accepted = (trial, F_t, squares_t, load_t)
                     break
                 t *= 0.5
         if accepted is None:
             trial = c - PICARD_FACTOR * F
             accepted = (trial, *system.evaluate(trial))
-        c, F, data, load = accepted
+        c, F, squares, load = accepted
         res = float(np.max(np.abs(F)))
         residual_history.append(res)
-        objective_history.append(system.objective(c, F, data))
+        objective_history.append(system.objective(c, F, squares))
     return DiscreteSolution(
         control=system.control_of(c),
         state=system.state_of_load(load),

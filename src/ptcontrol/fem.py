@@ -24,6 +24,8 @@ backward error near machine precision, once the residual contract holds;
 see ``Factorization``.
 """
 
+import weakref
+
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
@@ -82,9 +84,16 @@ class FeFunction:
         return self.values[self.mesh.interior_vertices()]
 
     def sample_cells(self, bary, cells=None):
-        """Values at barycentric points bary (q, 3) of each cell; shape (n, q)."""
+        """Values at barycentric points bary (q, 3) of each cell; shape (n, q).
+
+        The value at a node is the barycentric combination of the cell's
+        three nodal values, all nodes of all cells in one matmul of the
+        (n, 3) nodal values with bary transposed; ``cells`` selects the
+        cells (all by default).  A node at a vertex, a unit row of bary,
+        returns that vertex's value exactly.
+        """
         nodal = self.values[self.mesh.cells if cells is None else self.mesh.cells[cells]]
-        return np.einsum("qi,ni->nq", bary, nodal)
+        return nodal @ bary.T
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -140,6 +149,12 @@ class StiffnessMatrix:
         return FeFunction(self.mesh, values)
 
 
+# read-only stiffness CSR of each mesh; a weak key, so an entry lives as
+# long as its mesh, whose arrays are read-only too.  Threads that assemble
+# the same mesh at once store equal matrices.
+_STIFFNESS = weakref.WeakKeyDictionary()
+
+
 def assemble_stiffness(mesh):
     """Assemble the P1 stiffness matrix integral of grad(phi_i).grad(phi_j).
 
@@ -150,11 +165,25 @@ def assemble_stiffness(mesh):
     opposite vertex i, which is the exact integral of the constant P1
     gradients.
 
+    The CSR matrix is assembled once per mesh and shared by every later
+    call, the multigrid hierarchies of finer meshes included; its arrays
+    are read-only.
+
     Raises
     ------
     AssemblyError
         If some cell has nonpositive signed area.
     """
+    mat = _STIFFNESS.get(mesh)
+    if mat is None:
+        mat = _STIFFNESS[mesh] = _stiffness_csr(mesh)
+    matrix = StiffnessMatrix(mat, mesh, mesh.interior_vertices())
+    matrix._assembled = True
+    return matrix
+
+
+def _stiffness_csr(mesh):
+    """The read-only stiffness CSR of ``assemble_stiffness``, assembled anew."""
     areas = mesh.cell_areas()
     if np.any(areas <= 0.0):
         raise AssemblyError("degenerate or inverted cell (nonpositive area)")
@@ -175,9 +204,9 @@ def assemble_stiffness(mesh):
     ).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
-    matrix = StiffnessMatrix(mat, mesh, interior)
-    matrix._assembled = True
-    return matrix
+    for array in (mat.data, mat.indices, mat.indptr):
+        array.setflags(write=False)
+    return mat
 
 
 def assemble_mass(mesh):
@@ -440,13 +469,11 @@ def load_smooth(mesh, f):
         strictly inside cells).
     """
     bary, weights = rule_degree4()
-    p = mesh.vertices[mesh.cells]
-    points = np.einsum("qi,nid->nqd", bary, p)
+    points = np.matmul(bary, mesh.vertices[mesh.cells])
     fvals = np.asarray(
         f(points.reshape(-1, 2)), dtype=float
     ).reshape(mesh.n_cells, len(weights))
-    areas = mesh.cell_areas()
-    contrib = np.einsum("nq,q,qi->ni", fvals, weights, bary) * areas[:, None]
+    contrib = ((fvals * weights) @ bary) * mesh.cell_areas()[:, None]
     return _scatter_cell_loads(mesh, contrib)
 
 
@@ -631,8 +658,16 @@ def load_clipped_linear(mesh, w, lower, upper, alpha):
     alpha : float
         Positive scaling of the argument -w/alpha.
     """
-    loads, _ = _clipped_integrals(mesh, w, lower, upper, alpha)
-    return _scatter_cell_loads(mesh, loads)
+    return _clipped_load_and_squares(mesh, w, lower, upper, alpha)[0]
+
+
+def _clipped_load_and_squares(mesh, w, lower, upper, alpha):
+    """Load vector of ``load_clipped_linear`` and the per-cell squares, one pass.
+
+    ``float(np.sum(squares))`` is ``clipped_field_l2_sq`` bit for bit.
+    """
+    loads, squares = _clipped_integrals(mesh, w, lower, upper, alpha)
+    return _scatter_cell_loads(mesh, loads), squares
 
 
 def clipped_field_l2_sq(mesh, w, lower, upper, alpha):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ptcontrol import cli, mesh as mesh_module
+from ptcontrol import cli, fem, mesh as mesh_module
 from ptcontrol.cli import (
     ConfigError,
     StudyConfig,
@@ -140,6 +140,24 @@ def test_study_builds_one_refinement_chain(tmp_path, monkeypatch, variant):
     run_study(replace(config, out=str(tmp_path / "per-level.csv")))
     assert (tmp_path / "chain.csv").read_bytes() == (
         tmp_path / "per-level.csv").read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["cellwise", "greens"])
+def test_study_assembles_each_stiffness_once(tmp_path, monkeypatch, variant):
+    # every level solves on its own stiffness and builds a multigrid
+    # hierarchy from the stiffness of each coarser level down to level 2;
+    # all of them are the study's own meshes, assembled once each
+    calls = []
+    assemble = fem._stiffness_csr
+
+    def counted(mesh):
+        calls.append(mesh.level)
+        return assemble(mesh)
+
+    monkeypatch.setattr(fem, "_stiffness_csr", counted)
+    run_study(StudyConfig(variant=variant, level_min=2, level_max=5,
+                          out=str(tmp_path / "study.csv")))
+    assert sorted(calls) == [2, 3, 4, 5]
 
 
 def test_greens_study_runs(tmp_path):

@@ -131,6 +131,40 @@ def test_standalone_residual_matches_cached_path(variant, tracking, bounds, c):
     assert np.max(np.abs(fresh - system.residual(c))) <= 1e-13
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from([CELLWISE, VARIATIONAL]),
+    tracking=st.sampled_from(range(len(TRACKING_SETS))),
+    bounds=BOUNDS,
+)
+def test_objective_history_matches_fresh_control_norm(variant, tracking, bounds):
+    # the objective sums the squares of the residual evaluation; it must
+    # equal, bit for bit, a second exact integration of the control at every
+    # accepted iterate (clipped_field_l2_sq, or the cell sum)
+    points, targets = TRACKING_SETS[tracking]
+    problem = ControlProblem(points, targets, 1.0, bounds[0], bounds[1],
+                             ExactSolution().source)
+    areas = LEVEL1_MESH.cell_areas()
+    fresh = []
+
+    def recording_objective(system, c, F, squares):
+        if variant == CELLWISE:
+            reg = float(np.sum(system.control_of(c).values ** 2 * areas))
+        else:
+            reg = fem.clipped_field_l2_sq(LEVEL1_MESH, system.adjoint_of(c),
+                                          problem.lower, problem.upper, problem.alpha)
+        misfit = c - F
+        fresh.append(0.5 * float(misfit @ misfit) + 0.5 * problem.alpha * reg)
+        return objective(system, c, F, squares)
+
+    objective = ReducedSystem.objective
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ReducedSystem, "objective", recording_objective)
+        solution = solve_discrete(problem, LEVEL1_MESH, variant)
+    assert len(fresh) == solution.iterations + 1
+    assert solution.objective_history == fresh
+
+
 def test_large_alpha_limit_matches_source_state():
     exact = ExactSolution(alpha=1.0)
     problem = ControlProblem(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ptcontrol import fem
+from ptcontrol import error, fem
 from ptcontrol.control import CELLWISE, VARIATIONAL, benchmark_problem, solve_discrete
 from ptcontrol.error import (
     AT_BOUND,
@@ -19,7 +19,7 @@ from ptcontrol.error import (
 )
 from ptcontrol.greens import ExactSolution
 from ptcontrol.mesh import build_disc_mesh
-from ptcontrol.quadrature import rule_degree4
+from ptcontrol.quadrature import rule_degree4, subdivided_rule
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,41 @@ def test_l1_singular_matches_degree4_cell_sum(level, c, nodal):
     got = l1_error_fe(mesh, exact, fem.FeFunction(mesh, values),
                       singular_point=mesh.domain.center)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(level=st.integers(0, 3), c=coefficients, seed=st.integers(0, 2**32 - 1),
+       cells_per_chunk=st.integers(2, 50))
+def test_errors_do_not_depend_on_the_chunking(level, c, seed, cells_per_chunk):
+    # one cell per chunk, a chunk that does not divide the cell count, and
+    # all cells in one chunk; the singular cells take the depth-6 rule
+    mesh = disc_mesh(level)
+    fe = fem.FeFunction(mesh, np.random.default_rng(seed).uniform(-1, 1, mesh.n_vertices))
+    exact = quadratic(c)
+    center = mesh.domain.center
+    values = []
+    for budget in (1, cells_per_chunk * 192, mesh.n_cells * len(subdivided_rule(6)[1])):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(error, "CHUNK_POINTS", budget)
+            values.append((l2_error_control(mesh, exact, fe),
+                           l1_error_fe(mesh, exact, fe, singular_point=center)))
+    for l2, l1 in values[:2]:
+        assert l2 == pytest.approx(values[-1][0], rel=1e-13)
+        assert l1 == pytest.approx(values[-1][1], rel=1e-13)
+
+
+@pytest.mark.parametrize("depth", [0, 2, 6])
+def test_node_planes_match_matmul_layout(depth):
+    # the x and y planes, handed over as an (m, 2) transpose with
+    # contiguous columns, hold the nodes of matmul(bary, corners)
+    mesh = disc_mesh(3)
+    bary, _ = subdivided_rule(depth)
+    cells = np.arange(1, mesh.n_cells, 37)
+    points = error._physical_points(mesh, bary, cells)
+    want = np.matmul(bary, mesh.vertices[mesh.cells[cells]]).reshape(-1, 2)
+    assert points.shape == want.shape
+    assert points[:, 0].flags.c_contiguous and points[:, 1].flags.c_contiguous
+    np.testing.assert_array_max_ulp(points, want, maxulp=1)
 
 
 def test_l1_affine_interpolant_is_exact():

@@ -420,6 +420,54 @@ def test_fe_function_sampling():
     assert np.array_equal(u.sample_cells(corners, some), u.values[mesh.cells[some]])
 
 
+@settings(max_examples=30, deadline=None)
+@given(level=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       n_nodes=st.integers(1, 40), subset=st.booleans())
+def test_fe_sampling_matches_einsum_form(level, seed, n_nodes, subset):
+    # the matmul of nodal values with bary transposed against the
+    # barycentric combination written as an einsum
+    mesh = build_disc_mesh(level=level)
+    rng = np.random.default_rng(seed)
+    u = FeFunction(mesh, rng.standard_normal(mesh.n_vertices))
+    bary = rng.random((n_nodes, 3))
+    bary /= bary.sum(axis=1, keepdims=True)
+    cells = rng.permutation(mesh.n_cells)[: mesh.n_cells // 2 + 1] if subset else None
+    nodal = u.values[mesh.cells if cells is None else mesh.cells[cells]]
+    want = np.einsum("qi,ni->nq", bary, nodal)
+    scale = np.abs(nodal) @ bary.T
+    got = u.sample_cells(bary, cells)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+def test_stiffness_assembled_once_per_mesh_and_read_only(monkeypatch):
+    calls = []
+    assemble = fem._stiffness_csr
+
+    def counted(mesh):
+        calls.append(mesh)
+        return assemble(mesh)
+
+    monkeypatch.setattr(fem, "_stiffness_csr", counted)
+    mesh = build_disc_mesh(level=3)
+    first, second = assemble_stiffness(mesh), assemble_stiffness(mesh)
+    factorize(first)  # the level-3 hierarchy takes its parent's stiffness
+    factorize(assemble_stiffness(mesh._parent))
+    assert calls == [mesh, mesh._parent]
+    assert second.mat is first.mat
+    fresh = assemble(mesh)
+    assert (fresh != first.mat).nnz == 0
+    for array in (first.mat.data, first.mat.indices, first.mat.indptr):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        first.mat.data[0] = 1.0
+    with pytest.raises(ValueError):
+        first.mat[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        first.mat *= 2.0
+    assert (first.mat != fresh).nnz == 0
+
+
 def test_mass_matrix_rows_and_total():
     mesh = build_disc_mesh(level=2)
     mass = assemble_mass(mesh)
