@@ -440,22 +440,12 @@ def test_fe_sampling_matches_einsum_form(level, seed, n_nodes, subset):
     assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
-def test_stiffness_assembled_once_per_mesh_and_read_only(monkeypatch):
-    calls = []
-    assemble = fem._stiffness_csr
-
-    def counted(mesh):
-        calls.append(mesh)
-        return assemble(mesh)
-
-    monkeypatch.setattr(fem, "_stiffness_csr", counted)
+def test_stiffness_cached_per_mesh_and_read_only():
+    # the assembly count down a study chain is in test_cli
     mesh = build_disc_mesh(level=3)
     first, second = assemble_stiffness(mesh), assemble_stiffness(mesh)
-    factorize(first)  # the level-3 hierarchy takes its parent's stiffness
-    factorize(assemble_stiffness(mesh._parent))
-    assert calls == [mesh, mesh._parent]
     assert second.mat is first.mat
-    fresh = assemble(mesh)
+    fresh = fem._stiffness_csr(mesh)
     assert (fresh != first.mat).nnz == 0
     for array in (first.mat.data, first.mat.indices, first.mat.indptr):
         assert not array.flags.writeable
