@@ -9,6 +9,7 @@ on the command line.  Exit codes: 0 success, 1 oracle comparison failed,
 """
 
 import argparse
+import itertools
 import os
 import secrets
 import sys
@@ -19,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import control, error, fem, oracle
+from ._text import text_rows
 from .greens import ExactSolution
 from .mesh import (
     _ancestors,
@@ -310,17 +312,19 @@ def _write_csv(records, path):
             f"{r.level},{_fmt(r.h)},{r.n_vertices},{r.n_cells},"
             f"{_fmt(r.error)},{eoc}"
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ("\n".join(lines) + "\n").encode())
 
 
 def _write_text(path, data):
-    """Write text to ``path`` atomically (no partial files).
+    """Write bytes to ``path`` atomically (no partial files).
 
-    The text goes to a temp file in the target's directory, which is then
-    renamed over the target; on failure the temp file is removed.  The
-    temp file is created with mode 0o666 for the kernel to mask with the
-    umask, as ``open`` would; reading the umask in Python means setting
-    it, which races other threads.
+    ``data`` is one bytes object or an iterable of byte chunks, written in
+    order in binary mode; callers encode their text.  The bytes go to a
+    temp file in the target's directory, which is then renamed over the
+    target; on failure the temp file is removed.  The temp file is created
+    with mode 0o666 for the kernel to mask with the umask, as ``open``
+    would; reading the umask in Python means setting it, which races other
+    threads.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(
@@ -328,8 +332,8 @@ def _write_text(path, data):
     )
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines((data,) if isinstance(data, bytes) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -337,19 +341,12 @@ def _write_text(path, data):
         raise
 
 
-def _format_rows(points, values):
-    """Lines "x y value" in the 17-digit format of ``_fmt``."""
-    return map(
-        "{:.17g} {:.17g} {:.17g}".format,
-        points[:, 0].tolist(), points[:, 1].tolist(), values.tolist(),
-    )
-
-
 def run_solve(config):
     """Solve a single level (the low end of the range) and dump the fields.
 
     The dump is a text file holding the adjoint at every vertex and the
-    control at every cell centroid, full precision.
+    control at every cell centroid, full precision: every value prints as
+    ``format(x, ".17g")``.
 
     Returns
     -------
@@ -366,18 +363,20 @@ def run_solve(config):
     solution, discrete = _solve_variant(
         config, control.benchmark_problem(exact), mesh
     )
-    lines = [
-        f"# level {level} variant {config.variant}",
-        f"# iterations {solution.iterations} residual {_fmt(solution.residual)}",
-        f"# adjoint ({mesh.n_vertices} vertices: x y value)",
-    ]
-    lines.extend(_format_rows(mesh.vertices, solution.adjoint.values))
-    lines.append(f"# control ({mesh.n_cells} cell centroids: x y value)")
     centroids = cell_centroids(mesh)
     third = np.full(3, 1.0 / 3.0)
     values = discrete.sample_cells(third[None, :]).ravel()
-    lines.extend(_format_rows(centroids, values))
-    _write_text(config.out, "\n".join(lines) + "\n")
+    header = (
+        f"# level {level} variant {config.variant}\n"
+        f"# iterations {solution.iterations} residual {_fmt(solution.residual)}\n"
+        f"# adjoint ({mesh.n_vertices} vertices: x y value)\n"
+    )
+    _write_text(config.out, itertools.chain(
+        [header.encode()],
+        text_rows(*mesh.vertices.T, solution.adjoint.values),
+        [f"# control ({mesh.n_cells} cell centroids: x y value)\n".encode()],
+        text_rows(*centroids.T, values),
+    ))
     return solution
 
 
@@ -424,7 +423,7 @@ def run_mesh_dump(config):
     if config.out is None:
         raise ConfigError("mesh-dump requires an output path")
     mesh = _build_mesh(config, config.level_min)
-    _write_text(config.out, format_mesh(mesh))
+    _write_text(config.out, format_mesh(mesh).encode())
     return mesh
 
 

@@ -63,6 +63,19 @@ class FactorizationError(Exception):
     """Raised when a matrix fails the SPD contract or a solve cannot reach it."""
 
 
+def _read_only(values):
+    """``values`` as a read-only contiguous float array.
+
+    A writable array of the caller's is copied rather than frozen, so the
+    caller can still write to it and the stored values do not change.
+    """
+    array = np.ascontiguousarray(values, dtype=float)
+    if array.flags.writeable and np.may_share_memory(array, values):
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 class FeFunction:
     """Continuous piecewise-linear field given by one value per vertex.
 
@@ -72,10 +85,9 @@ class FeFunction:
     """
 
     def __init__(self, mesh, values):
-        values = np.ascontiguousarray(values, dtype=float)
+        values = _read_only(values)
         if values.shape != (mesh.n_vertices,):
             raise ValueError("nodal value count must equal the vertex count")
-        values.setflags(write=False)
         self.mesh = mesh
         self.values = values
 
@@ -103,10 +115,9 @@ class CellwiseFunction:
     """Piecewise-constant field given by one value per cell."""
 
     def __init__(self, mesh, values):
-        values = np.ascontiguousarray(values, dtype=float)
+        values = _read_only(values)
         if values.shape != (mesh.n_cells,):
             raise ValueError("cell value count must equal the cell count")
-        values.setflags(write=False)
         self.mesh = mesh
         self.values = values
 

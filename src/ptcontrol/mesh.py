@@ -15,6 +15,8 @@ counterclockwise order, and boundary vertices as a boolean mask.
 
 import numpy as np
 
+from ._text import text_rows
+
 __all__ = [
     "Mesh",
     "DiscDomain",
@@ -159,13 +161,7 @@ class Mesh:
         cell_count : (n_e,) int array
             Number of cells sharing each edge (1 = boundary, 2 = interior).
         """
-        raw = np.sort(
-            np.concatenate(
-                [self.cells[:, [0, 1]], self.cells[:, [1, 2]], self.cells[:, [2, 0]]]
-            ),
-            axis=1,
-        )
-        uniq, counts = np.unique(raw, axis=0, return_counts=True)
+        uniq, _, counts = _unique_edges(self.cells, self.n_vertices)
         return uniq, counts
 
     def interior_vertices(self):
@@ -286,6 +282,30 @@ def _refined(coarse, level):
     return mesh
 
 
+def _unique_edges(cells, n_v):
+    """Unique edges of a triangulation, as ``np.unique`` of the sorted pairs.
+
+    The cell edges (01, 12, 20), all cells' first edges first, become
+    pairs lo < hi; each pair is deduplicated as the scalar key
+    lo * n_v + hi, whose order is the lexicographic order of the pairs, so
+    one 1-D ``np.unique`` replaces a row-wise one.
+
+    Returns
+    -------
+    edges : (n_e, 2) int array
+        Sorted vertex pairs in lexicographic order.
+    inverse : (3 * n_c,) int array
+        Edge index of each cell edge, in the order above.
+    counts : (n_e,) int array
+        Number of cells sharing each edge.
+    """
+    first = np.concatenate([cells[:, 0], cells[:, 1], cells[:, 2]])
+    second = np.concatenate([cells[:, 1], cells[:, 2], cells[:, 0]])
+    key = np.minimum(first, second) * n_v + np.maximum(first, second)
+    keys, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    return np.column_stack(np.divmod(keys, n_v)), inverse, counts
+
+
 def refine_uniform(mesh):
     """Split every cell into 4 children through the edge midpoints.
 
@@ -308,12 +328,7 @@ def refine_uniform(mesh):
         raise CapacityError(f"refinement past level {MAX_LEVEL} exceeds the guard")
     n_v = mesh.n_vertices
     cells = mesh.cells
-    raw = np.sort(
-        np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]]), axis=1
-    )
-    uniq, inverse, counts = np.unique(
-        raw, axis=0, return_inverse=True, return_counts=True
-    )
+    uniq, inverse, counts = _unique_edges(cells, n_v)
     midpoints = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
     on_boundary = counts == 1
     if mesh.domain is not None and on_boundary.any():
@@ -429,12 +444,10 @@ def format_mesh(mesh):
     """Serialize a mesh to the text dump format.
 
     Line 1 is "nv nc"; then nv lines "x y flag" (flag 1 on the boundary)
-    and nc lines "i j k".
+    and nc lines "i j k".  Coordinates print as ``format(x, ".17g")``.
     """
-    lines = [f"{mesh.n_vertices} {mesh.n_cells}"]
-    for (x, y), flag in zip(mesh.vertices, mesh.boundary):
-        lines.append(f"{x:.17g} {y:.17g} {int(flag)}")
-    for i, j, k in mesh.cells:
-        lines.append(f"{i} {j} {k}")
-    return "\n".join(lines) + "\n"
+    chunks = [f"{mesh.n_vertices} {mesh.n_cells}\n".encode()]
+    chunks += text_rows(*mesh.vertices.T, mesh.boundary)
+    chunks += text_rows(*mesh.cells.T)
+    return b"".join(chunks).decode("ascii")
 

@@ -3,7 +3,8 @@
 Nothing here imports solver machinery from the package; the point is to
 certify package results against structurally different algorithms (exact
 scanline slicing for clipped integrals, dense textbook elimination for
-linear solves, bisection for benchmark radii).
+linear solves, bisection for benchmark radii, row-wise ``np.unique`` for
+edge numbering).
 """
 
 import numpy as np
@@ -127,6 +128,50 @@ def clipped_square_on_mesh(mesh, w, lower, upper, alpha):
         )
         total += square
     return total
+
+
+def reference_edges(cells):
+    """Unique edges by the row-wise ``np.unique(raw, axis=0)``.
+
+    ``raw`` stacks the cell edges (01, 12, 20), all cells' first edges
+    first, each sorted to (lo, hi).  Returns (edges, inverse, counts).
+    """
+    raw = np.sort(
+        np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [2, 0]]]), axis=1
+    )
+    edges, inverse, counts = np.unique(
+        raw, axis=0, return_inverse=True, return_counts=True
+    )
+    return edges, inverse.ravel(), counts
+
+
+def reference_refine(mesh):
+    """Uniform red refinement numbered by ``reference_edges``.
+
+    Returns the refined (vertices, cells, boundary) and the edge array:
+    vertex n_v + e is the midpoint of edge e, boundary midpoints of a disc
+    domain are pushed radially onto its circle, and the children of cell
+    k are rows 4k..4k+3 (three corner children in vertex order, then the
+    middle one).
+    """
+    n_v = len(mesh.vertices)
+    edges, inverse, counts = reference_edges(mesh.cells)
+    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    on_boundary = counts == 1
+    if mesh.domain is not None:
+        d = midpoints[on_boundary] - mesh.domain.center
+        r = np.hypot(d[:, 0], d[:, 1])
+        midpoints[on_boundary] = mesh.domain.center + mesh.domain.radius * d / r[:, None]
+    mid = inverse.reshape(3, -1).T + n_v
+    children = []
+    for (a, b, c), (m01, m12, m20) in zip(mesh.cells.tolist(), mid.tolist()):
+        children += [[a, m01, m20], [m01, b, m12], [m20, m12, c], [m01, m12, m20]]
+    return (
+        np.vstack([mesh.vertices, midpoints]),
+        np.array(children, dtype=np.int64),
+        np.concatenate([mesh.boundary, on_boundary]),
+        edges,
+    )
 
 
 def gaussian_elimination(matrix, rhs):

@@ -199,24 +199,34 @@ def test_solve_dump(tmp_path):
 
 
 def test_solve_dump_matches_per_value_format(tmp_path):
-    out = tmp_path / "fields.txt"
-    solution = run_solve(StudyConfig(
-        variant="variational", level_min=2, level_max=2,
-        lower=-0.2, upper=0.2, out=str(out),
-    ))
-    mesh = solution.adjoint.mesh
-    centroids = mesh.vertices[mesh.cells].mean(axis=1)
-    controls = solution.control.sample_cells(np.full((1, 3), 1.0 / 3.0)).ravel()
-    expected = [
-        f"{x:.17g} {y:.17g} {z:.17g}"
-        for points, values in (
-            (mesh.vertices, solution.adjoint.values), (centroids, controls)
-        )
-        for (x, y), z in zip(points, values)
+    configs = [
+        StudyConfig(variant="variational", level_min=2, level_max=2,
+                    lower=-0.2, upper=0.2),
+        # exact zeros (the boundary adjoint), negative values, and controls
+        # of about -1e-5, which print in exponent notation
+        StudyConfig(variant="cellwise", level_min=3, level_max=3, alpha=1e4,
+                    lower=-np.inf, upper=np.inf),
     ]
-    values = [line for line in out.read_text().splitlines()
-              if not line.startswith("#")]
-    assert values == expected
+    for number, config in enumerate(configs):
+        out = tmp_path / f"fields-{number}.txt"
+        solution = run_solve(replace(config, out=str(out)))
+        mesh = solution.adjoint.mesh
+        centroids = mesh.vertices[mesh.cells].mean(axis=1)
+        controls = solution.control.sample_cells(np.full((1, 3), 1.0 / 3.0)).ravel()
+        expected = [
+            f"{x:.17g} {y:.17g} {z:.17g}"
+            for points, values in (
+                (mesh.vertices, solution.adjoint.values), (centroids, controls)
+            )
+            for (x, y), z in zip(points, values)
+        ]
+        values = [line for line in out.read_text().splitlines()
+                  if not line.startswith("#")]
+        assert values == expected
+    tokens = " ".join(values).split()
+    assert "0" in tokens
+    assert any(t.startswith("-") for t in tokens)
+    assert any("e-" in t for t in tokens)
 
 
 def test_solve_requires_out():

@@ -420,6 +420,22 @@ def test_fe_function_sampling():
     assert np.array_equal(u.sample_cells(corners, some), u.values[mesh.cells[some]])
 
 
+@pytest.mark.parametrize("kind", [FeFunction, CellwiseFunction])
+def test_functions_leave_the_callers_array_writable(kind):
+    mesh = build_disc_mesh(level=0)
+    n = mesh.n_vertices if kind is FeFunction else mesh.n_cells
+    values = np.zeros(n)
+    u = kind(mesh, values)
+    values[0] = 1.0  # the caller's array stays writable
+    assert u.values[0] == 0.0  # and the stored values do not follow it
+    assert not u.values.flags.writeable
+    with pytest.raises(ValueError):
+        u.values[0] = 1.0
+    frozen = np.zeros(n)
+    frozen.setflags(write=False)
+    assert kind(mesh, frozen).values is frozen  # read-only input: no copy
+
+
 @settings(max_examples=30, deadline=None)
 @given(level=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
        n_nodes=st.integers(1, 40), subset=st.booleans())

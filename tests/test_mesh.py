@@ -17,6 +17,8 @@ from ptcontrol.mesh import (
     refine_uniform,
 )
 
+from oracles import reference_edges, reference_refine
+
 
 def test_disc_level0_counts():
     mesh = build_disc_mesh(level=0)
@@ -117,6 +119,31 @@ def test_ancestors_follow_the_refinement_chain():
     assert [m.level for m in _ancestors(mesh, 0)] == [4, 3, 2, 1, 0]
     base = Mesh(mesh.vertices, mesh.cells, mesh.boundary, level=4)
     assert _ancestors(base, 2) == [base]
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
+def test_edge_numbering_matches_row_wise_unique(build):
+    # levels 0-6: Mesh.edges() and every refinement step against the
+    # row-wise np.unique numbering, to the last bit
+    mesh = build(level=0)
+    for level in range(7):
+        edges, _, counts = reference_edges(mesh.cells)
+        got_edges, got_counts = mesh.edges()
+        assert _bitwise_equal(got_edges, edges)
+        assert _bitwise_equal(got_counts, counts)
+        if level == 6:
+            break
+        fine = refine_uniform(mesh)
+        vertices, cells, boundary, edges = reference_refine(mesh)
+        assert _bitwise_equal(fine.vertices, vertices)
+        assert _bitwise_equal(fine.cells, cells)
+        assert _bitwise_equal(fine.boundary, boundary)
+        assert _bitwise_equal(fine._edges, edges)
+        mesh = fine
 
 
 def test_square_refinement_moves_nothing():
@@ -222,6 +249,17 @@ def test_dump_round_trip():
     assert np.array_equal(vertex_rows[:, 2] == 1.0, mesh.boundary)
     cell_rows = np.array(rows[mesh.n_vertices :], dtype=np.int64)
     assert np.array_equal(cell_rows, mesh.cells)
+
+
+@pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
+def test_dump_matches_per_row_format(build):
+    mesh = build(level=5)
+    lines = [f"{mesh.n_vertices} {mesh.n_cells}"]
+    for (x, y), flag in zip(mesh.vertices, mesh.boundary):
+        lines.append(f"{x:.17g} {y:.17g} {int(flag)}")
+    for i, j, k in mesh.cells:
+        lines.append(f"{i} {j} {k}")
+    assert format_mesh(mesh).encode() == ("\n".join(lines) + "\n").encode()
 
 
 def test_capacity_limit():
