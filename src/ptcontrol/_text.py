@@ -206,21 +206,21 @@ def text_rows(*columns):
     kinds = [np.issubdtype(c.dtype, np.floating) for c in columns]
     step = max(1, BLOCK_VALUES // len(columns))
     for start in range(0, len(columns[0]), step):
-        parts, ends = [], []
+        parts, widths = [], []
         block = (c[start : start + step] for c in columns)
         for is_float, run in itertools.groupby(zip(kinds, block), key=lambda p: p[0]):
             run = [c for _, c in run]
             if is_float:
                 fields = float_fields(np.column_stack(run).ravel())
                 parts.append(fields.reshape(len(run[0]), -1))
-                ends += [FLOAT_WIDTH] * len(run)
+                widths += [FLOAT_WIDTH + 1] * len(run)
             else:
                 for column in run:
                     parts.append(int_fields(column))
-                    ends.append(parts[-1].shape[1] - 1)
+                    widths.append(parts[-1].shape[1])
         buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        ends = np.cumsum(np.add(ends, 1)) - 1
-        buf[:, ends[:-1]] = ord(" ")
-        buf[:, ends[-1]] = ord("\n")
+        separators = np.cumsum(widths) - 1  # the last byte of each field
+        buf[:, separators[:-1]] = ord(" ")
+        buf[:, separators[-1]] = ord("\n")
         buf = buf.ravel()
         yield buf[buf != 0].tobytes()
