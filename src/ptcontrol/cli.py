@@ -3,9 +3,10 @@
 Subcommands: ``study`` (level sweep of one discretization variant, CSV
 output), ``solve`` (single solve with field dumps), ``oracle`` (dense
 cross-check on a coarse level), ``mesh-dump`` (triangulation as text).
-Configs are flat "key = value" text files; every value can be overridden
-on the command line.  Exit codes: 0 success, 1 oracle comparison failed,
-2 solver failure, 3 config error.  Every output file is written atomically.
+Configs are flat "key = value" text files, and flags override six of the
+keys; a StudyConfig validates itself on construction.  Exit codes: 0
+success, 1 oracle comparison failed, 2 solver failure, 3 config error, 4
+output write failed.  Every output file is written atomically.
 """
 
 import argparse
@@ -68,7 +69,7 @@ class StudyConfig:
     tol: float = 1e-12
     out: Optional[str] = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.domain not in ("disc", "square"):
             raise ConfigError(f"unknown domain {self.domain!r}")
         if self.variant not in VARIANTS:
@@ -87,7 +88,8 @@ class StudyConfig:
             raise ConfigError("bounds must satisfy lower < upper")
         if not self.tol >= 1e-13:
             raise ConfigError("tol must be at least 1e-13")
-        return self
+        if self.out == "":
+            raise ConfigError("out must not be empty")
 
     @property
     def levels(self):
@@ -105,7 +107,11 @@ def _parse_float(text, key):
         raise ConfigError(f"{key}: not a number: {text!r}")
 
 
-def _parse_levels(text):
+def _parse_text(text, key):
+    return text
+
+
+def _parse_levels(text, key):
     parts = text.split("..")
     try:
         if len(parts) == 1:
@@ -115,7 +121,7 @@ def _parse_levels(text):
         else:
             raise ValueError
     except ValueError:
-        raise ConfigError(f"levels: expected A..B, got {text!r}")
+        raise ConfigError(f"{key}: expected A..B, got {text!r}")
     return lo, hi
 
 
@@ -126,8 +132,42 @@ def _parse_pair(text, key):
     return _parse_float(parts[0], key), _parse_float(parts[1], key)
 
 
+def _format_pair(pair):
+    return f"{_fmt(pair[0])}, {_fmt(pair[1])}"
+
+
+# One row per config key, in file order: the StudyConfig fields it sets, its
+# parser, its formatter, and the help text of its command-line flag (None
+# for a file-only key).  A key that sets two fields parses to a pair.
+_KEYS = {
+    "domain": (("domain",), _parse_text, str, None),
+    "center": (("center",), _parse_pair, _format_pair, None),
+    "radius": (("radius",), _parse_float, _fmt, None),
+    "variant": (("variant",), _parse_text, str, "|".join(VARIANTS)),
+    "levels": (("level_min", "level_max"), _parse_levels,
+               "{0[0]}..{0[1]}".format, "inclusive level range A..B"),
+    "alpha": (("alpha",), _parse_float, _fmt, "regularization weight"),
+    "bounds": (("lower", "upper"), _parse_pair, _format_pair,
+               "control bounds A,B (inf allowed)"),
+    "tol": (("tol",), _parse_float, _fmt, "solver tolerance"),
+    "out": (("out",), _parse_text, str, "output path"),
+}
+
+
+def _fields(texts):
+    """The StudyConfig fields that a ``{key: text}`` dict of config keys sets."""
+    fields = {}
+    for key, text in texts.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        names, parse, _, _ = _KEYS[key]
+        value = parse(text, key)
+        fields.update(zip(names, value if len(names) > 1 else (value,)))
+    return fields
+
+
 def parse_config(text):
-    """Parse flat "key = value" config text into a validated StudyConfig.
+    """Parse flat "key = value" config text into a StudyConfig.
 
     Blank lines, comment lines starting with '#', and section headers in
     brackets are ignored; unknown keys are an error.
@@ -148,46 +188,17 @@ def parse_config(text):
             raise ConfigError(f"line {number}: duplicate key {key!r}")
         values[key] = value
 
-    config = StudyConfig()
-    fields = {}
-    for key, value in values.items():
-        if key == "domain":
-            fields["domain"] = value
-        elif key == "center":
-            fields["center"] = _parse_pair(value, "center")
-        elif key == "radius":
-            fields["radius"] = _parse_float(value, "radius")
-        elif key == "variant":
-            fields["variant"] = value
-        elif key == "levels":
-            fields["level_min"], fields["level_max"] = _parse_levels(value)
-        elif key == "alpha":
-            fields["alpha"] = _parse_float(value, "alpha")
-        elif key == "bounds":
-            fields["lower"], fields["upper"] = _parse_pair(value, "bounds")
-        elif key == "tol":
-            fields["tol"] = _parse_float(value, "tol")
-        elif key == "out":
-            fields["out"] = value
-        else:
-            raise ConfigError(f"unknown key {key!r}")
-    return replace(config, **fields).validate()
+    return StudyConfig(**_fields(values))
 
 
 def format_config(config):
     """Serialize a StudyConfig to config text; parses back identically."""
-    lines = [
-        f"domain = {config.domain}",
-        f"center = {_fmt(config.center[0])}, {_fmt(config.center[1])}",
-        f"radius = {_fmt(config.radius)}",
-        f"variant = {config.variant}",
-        f"levels = {config.level_min}..{config.level_max}",
-        f"alpha = {_fmt(config.alpha)}",
-        f"bounds = {_fmt(config.lower)}, {_fmt(config.upper)}",
-        f"tol = {_fmt(config.tol)}",
-    ]
-    if config.out is not None:
-        lines.append(f"out = {config.out}")
+    lines = []
+    for key, (names, _, format_value, _) in _KEYS.items():
+        value = tuple(getattr(config, name) for name in names)
+        value = value if len(names) > 1 else value[0]
+        if value is not None:
+            lines.append(f"{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -276,7 +287,6 @@ def run_study(config, parallel=False):
     -------
     list of ConvergenceRecord
     """
-    config.validate()
     exact = _exact_solution(config)
     meshes = _study_meshes(config)
 
@@ -293,7 +303,6 @@ def run_study(config, parallel=False):
             records = list(pool.map(solve_level, meshes))
     else:
         records = [solve_level(mesh) for mesh in meshes]
-    records.sort(key=lambda r: r.level)
     pairs = [(r.h, r.error) for r in records]
     if len(records) >= 2:
         for record, order in zip(records[1:], error.estimate_eoc(pairs)):
@@ -352,7 +361,6 @@ def run_solve(config):
     -------
     DiscreteSolution
     """
-    config.validate()
     if config.out is None:
         raise ConfigError("solve requires an output path")
     if config.variant == "greens":
@@ -391,7 +399,6 @@ def run_oracle_check(config):
     -------
     list of dict with keys level, max_diff, tol, passed.
     """
-    config.validate()
     if config.variant != "cellwise":
         raise ConfigError("oracle check applies to the cellwise variant")
     if config.level_max > 2:
@@ -419,7 +426,6 @@ def run_oracle_check(config):
 
 def run_mesh_dump(config):
     """Write the level-range-low mesh as text to the output path."""
-    config.validate()
     if config.out is None:
         raise ConfigError("mesh-dump requires an output path")
     mesh = _build_mesh(config, config.level_min)
@@ -438,12 +444,9 @@ def _build_parser():
     for name in ("study", "solve", "oracle", "mesh-dump"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--variant", help="|".join(VARIANTS))
-        p.add_argument("--levels", help="inclusive level range A..B")
-        p.add_argument("--alpha", help="regularization weight")
-        p.add_argument("--bounds", help="control bounds A,B (inf allowed)")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--tol", help="solver tolerance")
+        for key, (_, _, _, help_text) in _KEYS.items():
+            if help_text is not None:
+                p.add_argument(f"--{key}", help=help_text)
         if name == "study":
             p.add_argument(
                 "--parallel-levels", action="store_true",
@@ -462,20 +465,9 @@ def _config_from_args(args):
         config = parse_config(text)
     else:
         config = StudyConfig()
-    fields = {}
-    if args.variant is not None:
-        fields["variant"] = args.variant
-    if args.levels is not None:
-        fields["level_min"], fields["level_max"] = _parse_levels(args.levels)
-    if args.alpha is not None:
-        fields["alpha"] = _parse_float(args.alpha, "alpha")
-    if args.bounds is not None:
-        fields["lower"], fields["upper"] = _parse_pair(args.bounds, "bounds")
-    if args.out is not None:
-        fields["out"] = args.out
-    if args.tol is not None:
-        fields["tol"] = _parse_float(args.tol, "tol")
-    return replace(config, **fields).validate()
+    flags = {key: text for key, text in vars(args).items()
+             if key in _KEYS and text is not None}
+    return replace(config, **_fields(flags))
 
 
 def main(argv=None):
@@ -523,6 +515,9 @@ def main(argv=None):
     except (control.DivergenceError, oracle.OracleError, fem.FactorizationError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -252,10 +252,6 @@ class ReducedSystem:
         """State field for a control load from ``evaluate`` (one sparse solve)."""
         return self.matrix.field(self.factorization.solve(self.load_source + load))
 
-    def residual(self, c):
-        """Residual F(c) = c - (u_h(c)(x_i) - target_i)."""
-        return self.evaluate(c)[0]
-
     def objective(self, c, F, squares):
         """Discrete objective at c from the residual evaluation at c.
 
@@ -323,7 +319,7 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
             step = NEWTON_STEP_SCALE * (1.0 + abs(c[j]))
             c_pert = c.copy()
             c_pert[j] += step
-            jac[:, j] = (system.residual(c_pert) - F) / step
+            jac[:, j] = (system.evaluate(c_pert)[0] - F) / step
         try:
             direction = np.linalg.solve(jac, -F)
         except np.linalg.LinAlgError:

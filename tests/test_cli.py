@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ptcontrol import cli, fem, mesh as mesh_module
 from ptcontrol.cli import (
@@ -67,10 +68,79 @@ bounds = -1, 1
     "center = nan, 0.5",
     "center = inf, 0.5",
     "radius = inf",
+    "out =",
 ])
 def test_config_rejects_invalid(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    domain=st.sampled_from(["disc", "square"]),
+    center=st.tuples(finite, finite),
+    radius=st.floats(min_value=1e-300, max_value=1e300),
+    variant=st.sampled_from(cli.VARIANTS),
+    levels=st.lists(st.integers(0, cli.MAX_STUDY_LEVEL), min_size=2, max_size=2),
+    alpha=st.floats(min_value=1e-300, max_value=1e300),
+    bounds=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
+    tol=st.floats(min_value=1e-13, max_value=1e300),
+    out=st.none() | st.text("abcXYZ019._-/", min_size=1, max_size=20),
+)
+def test_config_round_trip_property(domain, center, radius, variant, levels,
+                                    alpha, bounds, tol, out):
+    lower, upper = sorted(bounds)
+    assume(lower < upper)
+    config = StudyConfig(
+        domain=domain, center=center, radius=radius, variant=variant,
+        level_min=min(levels), level_max=max(levels), alpha=alpha,
+        lower=lower, upper=upper, tol=tol, out=out,
+    )
+    assert parse_config(format_config(config)) == config
+
+
+@pytest.mark.parametrize("config, text", [
+    (StudyConfig(),
+     "domain = disc\ncenter = 0.5, 0.5\nradius = 0.5\nvariant = cellwise\n"
+     "levels = 2..4\nalpha = 1\nbounds = -1, 1\ntol = 9.9999999999999998e-13\n"),
+    (StudyConfig(variant="postproc", level_min=1, level_max=3, alpha=0.75,
+                 lower=-0.2, upper=0.2, tol=1e-12, out="table.csv"),
+     "domain = disc\ncenter = 0.5, 0.5\nradius = 0.5\nvariant = postproc\n"
+     "levels = 1..3\nalpha = 0.75\n"
+     "bounds = -0.20000000000000001, 0.20000000000000001\n"
+     "tol = 9.9999999999999998e-13\nout = table.csv\n"),
+    (StudyConfig(domain="square", center=(0.25, -1e-300), radius=2.0 / 3.0,
+                 variant="greens", level_min=0, level_max=8, alpha=1e4,
+                 lower=float("-inf"), upper=float("inf"), tol=1.5e-13,
+                 out="runs/l8.csv"),
+     "domain = square\ncenter = 0.25, -1e-300\nradius = 0.66666666666666663\n"
+     "variant = greens\nlevels = 0..8\nalpha = 10000\nbounds = -inf, inf\n"
+     "tol = 1.4999999999999999e-13\nout = runs/l8.csv\n"),
+], ids=["default", "postproc-out", "square-unbounded"])
+def test_format_config_bytes(config, text):
+    assert format_config(config) == text
+
+
+@pytest.mark.parametrize("key, value", [
+    ("variant", "variational"),
+    ("levels", "1..3"),
+    ("alpha", "0.25"),
+    ("bounds", "-0.2, 0.2"),
+    ("out", "table.csv"),
+    ("tol", "1e-11"),
+])
+def test_flag_matches_config_file(tmp_path, key, value):
+    config_file = tmp_path / "one.cfg"
+    config_file.write_text(f"{key} = {value}\n")
+    parser = cli._build_parser()
+    from_file = cli._config_from_args(
+        parser.parse_args(["study", "--config", str(config_file)]))
+    from_flag = cli._config_from_args(
+        parser.parse_args(["study", f"--{key}={value}"]))
+    assert from_flag == from_file != StudyConfig()
 
 
 def test_mesh_dump_subcommand(tmp_path):
@@ -253,15 +323,32 @@ def test_oracle_failure_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
-def test_failed_write_leaves_no_file(tmp_path, monkeypatch, command):
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys, command):
     def refuse(src, dst):
         raise OSError("rename refused")
 
     monkeypatch.setattr(os, "replace", refuse)
     out = tmp_path / "out.txt"
-    with pytest.raises(OSError, match="rename refused"):
-        main([command, "--levels", "1..1", "--out", str(out)])
+    assert main([command, "--levels", "1..1", "--out", str(out)]) == 4
+    assert "output error: rename refused" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
+def test_missing_output_directory_exit_code(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.txt"
+    assert main([command, "--levels", "1..1", "--out", str(out)]) == 4
+    assert "output error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
+def test_empty_out_is_a_config_error(monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(cli, "_build_mesh", never)
+    assert main([command, "--levels", "1..1", "--out", ""]) == 3
 
 
 @pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
@@ -284,8 +371,8 @@ def test_oracle_reports(tmp_path):
     assert all(r["passed"] for r in reports)
     with pytest.raises(ConfigError):
         run_oracle_check(StudyConfig(variant="cellwise", level_max=3))
-    with pytest.raises(ConfigError):
-        run_oracle_check(StudyConfig(variant="greens", level_max=1))
+    with pytest.raises(ConfigError, match="cellwise variant"):
+        run_oracle_check(StudyConfig(variant="greens", level_min=1, level_max=1))
 
 
 def test_divergence_exit_code(tmp_path, monkeypatch):

@@ -128,7 +128,7 @@ def test_standalone_residual_matches_cached_path(variant, tracking, bounds, c):
     c = np.array(c[: len(points)])
     system = ReducedSystem(problem, LEVEL1_MESH, variant)
     fresh = fresh_residual(c, problem, LEVEL1_MESH, variant)
-    assert np.max(np.abs(fresh - system.residual(c))) <= 1e-13
+    assert np.max(np.abs(fresh - system.evaluate(c)[0])) <= 1e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,10 +202,10 @@ def test_residual_finite_difference_slope(wide_problem):
     system = ReducedSystem(wide_problem, mesh, CELLWISE)
     solution = solve_discrete(wide_problem, mesh, CELLWISE)
     c = solution.coefficients
-    base = system.residual(c)
+    base = system.evaluate(c)[0]
     slopes = []
     for delta in (1e-4, 5e-5):
-        slopes.append((system.residual(c + delta) - base) / delta)
+        slopes.append((system.evaluate(c + delta)[0] - base) / delta)
     assert np.max(np.abs(slopes[0] - slopes[1])) <= 1e-4
 
 
