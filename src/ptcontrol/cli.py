@@ -11,9 +11,12 @@ output write failed.  Every output file is written atomically.
 
 import argparse
 import itertools
+import math
+import numbers
 import os
 import secrets
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -53,6 +56,14 @@ class ConfigError(Exception):
     """Invalid configuration file or command line."""
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything one run needs; parse/format round-trip exactly."""
@@ -74,12 +85,18 @@ class StudyConfig:
             raise ConfigError(f"unknown domain {self.domain!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if not all(_is_int(level) for level in (self.level_min, self.level_max)):
+            raise ConfigError("levels must be integers")
+        for name in ("radius", "alpha", "lower", "upper", "tol"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number")
         if not (0 <= self.level_min <= self.level_max <= MAX_STUDY_LEVEL):
             raise ConfigError(
                 f"levels must satisfy 0 <= min <= max <= {MAX_STUDY_LEVEL}"
             )
-        if not np.all(np.isfinite(self.center)):
-            raise ConfigError("center must be finite")
+        if not (isinstance(self.center, Sequence) and len(self.center) == 2
+                and all(_is_real(x) and math.isfinite(x) for x in self.center)):
+            raise ConfigError("center must be two finite numbers")
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise ConfigError("radius must be positive and finite")
         if not self.alpha > 0:
@@ -333,20 +350,26 @@ def _write_text(path, data):
     target; on failure the temp file is removed.  The temp file is created
     with mode 0o666 for the kernel to mask with the umask, as ``open``
     would; reading the umask in Python means setting it, which races other
-    threads.
+    threads.  An ``OSError`` about the temp file is raised naming ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(
         directory, f"{os.path.basename(path)}.{secrets.token_hex(8)}.tmp"
     )
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.writelines((data,) if isinstance(data, bytes) else data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.writelines((data,) if isinstance(data, bytes) else data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # the error names the target, not the temp file the user never chose
+        if exc.filename == tmp:
+            exc.filename, exc.filename2 = path, None
         raise
 
 

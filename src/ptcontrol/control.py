@@ -94,10 +94,10 @@ class ControlProblem:
             raise ValueError("points must have shape (N, 2) with N >= 1")
         if targets.shape != (len(points),):
             raise ValueError("targets must have one value per tracking point")
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if np.array_equal(points[i], points[j]):
-                    raise ValueError("tracking points must be mutually distinct")
+        # + 0.0 turns -0.0 into 0.0, so the two are one point however the
+        # rows are compared
+        if len(np.unique(points + 0.0, axis=0)) < len(points):
+            raise ValueError("tracking points must be mutually distinct")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not self.lower < self.upper:

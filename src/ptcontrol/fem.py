@@ -9,9 +9,9 @@ clipped-linear sources, point evaluation, and the two cell projections
 Degrees of freedom are the interior vertices in mesh order; load vectors
 and solution vectors are aligned with that ordering.  The clipped-linear
 load integrates clamp(-w/alpha, a, b) times each hat function exactly, in
-closed form for all cells at once by the ramp identity of the clipped-loads
-section, so no quadrature error pollutes second-order convergence of the
-variational control.
+closed form by the ramp identity of the clipped-loads section, whose ramp
+formulas run on the cells that a level line crosses only; no quadrature
+error pollutes second-order convergence of the variational control.
 
 Stiffness solves run conjugate gradients preconditioned by one symmetric
 V-cycle over the mesh's uniform-refinement chain: damped Jacobi smoothing
@@ -198,10 +198,7 @@ def _stiffness_csr(mesh):
     areas = mesh.cell_areas()
     if np.any(areas <= 0.0):
         raise AssemblyError("degenerate or inverted cell (nonpositive area)")
-    p = mesh.vertices[mesh.cells]
-    # e_i = edge opposite vertex i
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    k_elem = np.einsum("nid,njd->nij", e, e) / (4.0 * areas)[:, None, None]
+    k_elem = _element_stiffness(mesh, areas)
     dof = mesh.dof_map()
     interior = mesh.interior_vertices()
     cell_dofs = dof[mesh.cells]
@@ -218,6 +215,28 @@ def _stiffness_csr(mesh):
     for array in (mat.data, mat.indices, mat.indptr):
         array.setflags(write=False)
     return mat
+
+
+def _element_stiffness(mesh, areas):
+    """The (n_cells, 3, 3) element matrices (e_i . e_j) / (4 |K|).
+
+    The edges come from x and y coordinate planes, arrays whose row j holds
+    the j-th vertex of every cell; they are freed on return, before the
+    sparse assembly.
+    """
+    cells = np.ascontiguousarray(mesh.cells.T)
+    x, y = (coordinate[cells] for coordinate in mesh.vertices.T)
+    # e_i = edge opposite vertex i
+    ex = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
+    ey = (y[2] - y[1], y[0] - y[2], y[1] - y[0])
+    scale = 4.0 * areas
+    k_elem = np.empty((mesh.n_cells, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            # + 0.0 turns a -0.0 dot product into +0.0, as a sum from zero does
+            dot = ex[i] * ex[j] + ey[i] * ey[j] + 0.0
+            k_elem[:, i, j] = k_elem[:, j, i] = dot / scale
+    return k_elem
 
 
 def assemble_mass(mesh):
@@ -459,13 +478,15 @@ def factorize(matrix):
 
 
 def _scatter_cell_loads(mesh, contrib):
-    """Sum per-cell vertex contributions (n_c, 3) into the interior dof vector."""
+    """Sum per-cell vertex contributions (n_c, 3) into the interior dof vector.
+
+    ``np.bincount`` adds the weights in input order, cell by cell, as
+    ``np.add.at`` would; boundary vertices go to one extra bin, dropped.
+    """
+    n = len(mesh.interior_vertices())
     dof = mesh.dof_map()
-    cell_dofs = dof[mesh.cells]
-    out = np.zeros(len(mesh.interior_vertices()))
-    keep = cell_dofs >= 0
-    np.add.at(out, cell_dofs[keep], contrib[keep])
-    return out
+    bins = np.where(dof >= 0, dof, n)[mesh.cells]
+    return np.bincount(bins.ravel(), weights=np.ravel(contrib), minlength=n + 1)[:n]
 
 
 def load_smooth(mesh, f):
@@ -591,6 +612,18 @@ def l2_norm(u):
 # R_i = S u_i (4 - t_k - t_l) / 12 and R_k = S u_i t_k / 12.  A ramp
 # positive at two vertices is r(u) = u + r(-u), at three r(u) = u.  An
 # infinite bound contributes no term.
+#
+# Every cell is integrated shifted by a cell constant s, the clamped mean of
+# its vertex values: clamp(v, a, b) = s + clamp(v', a - s, b - s) with
+# v' = v - s.  The ramps of the shifted values, r(a - s - v') and
+# r(v' - b + s), class each cell exactly (``_classify_cells``): on a free
+# cell neither is positive at a vertex and g - s = v'; on a cell at a bound
+# one is positive at all three, so all three vertex values lie past the
+# bound, their computed mean does too, s is the bound and g - s = 0; only a
+# crossed cell, cut by a level line, needs the ramp formulas.  The kernels
+# work on three contiguous vertex planes, one array per vertex slot.
+
+_FREE, _AT_LOWER, _AT_UPPER, _CROSSED = range(4)
 
 
 def _mass_loads(u, areas):
@@ -621,6 +654,34 @@ def _ramp_loads(u, areas):
     return loads
 
 
+def _classify_cells(mesh, w, lower, upper, alpha):
+    """Exact class of every cell for g = clamp(-w/alpha, lower, upper).
+
+    Returns ``(labels, v, shift, lo, hi)``.  ``v`` holds the shifted values
+    v' = v - s as three planes, a (3, n_cells) array whose row j is the
+    value at the j-th vertex of every cell; s is the clamped vertex mean of
+    v on each cell, lo = lower - s and hi = upper - s.  ``labels`` is
+    ``_FREE`` where neither ramp r(lo - v') nor r(v' - hi) is positive at a
+    vertex, ``_AT_LOWER`` or ``_AT_UPPER`` where one is positive at all
+    three, and ``_CROSSED`` otherwise.  These are the values whose positive
+    entries ``_ramp_loads`` counts (lo > v' is the sign of lo - v'); the raw
+    v against a bound can disagree within an ulp of it.  An infinite bound
+    is positive nowhere.
+    """
+    nodal = w.values if isinstance(w, FeFunction) else np.asarray(w, dtype=float)
+    v = -nodal[np.ascontiguousarray(mesh.cells.T)] / alpha
+    shift = np.clip((v[0] + v[1] + v[2]) / 3.0, lower, upper)
+    v -= shift
+    lo, hi = lower - shift, upper - shift
+    below = lo > v
+    above = v > hi
+    labels = np.full(len(shift), _CROSSED, dtype=np.int8)
+    labels[~(below.any(axis=0) | above.any(axis=0))] = _FREE
+    labels[below.all(axis=0)] = _AT_LOWER
+    labels[above.all(axis=0)] = _AT_UPPER
+    return labels, v, shift, lo, hi
+
+
 def _clipped_integrals(mesh, w, lower, upper, alpha):
     """Per-cell exact integrals of g = clamp(-w/alpha, lower, upper).
 
@@ -631,34 +692,59 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
         raise ValueError("bounds must satisfy lower < upper")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    nodal = w.values if isinstance(w, FeFunction) else np.asarray(w, dtype=float)
-    v = -nodal[mesh.cells] / alpha
+    labels, v, shift, lo, hi = _classify_cells(mesh, w, lower, upper, alpha)
     areas = mesh.cell_areas()
-    # clamp(v, a, b) = s + clamp(v - s, a - s, b - s) for a cell constant s;
-    # with s the clamped vertex mean, a cell past a bound cancels exactly,
-    # not to a rounding error of the size of v
-    shift = np.clip(v.mean(axis=1), lower, upper)[:, None]
-    v, lo, hi = v - shift, lower - shift, upper - shift
-    loads = _mass_loads(v, areas)
-    square = np.einsum("ni,ni->n", v, loads)
-    if np.isfinite(lower):
-        ramp = _ramp_loads(lo - v, areas)
-        loads += ramp
-        square += np.einsum("ni,ni->n", lo + v, ramp)
-    if np.isfinite(upper):
-        ramp = _ramp_loads(v - hi, areas)
-        loads -= ramp
-        square -= np.einsum("ni,ni->n", hi + v, ramp)
-    square += shift[:, 0] * (2.0 * loads.sum(axis=1) + shift[:, 0] * areas)
-    loads += shift * areas[:, None] / 3.0
-    return loads, square
+    # the mass loads of v' and int v'^2, the integrals of a free cell; the
+    # products are summed in the order of einsum("ni,ni->n").  In-place
+    # steps keep the operands of every rounding as they are.
+    loads = v + (v[0] + v[1] + v[2])
+    loads *= areas / 12.0
+    square = v[0] * loads[0] + v[2] * loads[2]
+    square += v[1] * loads[1]
+    # on a cell at a bound, s is that bound, so the ramp is -v' or v' and
+    # the shifted integrals cancel to zero
+    bound = (labels == _AT_LOWER) | (labels == _AT_UPPER)
+    np.copyto(loads, 0.0, where=bound)
+    np.copyto(square, 0.0, where=bound)
+    crossed = np.flatnonzero(labels == _CROSSED)
+    if crossed.size:
+        # (n, 3) rows in C order: einsum's order of summation follows the
+        # layout of its operands
+        rows = np.ascontiguousarray(v[:, crossed].T)
+        row_loads = loads[:, crossed].T
+        row_square = square[crossed]
+        row_areas = areas[crossed]
+        if np.isfinite(lower):
+            lo_c = lo[crossed, None]
+            ramp = _ramp_loads(lo_c - rows, row_areas)
+            row_loads += ramp
+            row_square += np.einsum("ni,ni->n", lo_c + rows, ramp)
+        if np.isfinite(upper):
+            hi_c = hi[crossed, None]
+            ramp = _ramp_loads(rows - hi_c, row_areas)
+            row_loads -= ramp
+            row_square -= np.einsum("ni,ni->n", hi_c + rows, ramp)
+        loads[:, crossed] = row_loads.T
+        square[crossed] = row_square
+    # the shift terms: square += s (2 sum_j L_j + s |K|), L_j += s |K| / 3
+    weight = shift * areas
+    term = loads[0] + loads[1] + loads[2]
+    term *= 2.0
+    term += weight
+    term *= shift
+    square += term
+    weight /= 3.0
+    loads += weight
+    return loads.T, square
 
 
 def load_clipped_linear(mesh, w, lower, upper, alpha):
     """Load vector (clamp(-w/alpha, lower, upper), phi_i), integrated exactly.
 
-    Every cell is integrated in closed form from the ramp identity above;
-    bounds may be infinite.
+    Every cell is integrated in closed form from the ramp identity above: a
+    cell on which -w/alpha stays within the bounds, or lies past one bound
+    at all three vertices, by the P1 mass form, and only a cell that a
+    level line crosses by the ramp formulas.  Bounds may be infinite.
 
     Parameters
     ----------

@@ -4,10 +4,13 @@ Nothing here imports solver machinery from the package; the point is to
 certify package results against structurally different algorithms (exact
 scanline slicing for clipped integrals, dense textbook elimination for
 linear solves, bisection for benchmark radii, row-wise ``np.unique`` for
-edge numbering).
+edge numbering).  The row-wise clipped kernel and the einsum stiffness
+element matrices are earlier forms of the package's kernels, kept as
+bit-for-bit references for their plane-wise rewrites.
 """
 
 import numpy as np
+import scipy.sparse as sparse
 
 GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 EDGES = ((0, 1), (1, 2), (2, 0))
@@ -128,6 +131,100 @@ def clipped_square_on_mesh(mesh, w, lower, upper, alpha):
         )
         total += square
     return total
+
+
+def _reference_mass_loads(u, areas):
+    return areas[:, None] / 12.0 * (u + u.sum(axis=1, keepdims=True))
+
+
+def _reference_ramp_loads(u, areas):
+    positive = np.count_nonzero(u > 0.0, axis=1)
+    loads = np.zeros_like(u)
+    affine = positive >= 2
+    loads[affine] = _reference_mass_loads(u[affine], areas[affine])
+    cells = np.flatnonzero((positive == 1) | (positive == 2))
+    c = np.where((positive[cells] == 2)[:, None], -u[cells], u[cells])
+    n = np.arange(len(cells))
+    i = np.argmax(c, axis=1)
+    k, l = (i + 1) % 3, (i + 2) % 3
+    ci = c[n, i]
+    tk = ci / (ci - c[n, k])
+    tl = ci / (ci - c[n, l])
+    scale = tk * tl * areas[cells] * ci / 12.0
+    loads[cells, i] += scale * (4.0 - tk - tl)
+    loads[cells, k] += scale * tk
+    loads[cells, l] += scale * tl
+    return loads
+
+
+def reference_clipped_integrals(mesh, w, lower, upper, alpha):
+    """Per-cell (loads (n, 3), squares (n,)) of clamp(-w/alpha, lower, upper).
+
+    The ramp identity evaluated on (n, 3) rows of vertex values over every
+    cell, free and at-bound cells included; see the clipped-loads section
+    of ``ptcontrol.fem``.
+    """
+    nodal = w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
+    v = -nodal[mesh.cells] / alpha
+    areas = mesh.cell_areas()
+    shift = np.clip(v.mean(axis=1), lower, upper)[:, None]
+    v, lo, hi = v - shift, lower - shift, upper - shift
+    loads = _reference_mass_loads(v, areas)
+    square = np.einsum("ni,ni->n", v, loads)
+    if np.isfinite(lower):
+        ramp = _reference_ramp_loads(lo - v, areas)
+        loads += ramp
+        square += np.einsum("ni,ni->n", lo + v, ramp)
+    if np.isfinite(upper):
+        ramp = _reference_ramp_loads(v - hi, areas)
+        loads -= ramp
+        square -= np.einsum("ni,ni->n", hi + v, ramp)
+    square += shift[:, 0] * (2.0 * loads.sum(axis=1) + shift[:, 0] * areas)
+    loads += shift * areas[:, None] / 3.0
+    return loads, square
+
+
+def reference_ramp_counts(mesh, w, lower, upper, alpha):
+    """Vertices per cell where the lower and the upper ramp are positive.
+
+    The counts are those of the row-wise kernel: the positive entries of
+    lo - v' and v' - hi, with the field shifted by its clamped cell mean.
+    """
+    nodal = w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
+    v = -nodal[mesh.cells] / alpha
+    shift = np.clip(v.mean(axis=1), lower, upper)[:, None]
+    v, lo, hi = v - shift, lower - shift, upper - shift
+    return (
+        np.count_nonzero(lo - v > 0.0, axis=1),
+        np.count_nonzero(v - hi > 0.0, axis=1),
+    )
+
+
+def reference_stiffness_csr(mesh):
+    """Stiffness CSR on the interior vertices from einsum element matrices.
+
+    K_ij = (e_i . e_j) / (4 |K|) with e_i the edge opposite vertex i, summed
+    into the interior dofs (vertex order) by COO assembly.
+    """
+    areas = mesh.cell_areas()
+    p = mesh.vertices[mesh.cells]
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    k_elem = np.einsum("nid,njd->nij", e, e) / (4.0 * areas)[:, None, None]
+    interior = np.flatnonzero(~mesh.boundary)
+    dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    dof[interior] = np.arange(len(interior))
+    cell_dofs = dof[mesh.cells]
+    rows = np.repeat(cell_dofs, 3, axis=1).reshape(-1)
+    cols = np.tile(cell_dofs, (1, 3)).reshape(-1)
+    vals = k_elem.reshape(-1)
+    keep = (rows >= 0) & (cols >= 0)
+    n = len(interior)
+    mat = sparse.coo_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(n, n)
+    ).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
 
 
 def reference_edges(cells):

@@ -75,6 +75,28 @@ def test_config_rejects_invalid(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("center", (0.5,)),
+    ("center", (0.5, 0.5, 0.5)),
+    ("center", 0.5),
+    ("center", ("0.5", "0.5")),
+    ("center", (0.5, None)),
+    ("center", (0.5, float("nan"))),
+    ("level_min", None),
+    ("level_min", 1.0),
+    ("level_max", "4"),
+    ("level_min", True),
+    ("radius", None),
+    ("alpha", "1"),
+    ("lower", None),
+    ("upper", "inf"),
+    ("tol", None),
+])
+def test_config_rejects_bad_types_and_shapes(field, value):
+    with pytest.raises(ConfigError):
+        StudyConfig(**{field: value})
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -336,9 +358,11 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys, command):
 
 @pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
 def test_missing_output_directory_exit_code(tmp_path, capsys, command):
-    out = tmp_path / "missing" / "out.txt"
+    out = tmp_path / "missing" / "x.csv"
     assert main([command, "--levels", "1..1", "--out", str(out)]) == 4
-    assert "output error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the target, not the temp file beside it
+    assert "output error:" in err and str(out) in err and ".tmp" not in err
     assert list(tmp_path.iterdir()) == []
 
 

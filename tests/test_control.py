@@ -76,6 +76,18 @@ def test_problem_validation():
                        source)
 
 
+@pytest.mark.parametrize("points", [
+    [[0.5, 0.5], [0.3, 0.4], [0.5, 0.5]],
+    [[0.3, 0.4], [0.0, 0.5], [0.6, 0.5], [-0.0, 0.5]],
+    [[0.5, -0.0], [0.5, 0.0]],
+])
+def test_duplicate_tracking_points_rejected(points):
+    # -0.0 and 0.0 are one coordinate
+    source = lambda p: np.zeros(len(p))
+    with pytest.raises(ValueError, match="mutually distinct"):
+        ControlProblem(np.array(points), np.zeros(len(points)), 1.0, -1.0, 1.0, source)
+
+
 def test_boundary_tracking_point_rejected():
     mesh = build_disc_mesh(level=1)
     problem = ControlProblem(

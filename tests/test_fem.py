@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from ptcontrol import fem
+from ptcontrol.control import VARIATIONAL, benchmark_problem, solve_discrete
 from ptcontrol.fem import (
     CellwiseFunction,
     FactorizationError,
@@ -35,6 +36,9 @@ from oracles import (
     clipped_loads_on_mesh,
     clipped_square_on_mesh,
     gaussian_elimination,
+    reference_clipped_integrals,
+    reference_ramp_counts,
+    reference_stiffness_csr,
     triangle_quadrature_integral,
 )
 
@@ -474,6 +478,45 @@ def test_stiffness_cached_per_mesh_and_read_only():
     assert (first.mat != fresh).nnz == 0
 
 
+@pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
+def test_stiffness_matches_einsum_reference_bitwise(build):
+    # the plane-wise element matrices feed the COO assembly the same bits
+    mesh = build(level=0)
+    for level in range(8):
+        if level:
+            mesh = refine_uniform(mesh)
+        ours, reference = fem._stiffness_csr(mesh), reference_stiffness_csr(mesh)
+        assert np.array_equal(ours.data.view(np.int64), reference.data.view(np.int64))
+        for name in ("indices", "indptr"):
+            got, want = getattr(ours, name), getattr(reference, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_stiffness_zero_entries_match_einsum_reference():
+    # axis-parallel edges at a right angle: their plane dot product is
+    # -0.0 + -0.0, where einsum sums from +0.0; no vertex is eliminated
+    mesh = Mesh([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], [[0, 1, 2]],
+                np.zeros(3, dtype=bool))
+    ours, reference = fem._stiffness_csr(mesh), reference_stiffness_csr(mesh)
+    assert np.any((reference.data == 0.0) & ~np.signbit(reference.data))
+    assert np.array_equal(ours.data.view(np.int64), reference.data.view(np.int64))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_scatter_adds_in_the_order_of_add_at(order):
+    mesh = build_disc_mesh(level=3)
+    rng = np.random.default_rng(5)
+    # magnitudes far apart, so any other order of addition changes bits
+    contrib = rng.standard_normal((mesh.n_cells, 3)) * 10.0 ** rng.integers(
+        -8, 9, (mesh.n_cells, 3))
+    cell_dofs = mesh.dof_map()[mesh.cells]
+    keep = cell_dofs >= 0
+    want = np.zeros(len(mesh.interior_vertices()))
+    np.add.at(want, cell_dofs[keep], contrib[keep])
+    got = fem._scatter_cell_loads(mesh, np.asarray(contrib, order=order))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_mass_matrix_rows_and_total():
     mesh = build_disc_mesh(level=2)
     mass = assemble_mass(mesh)
@@ -630,6 +673,118 @@ def test_clipped_square_matches_oracle():
         ours = clipped_field_l2_sq(mesh, w, -0.2, 0.2, 1.0)
         reference = clipped_square_on_mesh(mesh, w, -0.2, 0.2, 1.0)
         assert ours == pytest.approx(reference, abs=1e-12)
+
+
+def _einsum_sums_outer_products_first():
+    """Whether einsum("ni,ni->n") adds (p0 + p2) + p1, as the plane kernel does."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((256, 3)) * 10.0 ** rng.integers(-8, 9, (256, 3))
+    b = rng.standard_normal((256, 3))
+    p = a * b
+    return np.array_equal(np.einsum("ni,ni->n", a, b), p[:, 0] + p[:, 2] + p[:, 1])
+
+
+EINSUM_OUTER_FIRST = _einsum_sums_outer_products_first()
+COARSE_MESHES = (build_disc_mesh(level=0), LEVEL1_MESH, build_square_mesh(level=1))
+
+
+def _steps_from(level, ulps):
+    """The float ``ulps`` steps above (below, if negative) ``level``."""
+    for _ in range(abs(ulps)):
+        level = np.nextafter(level, np.copysign(np.inf, ulps))
+    return level
+
+
+def _expected_labels(mesh, w, lower, upper, alpha):
+    below, above = reference_ramp_counts(mesh, w, lower, upper, alpha)
+    labels = np.full(mesh.n_cells, fem._CROSSED)
+    labels[(below == 0) & (above == 0)] = fem._FREE
+    labels[below == 3] = fem._AT_LOWER
+    labels[above == 3] = fem._AT_UPPER
+    return labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mesh_index=st.integers(0, len(COARSE_MESHES) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.one_of(st.just(1.0), st.floats(1e-3, 10.0)),
+    bounds=st.tuples(
+        st.one_of(st.just(-np.inf), st.floats(-1.5, 0.5)),
+        st.one_of(st.just(np.inf), st.floats(-0.5, 1.5)),
+    ).filter(lambda b: b[0] < b[1]),
+    kind=st.sampled_from(["nodal", "affine", "free", "lower", "upper", "zero"]),
+    snapped=st.floats(0.0, 0.8),
+)
+def test_plane_kernel_matches_row_reference(mesh_index, seed, alpha, bounds, kind,
+                                            snapped):
+    # the per-cell loads and squares of the classified plane kernel against
+    # the row-wise ramp identity on every cell, and its classes against the
+    # ramp counts of the rows
+    lower, upper = bounds
+    mesh = COARSE_MESHES[mesh_index]
+    rng = np.random.default_rng(seed)
+    x, y = mesh.vertices.T
+    low = lower if np.isfinite(lower) else -2.0
+    high = upper if np.isfinite(upper) else 2.0
+    if kind == "nodal":
+        v = rng.uniform(-2.0, 2.0, mesh.n_vertices)
+    elif kind == "affine":
+        v = rng.uniform(-1.0, 1.0) + rng.uniform(-4.0, 4.0, 2) @ np.array([x, y])
+    elif kind == "free":
+        v = low + (high - low) * rng.uniform(0.05, 0.95, mesh.n_vertices)
+    elif kind == "lower":
+        v = low - rng.uniform(0.01, 2.0, mesh.n_vertices)
+    elif kind == "upper":
+        v = high + rng.uniform(0.01, 2.0, mesh.n_vertices)
+    else:
+        v = np.zeros(mesh.n_vertices)
+    w = -alpha * v
+    if kind == "zero":
+        w = np.where(rng.random(mesh.n_vertices) < 0.5, 0.0, -0.0)
+    levels = [b for b in bounds if np.isfinite(b)]
+    if kind in ("nodal", "affine") and levels:
+        # vertex values on a bound and one ulp to either side of it
+        for i in np.flatnonzero(rng.random(mesh.n_vertices) < snapped):
+            level = levels[rng.integers(len(levels))]
+            w[i] = _on_level(_steps_from(level, int(rng.integers(-1, 2))), alpha)
+    with np.errstate(all="raise", under="ignore"):
+        loads, squares = fem._clipped_integrals(mesh, w, lower, upper, alpha)
+    want_loads, want_squares = reference_clipped_integrals(mesh, w, lower, upper, alpha)
+    assert np.array_equal(loads, want_loads)
+    if EINSUM_OUTER_FIRST:
+        assert np.array_equal(squares.view(np.int64), want_squares.view(np.int64))
+    else:
+        # another order of summation: 4 eps sum_j |v'_j L_j| per cell
+        rows = -np.asarray(w)[mesh.cells] / alpha
+        rows = rows - np.clip(rows.mean(axis=1), lower, upper)[:, None]
+        mass = mesh.cell_areas()[:, None] / 12.0 * (rows + rows.sum(axis=1, keepdims=True))
+        bound = 4.0 * np.finfo(float).eps * np.sum(np.abs(rows * mass), axis=1)
+        assert np.all(np.abs(squares - want_squares) <= bound)
+    labels = fem._classify_cells(mesh, w, lower, upper, alpha)[0]
+    assert np.array_equal(labels, _expected_labels(mesh, w, lower, upper, alpha))
+    if kind == "free" or (kind == "zero" and lower < 0.0 < upper):
+        assert np.all(labels == fem._FREE)
+    if kind == "lower" and np.isfinite(lower):
+        assert np.all(labels == fem._AT_LOWER)
+    if kind == "upper" and np.isfinite(upper):
+        assert np.all(labels == fem._AT_UPPER)
+
+
+def test_plane_kernel_matches_row_reference_on_the_converged_adjoint():
+    # the level-4 adjoint of the solve-l7 problem, as solved and scaled
+    exact = ExactSolution(lower=-0.2, upper=0.2)
+    problem = benchmark_problem(exact)
+    mesh = build_disc_mesh(level=4)
+    z = solve_discrete(problem, mesh, variant=VARIATIONAL).adjoint.values
+    for scale in (1.0, 3.0, 0.5):
+        args = (mesh, scale * z, problem.lower, problem.upper, problem.alpha)
+        loads, squares = fem._clipped_integrals(*args)
+        want_loads, want_squares = reference_clipped_integrals(*args)
+        assert np.array_equal(loads, want_loads)
+        if EINSUM_OUTER_FIRST:
+            assert np.array_equal(squares.view(np.int64), want_squares.view(np.int64))
+        assert np.count_nonzero(fem._classify_cells(*args)[0] == fem._CROSSED) > 0
 
 
 def test_galerkin_residual_benchmark_state():
