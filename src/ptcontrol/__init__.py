@@ -44,7 +44,6 @@ from .fem import (
     FactorizationError,
     FeFunction,
     StiffnessMatrix,
-    assemble_mass,
     assemble_stiffness,
     centroid_project,
     clipped_field_l2_sq,
@@ -97,7 +96,6 @@ __all__ = [
     "StiffnessMatrix",
     "VARIATIONAL",
     "VariationalControl",
-    "assemble_mass",
     "assemble_stiffness",
     "audit_mesh",
     "benchmark_problem",

@@ -99,8 +99,8 @@ class StudyConfig:
             raise ConfigError("center must be two finite numbers")
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise ConfigError("radius must be positive and finite")
-        if not self.alpha > 0:
-            raise ConfigError("alpha must be positive")
+        if not (self.alpha > 0 and np.isfinite(self.alpha)):
+            raise ConfigError("alpha must be positive and finite")
         if not self.lower < self.upper:
             raise ConfigError("bounds must satisfy lower < upper")
         if not self.tol >= 1e-13:

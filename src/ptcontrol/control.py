@@ -15,9 +15,20 @@ matrix K is symmetric and the point load of x_i is the evaluation
 functional at x_i, so u_h(x_i) = g_i . b for the state load b (Green's
 representation): a residual evaluation assembles the control load and
 takes N dot products, with no sparse solve.  ``ReducedSystem.evaluate`` is
-the one place F is computed; the fixed point is solved by a damped
-semismooth Newton iteration with a finite-difference Jacobian and a
-Picard fallback.
+the one place F is computed.
+
+F is the gradient of the convex dual function
+
+    psi(c) = (1/2)|c|^2 - c . (u_f(x) - target) + alpha int H(-z_c / alpha),
+
+with u_f the state of the source alone, z_c = sum_i c_i g_i and
+H' = clamp(., a, b).  Its generalized Hessian
+J = I + (1/alpha) G M_F G^T, with M_F the mass form on the free part of
+the control, is symmetric and J >= I.  The fixed point is solved by the
+semismooth Newton iteration of the primal-dual active-set method
+(Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002) on that exact
+Jacobian, ``ReducedSystem.jacobian``, with a line search on the slope
+d . F(c + t d) of psi along the step.
 """
 
 from dataclasses import dataclass, field
@@ -44,9 +55,9 @@ __all__ = [
 VARIATIONAL = "variational"
 CELLWISE = "cellwise"
 
-NEWTON_STEP_SCALE = 1e-6
-MAX_DAMPINGS = 5
-PICARD_FACTOR = 0.5
+# a step t is accepted once the slope of psi along it has fallen to this
+# fraction of its size at t = 0
+SLOPE_REDUCTION = 0.5
 
 
 class DivergenceError(Exception):
@@ -72,8 +83,9 @@ class ControlProblem:
     points : (N, 2) array
         Mutually distinct, strictly interior tracking points.
     targets : (N,) array
+        Finite target values.
     alpha : float
-        Positive regularization weight.
+        Positive, finite regularization weight.
     lower, upper : float
         Control bounds, lower < upper; either may be infinite.
     source : callable
@@ -94,12 +106,14 @@ class ControlProblem:
             raise ValueError("points must have shape (N, 2) with N >= 1")
         if targets.shape != (len(points),):
             raise ValueError("targets must have one value per tracking point")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(targets))):
+            raise ValueError("points and targets must be finite")
         # + 0.0 turns -0.0 into 0.0, so the two are one point however the
         # rows are compared
         if len(np.unique(points + 0.0, axis=0)) < len(points):
             raise ValueError("tracking points must be mutually distinct")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if not self.lower < self.upper:
             raise ValueError("bounds must satisfy lower < upper")
         points.setflags(write=False)
@@ -248,6 +262,30 @@ class ReducedSystem:
         F = c - (self._source_misfit + self._green @ load)
         return F, squares, load
 
+    def jacobian(self, c):
+        """Generalized Jacobian of F at c, J = I + (1/alpha) G M_F G^T.
+
+        M_F is the mass form on the free part of the control, where it lies
+        strictly within the bounds: the free cells of the cellwise variant,
+        J_ij = delta_ij + (1/alpha) sum_K |K| mean_K g_i mean_K g_j, or the
+        free set of the variational control, cut from each crossed cell
+        exactly (``fem._free_mass_gram``).  J is symmetric and J >= I.
+        """
+        p = self.problem
+        c = np.asarray(c, dtype=float)
+        if self.variant == CELLWISE:
+            means = self._adjoint_cell_means
+            values = -(c @ means) / p.alpha
+            free = (values > p.lower) & (values < p.upper)
+            weighted = means[:, free] * self.mesh.cell_areas()[free]
+            gram = weighted @ means[:, free].T
+        else:
+            fields = self._adjoint_nodal
+            gram = fem._free_mass_gram(
+                self.mesh, c @ fields, p.lower, p.upper, p.alpha, fields
+            )
+        return np.eye(len(c)) + gram / p.alpha
+
     def state_of_load(self, load):
         """State field for a control load from ``evaluate`` (one sparse solve)."""
         return self.matrix.field(self.factorization.solve(self.load_source + load))
@@ -268,11 +306,14 @@ class ReducedSystem:
 def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     """Solve the discrete control problem by the reduced coefficient iteration.
 
-    Damped Newton with a finite-difference Jacobian (step 1e-6 (1 + |c_j|),
-    N+1 residual evaluations per step), halving the step until the sup-norm
-    residual decreases; after 5 failed halvings the iterate falls back to a
-    damped Picard step of factor 0.5.  The initial guess is the q = 0
-    coefficient vector.
+    Semismooth Newton on F(c) = 0 from the q = 0 coefficients.  Each step d
+    solves J d = -F with the exact generalized Jacobian of
+    ``ReducedSystem.jacobian``.  Along it the dual function
+    phi(t) = psi(c + t d) is convex, with slope phi'(t) = d . F(c + t d)
+    and phi'(0) = -F . J^-1 F < 0.  The step length t starts at 1 and then
+    bisects the bracket that the sign of phi' keeps; the first t with
+    |phi'(t)| <= SLOPE_REDUCTION |phi'(0)| is taken, and so is t = 1 when
+    phi'(1) < 0.
 
     Parameters
     ----------
@@ -292,20 +333,22 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     Raises
     ------
     DivergenceError
-        If the residual has not reached tol after ``max_iter`` iterations;
-        carries the residual history.
+        If the residual has not reached tol after ``max_iter`` iterations,
+        if a residual is not finite, or if the line search can no longer
+        move the iterate; carries the residual history.
     """
     if not tol >= 1e-13:
         raise ValueError("tol must be at least 1e-13")
     system = ReducedSystem(problem, mesh, variant)
-    n = problem.n_points
     c = system.initial_guess()
     F, squares, load = system.evaluate(c)
     res = float(np.max(np.abs(F)))
     residual_history = [res]
     objective_history = [system.objective(c, F, squares)]
     iterations = 0
-    while res > tol:
+    while not res <= tol:
+        if not np.isfinite(res):
+            raise DivergenceError(f"non-finite residual {res}", residual_history)
         if iterations >= max_iter:
             raise DivergenceError(
                 f"no convergence after {max_iter} iterations "
@@ -313,31 +356,35 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
                 residual_history,
             )
         iterations += 1
-        # forward-difference Jacobian, one residual evaluation per column
-        jac = np.empty((n, n))
-        for j in range(n):
-            step = NEWTON_STEP_SCALE * (1.0 + abs(c[j]))
-            c_pert = c.copy()
-            c_pert[j] += step
-            jac[:, j] = (system.evaluate(c_pert)[0] - F) / step
-        try:
-            direction = np.linalg.solve(jac, -F)
-        except np.linalg.LinAlgError:
-            direction = None
-        accepted = None
-        if direction is not None:
-            t = 1.0
-            for _ in range(MAX_DAMPINGS):
-                trial = c + t * direction
-                F_t, squares_t, load_t = system.evaluate(trial)
-                if np.max(np.abs(F_t)) < res:
-                    accepted = (trial, F_t, squares_t, load_t)
-                    break
-                t *= 0.5
-        if accepted is None:
-            trial = c - PICARD_FACTOR * F
-            accepted = (trial, *system.evaluate(trial))
-        c, F, squares, load = accepted
+        direction = np.linalg.solve(system.jacobian(c), -F)
+        target = SLOPE_REDUCTION * abs(direction @ F)
+        t, low, high = 1.0, 0.0, 1.0
+        previous = c
+        while True:
+            trial = c + t * direction
+            # a step, or a bracket, below the rounding of c moves nothing
+            if np.array_equal(trial, previous):
+                raise DivergenceError(
+                    f"line search stalled at step length {t:.3e} "
+                    f"(residual {res:.3e})",
+                    residual_history,
+                )
+            F_t, squares_t, load_t = system.evaluate(trial)
+            slope = direction @ F_t
+            if abs(slope) <= target or (t == 1.0 and slope < 0.0):
+                break
+            if not np.isfinite(slope):
+                raise DivergenceError(
+                    f"non-finite residual at step length {t:.3e}", residual_history
+                )
+            # the minimum of phi lies below t where the slope is positive
+            if slope > 0.0:
+                high = t
+            else:
+                low = t
+            previous = trial
+            t = 0.5 * (low + high)
+        c, F, squares, load = trial, F_t, squares_t, load_t
         res = float(np.max(np.abs(F)))
         residual_history.append(res)
         objective_history.append(system.objective(c, F, squares))

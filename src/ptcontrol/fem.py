@@ -41,7 +41,6 @@ __all__ = [
     "StiffnessMatrix",
     "Factorization",
     "assemble_stiffness",
-    "assemble_mass",
     "factorize",
     "load_smooth",
     "load_cellwise",
@@ -237,29 +236,6 @@ def _element_stiffness(mesh, areas):
             dot = ex[i] * ex[j] + ey[i] * ey[j] + 0.0
             k_elem[:, i, j] = k_elem[:, j, i] = dot / scale
     return k_elem
-
-
-def assemble_mass(mesh):
-    """Assemble the P1 mass matrix over all vertices (no elimination).
-
-    Exact per-cell integration: M_K = |K|/12 * [[2,1,1],[1,2,1],[1,1,2]].
-    Used by norm computations and diagnostic identities.
-    """
-    areas = mesh.cell_areas()
-    if np.any(areas <= 0.0):
-        raise AssemblyError("degenerate or inverted cell (nonpositive area)")
-    m_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m_elem = areas[:, None, None] * m_ref
-    cells = mesh.cells
-    rows = np.repeat(cells, 3, axis=1).reshape(-1)
-    cols = np.tile(cells, (1, 3)).reshape(-1)
-    n = mesh.n_vertices
-    mat = sparse.coo_matrix(
-        (m_elem.reshape(-1), (rows, cols)), shape=(n, n)
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
 
 
 # Level of the bottom of every multigrid hierarchy, solved by the sparse LU.
@@ -622,24 +598,40 @@ def l2_norm(u):
 # bound, their computed mean does too, s is the bound and g - s = 0; only a
 # crossed cell, cut by a level line, needs the ramp formulas.  The kernels
 # work on three contiguous vertex planes, one array per vertex slot.
+#
+# The load's derivative in w is minus 1/alpha times the P1 mass form on the
+# free part of each cell, where a <= v <= b: the whole of a free cell,
+# nothing of a cell at a bound, and on a crossed cell the cell less the
+# parts past each bound.  The part {u > 0} of a ramp positive at one vertex
+# is its corner triangle, on which the cell's hats are affine, so its mass
+# is exact; at two vertices it is the cell less the corner of -u.
 
 _FREE, _AT_LOWER, _AT_UPPER, _CROSSED = range(4)
 
 
 def _mass_loads(u, areas):
     """Per-cell integrals of an affine u times each hat, u (n, 3) vertex values."""
-    return areas[:, None] / 12.0 * (u + u.sum(axis=1, keepdims=True))
+    # the vertex sum added left to right, as u.sum(axis=1) does, at half
+    # its cost
+    return areas[:, None] / 12.0 * (u + (u[:, 0] + u[:, 1] + u[:, 2])[:, None])
 
 
-def _ramp_loads(u, areas):
-    """Per-cell integrals of max(u, 0) times each hat, u (n, 3) vertex values."""
+def _corners(u):
+    """Corner triangles cut off by the zero line of affine u (n, 3) per cell.
+
+    Returns ``(positive, cells, ci, i, k, l, tk, tl)``: ``positive`` counts
+    the vertices where u > 0 on every cell, and the rest describes the
+    corner of each cell positive at one or two vertices, listed in
+    ``cells``.  There the corner is {u > 0}, or {-u > 0} on a two-vertex
+    cell, whose complement is {u > 0} up to the zero line; it lies at
+    vertex i, where c = u or -u takes its maximum ci >= 0, and meets the
+    edges to k and l at the fractions tk = ci / (ci - c_k) and
+    tl = ci / (ci - c_l), so its area is tk tl |K|.  Either ci > 0 and the
+    other two values of c are at most 0, or they are negative, so
+    ci - c_k > 0: a zero maximum gives tk = tl = 0, never 0/0.
+    """
     positive = np.count_nonzero(u > 0.0, axis=1)
-    loads = np.zeros_like(u)
-    affine = positive >= 2
-    loads[affine] = _mass_loads(u[affine], areas[affine])
     cells = np.flatnonzero((positive == 1) | (positive == 2))
-    # flip to the ramp of -u on two-vertex cells: r(u) = u + r(-u); there -u
-    # is positive at most at one vertex, and a zero maximum gives a zero load
     c = np.where((positive[cells] == 2)[:, None], -u[cells], u[cells])
     n = np.arange(len(cells))
     i = np.argmax(c, axis=1)
@@ -647,11 +639,54 @@ def _ramp_loads(u, areas):
     ci = c[n, i]
     tk = ci / (ci - c[n, k])
     tl = ci / (ci - c[n, l])
+    return positive, cells, ci, i, k, l, tk, tl
+
+
+def _ramp_loads(u, areas):
+    """Per-cell integrals of max(u, 0) times each hat, u (n, 3) vertex values."""
+    positive, cells, ci, i, k, l, tk, tl = _corners(u)
+    loads = np.zeros_like(u)
+    affine = positive >= 2
+    loads[affine] = _mass_loads(u[affine], areas[affine])
+    # on two-vertex cells r(u) = u + r(-u), the ramp of -u on its corner
     scale = tk * tl * areas[cells] * ci / 12.0
     loads[cells, i] += scale * (4.0 - tk - tl)
     loads[cells, k] += scale * tk
     loads[cells, l] += scale * tl
     return loads
+
+
+# 12 / |K| times the P1 element mass matrix, the same on every cell
+_MASS_PATTERN = np.ones((3, 3)) + np.eye(3)
+
+
+def _cell_mass(areas):
+    """P1 element mass matrices int lambda_a lambda_b, shape (n, 3, 3)."""
+    return areas[:, None, None] / 12.0 * _MASS_PATTERN
+
+
+def _ramp_mass(u, areas):
+    """Per-cell integrals of lambda_a lambda_b over {u > 0}, shape (n, 3, 3).
+
+    On a corner triangle at vertex i the cell's hats are affine with
+    values e_i, (1 - tk) e_i + tk e_k and (1 - tl) e_i + tl e_l at its
+    vertices, the rows of Lambda, so the integrals are Lambda^T M_T Lambda
+    for the corner's own P1 mass matrix M_T.  A two-vertex cell takes the
+    cell minus the corner of -u, a three-vertex cell the whole cell.
+    """
+    positive, cells, _, i, k, l, tk, tl = _corners(u)
+    mass = np.where((positive >= 2)[:, None, None], _cell_mass(areas), 0.0)
+    n = np.arange(len(cells))
+    lam = np.zeros((len(cells), 3, 3))
+    lam[n, :, i] = 1.0
+    lam[n, 1, i] -= tk
+    lam[n, 1, k] = tk
+    lam[n, 2, i] -= tl
+    lam[n, 2, l] = tl
+    corner = np.einsum("npa,pq,nqb->nab", lam, _MASS_PATTERN, lam)
+    corner *= (tk * tl * areas[cells] / 12.0)[:, None, None]
+    mass[cells] += np.where((positive[cells] == 2)[:, None, None], -corner, corner)
+    return mass
 
 
 def _classify_cells(mesh, w, lower, upper, alpha):
@@ -765,6 +800,47 @@ def _clipped_load_and_squares(mesh, w, lower, upper, alpha):
     """
     loads, squares = _clipped_integrals(mesh, w, lower, upper, alpha)
     return _scatter_cell_loads(mesh, loads), squares
+
+
+def _free_mass(u, lo, hi, areas):
+    """Per-cell integrals of lambda_a lambda_b over {lo <= u <= hi}, (n, 3, 3).
+
+    u (n, 3) holds affine vertex values: the cell less its parts past each
+    bound, where the ramps lo - u and u - hi are positive.  An infinite
+    bound is positive nowhere, so its part is empty.
+    """
+    mass = _cell_mass(areas)
+    mass -= _ramp_mass(lo - u, areas)
+    mass -= _ramp_mass(u - hi, areas)
+    return mass
+
+
+def _free_mass_gram(mesh, w, lower, upper, alpha, fields):
+    """Gram matrix int_free f_i f_j of nodal fields (rows of ``fields``).
+
+    The free set is where lower <= -w/alpha <= upper.  For fields that
+    vanish on the boundary, with w = sum_j c_j f_j, column j is minus alpha
+    times the derivative in c_j of the ``load_clipped_linear`` load tested
+    with each f_i.  Cells are classed by ``_classify_cells``: a free cell
+    takes the P1 mass form, a cell at a bound nothing, and a crossed cell
+    the mass of its free part (``_free_mass``).  One column at a time, so
+    no (fields, vertices) array is formed.
+    """
+    labels, v, _, lo, hi = _classify_cells(mesh, w, lower, upper, alpha)
+    areas = mesh.cell_areas()
+    free_areas = np.where(labels == _FREE, areas, 0.0)
+    crossed = np.flatnonzero(labels == _CROSSED)
+    rows = np.ascontiguousarray(v[:, crossed].T)
+    mass = _free_mass(rows, lo[crossed, None], hi[crossed, None], areas[crossed])
+    vertices = mesh.cells.ravel()
+    gram = np.empty((len(fields), len(fields)))
+    for j, field in enumerate(fields):
+        nodal = field[mesh.cells]
+        loads = _mass_loads(nodal, free_areas)
+        loads[crossed] = np.einsum("nab,nb->na", mass, nodal[crossed])
+        gram[:, j] = fields @ np.bincount(vertices, weights=loads.ravel(),
+                                          minlength=mesh.n_vertices)
+    return gram
 
 
 def clipped_field_l2_sq(mesh, w, lower, upper, alpha):

@@ -4,7 +4,7 @@ Nothing here imports solver machinery from the package; the point is to
 certify package results against structurally different algorithms (exact
 scanline slicing for clipped integrals, dense textbook elimination for
 linear solves, bisection for benchmark radii, row-wise ``np.unique`` for
-edge numbering).  The row-wise clipped kernel and the einsum stiffness
+edge numbering, polygon clipping for free-set mass matrices).  The row-wise clipped kernel and the einsum stiffness
 element matrices are earlier forms of the package's kernels, kept as
 bit-for-bit references for their plane-wise rewrites.
 """
@@ -133,6 +133,47 @@ def clipped_square_on_mesh(mesh, w, lower, upper, alpha):
     return total
 
 
+def clipped_polygon_mass(vertices, values, lower, upper, rule):
+    """Integrals of lambda_a lambda_b over {lower <= u <= upper} in a triangle.
+
+    u is the linear interpolant of ``values`` and lambda_a the triangle's
+    barycentric coordinates; returns the (3, 3) matrix.  The triangle is
+    clipped by each finite bound's half-plane (Sutherland-Hodgman, crossing
+    points interpolated along the edges), the polygon left is cut into a
+    fan of triangles from its first corner, and each piece is integrated by
+    ``rule`` = (barycentric nodes, weights summing to 1), which must be
+    exact for the degree-2 products of the hats.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    basis = np.column_stack([vertices, np.ones(3)])
+    polygon = [(vertices[j], float(values[j])) for j in range(3)]
+    margins = []
+    if np.isfinite(lower):
+        margins.append(lambda x: x - lower)
+    if np.isfinite(upper):
+        margins.append(lambda x: upper - x)
+    for margin in margins:
+        kept = []
+        for (p, u), (q, w) in zip(polygon, polygon[1:] + polygon[:1]):
+            mp, mq = margin(u), margin(w)
+            if mp >= 0.0:
+                kept.append((p, u))
+            if (mp >= 0.0) != (mq >= 0.0):
+                t = mp / (mp - mq)
+                kept.append((p + t * (q - p), u + t * (w - u)))
+        polygon = kept
+    mass = np.zeros((3, 3))
+    bary, weights = rule
+    for j in range(1, len(polygon) - 1):
+        piece = np.array([polygon[0][0], polygon[j][0], polygon[j + 1][0]])
+        e1, e2 = piece[1] - piece[0], piece[2] - piece[0]
+        area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
+        nodes = np.column_stack([bary @ piece, np.ones(len(bary))])
+        lam = np.linalg.solve(basis.T, nodes.T).T
+        mass += area * (lam.T * weights) @ lam
+    return mass
+
+
 def _reference_mass_loads(u, areas):
     return areas[:, None] / 12.0 * (u + u.sum(axis=1, keepdims=True))
 
@@ -222,6 +263,23 @@ def reference_stiffness_csr(mesh):
     mat = sparse.coo_matrix(
         (vals[keep], (rows[keep], cols[keep])), shape=(n, n)
     ).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+def assemble_mass(mesh):
+    """P1 mass matrix over all vertices (no elimination), by COO assembly.
+
+    Exact per-cell integration: M_K = |K|/12 * [[2,1,1],[1,2,1],[1,1,2]].
+    """
+    areas = mesh.cell_areas()
+    m_elem = areas[:, None, None] * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    cells = mesh.cells
+    rows = np.repeat(cells, 3, axis=1).reshape(-1)
+    cols = np.tile(cells, (1, 3)).reshape(-1)
+    n = mesh.n_vertices
+    mat = sparse.coo_matrix((m_elem.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
     return mat

@@ -68,6 +68,8 @@ bounds = -1, 1
     "center = nan, 0.5",
     "center = inf, 0.5",
     "radius = inf",
+    "alpha = inf",
+    "alpha = nan",
     "out =",
 ])
 def test_config_rejects_invalid(text):

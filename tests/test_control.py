@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ptcontrol import fem, oracle
 from ptcontrol.control import (
@@ -16,6 +16,8 @@ from ptcontrol.control import (
 from ptcontrol.greens import ExactSolution
 from ptcontrol.mesh import build_disc_mesh
 
+from oracles import assemble_mass
+
 
 @pytest.fixture(scope="module")
 def wide_problem():
@@ -30,6 +32,20 @@ def narrow_problem():
 @pytest.fixture(scope="module")
 def narrow_exact():
     return ExactSolution(lower=-0.2, upper=0.2)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The arguments of every residual evaluation, in order."""
+    log = []
+    evaluate = ReducedSystem.evaluate
+
+    def logged(system, c):
+        log.append(c)
+        return evaluate(system, c)
+
+    monkeypatch.setattr(ReducedSystem, "evaluate", logged)
+    return log
 
 
 def fresh_residual(c, problem, mesh, variant):
@@ -74,6 +90,49 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         ControlProblem(np.array([[0.5, 0.5]]), np.zeros(1), 1.0, 1.0, -1.0,
                        source)
+
+
+@pytest.mark.parametrize("point, target, alpha", [
+    ([np.nan, 0.5], 0.0, 1.0),
+    ([0.5, np.inf], 0.0, 1.0),
+    ([0.5, 0.5], np.nan, 1.0),
+    ([0.5, 0.5], np.inf, 1.0),
+    ([0.5, 0.5], -np.inf, 1.0),
+    ([0.5, 0.5], 0.0, np.inf),
+    ([0.5, 0.5], 0.0, np.nan),
+])
+def test_non_finite_problem_data_rejected(point, target, alpha):
+    source = lambda p: np.zeros(len(p))
+    with pytest.raises(ValueError, match="finite|alpha"):
+        ControlProblem(np.array([point]), np.array([target]), alpha, -1.0, 1.0, source)
+
+
+def test_non_finite_residual_raises_divergence(monkeypatch):
+    # a nan residual is not "not above tol": the solve stops at once with
+    # its history instead of reading it as converged
+    mesh = build_disc_mesh(level=1)
+    problem = benchmark_problem(ExactSolution())
+    evaluate = ReducedSystem.evaluate
+
+    def poisoned(system, c):
+        F, squares, load = evaluate(system, c)
+        return np.full_like(F, np.nan), squares, load
+
+    monkeypatch.setattr(ReducedSystem, "evaluate", poisoned)
+    with pytest.raises(DivergenceError, match="non-finite") as info:
+        solve_discrete(problem, mesh, CELLWISE)
+    assert len(info.value.residual_history) == 1
+    assert np.isnan(info.value.residual_history[0])
+
+
+def test_overflowing_control_raises_divergence():
+    # alpha = 1e-300: -z/alpha overflows, which is a divergence of the
+    # iteration, not a failure of the state solve
+    exact = ExactSolution(lower=-0.2, upper=0.2)
+    problem = ControlProblem(np.array([exact.center]), np.array([exact.target()]),
+                             1e-300, -0.2, 0.2, exact.source)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="non-finite"):
+        solve_discrete(problem, build_disc_mesh(level=2), VARIATIONAL)
 
 
 @pytest.mark.parametrize("points", [
@@ -312,10 +371,11 @@ def test_divergence_error_carries_history(wide_problem):
     assert info.value.residual_history[0] > 0
 
 
-def test_newton_fallbacks_reach_the_fixed_point():
-    # tiny alpha and far-off targets: full Newton steps overshoot, so the
-    # step is halved five times and the iteration falls back to a Picard
-    # step before it converges
+def test_newton_fallbacks_reach_the_fixed_point(evaluations):
+    # tiny alpha and far-off targets: full Newton steps overshoot the
+    # minimum of psi along the step, so the line search bisects to a t < 1
+    # at least once (an evaluation beyond the one trial of each step)
+    # before the iteration converges
     mesh = build_disc_mesh(level=2)
     problem = ControlProblem(
         np.array([[0.43, 0.69], [0.68, 0.19], [0.37, 0.38], [0.62, 0.78]]),
@@ -327,29 +387,124 @@ def test_newton_fallbacks_reach_the_fixed_point():
     )
     tol = 1e-12
     solution = solve_discrete(problem, mesh, VARIATIONAL, tol=tol)
+    assert len(evaluations) > solution.iterations + 1
     assert solution.residual <= tol
     residual = fresh_residual(solution.coefficients, problem, mesh, VARIATIONAL)
     assert np.max(np.abs(residual)) <= tol
 
 
-def test_singular_jacobian_falls_back_to_picard(narrow_problem, monkeypatch):
-    # with every Newton direction refused, the damped Picard iteration
-    # alone must still reach the Newton fixed point
-    mesh = build_disc_mesh(level=1)
-    newton = solve_discrete(narrow_problem, mesh, VARIATIONAL)
-
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "solve", singular)
-        picard = solve_discrete(narrow_problem, mesh, VARIATIONAL)
-    assert picard.iterations > newton.iterations
-    assert picard.residual <= 1e-12
-    gap = np.max(np.abs(picard.coefficients - newton.coefficients))
-    assert gap <= 1e-11
-    residual = fresh_residual(picard.coefficients, narrow_problem, mesh, VARIATIONAL)
+@pytest.mark.parametrize("variant, points, targets, alpha, bounds", [
+    (CELLWISE, [[0.795, 0.413], [0.203, 0.712]], [-1.217, 0.69], 1e-5,
+     (-np.inf, 1.04)),
+    (VARIATIONAL, [[0.467, 0.136], [0.571, 0.222], [0.758, 0.793]],
+     [0.848, 5.919, 3.5], 4e-6, (-0.44, np.inf)),
+])
+def test_undershooting_full_steps_are_taken(variant, points, targets, alpha, bounds):
+    # small alpha and one infinite bound: some full steps stop short of the
+    # minimum along them (phi'(1) < 0, yet not half of phi'(0)); they are
+    # taken, where a bracket of [0, 1] would have nothing to bisect
+    problem = ControlProblem(np.array(points), np.array(targets), alpha, *bounds,
+                             ExactSolution().source)
+    mesh = build_disc_mesh(level=3)
+    solution = solve_discrete(problem, mesh, variant)
+    assert solution.residual <= 1e-12
+    residual = fresh_residual(solution.coefficients, problem, mesh, variant)
     assert np.max(np.abs(residual)) <= 1e-12
+
+
+def test_line_search_stall_raises_divergence(narrow_problem, monkeypatch):
+    # a step below the rounding of the iterate cannot lower the residual;
+    # the solve stops with its history instead of repeating it
+    monkeypatch.setattr(ReducedSystem, "jacobian",
+                        lambda system, c: 1e30 * np.eye(len(c)))
+    with pytest.raises(DivergenceError, match="stalled") as info:
+        solve_discrete(narrow_problem, build_disc_mesh(level=1), VARIATIONAL)
+    assert len(info.value.residual_history) == 1
+
+
+def test_full_steps_are_taken_on_the_benchmark(narrow_problem, evaluations):
+    # near a solution the Newton step is nearly exact: every step is t = 1,
+    # one evaluation per iteration besides the initial guess
+    for variant in (CELLWISE, VARIATIONAL):
+        evaluations.clear()
+        solution = solve_discrete(narrow_problem, build_disc_mesh(level=4), variant)
+        assert len(evaluations) == solution.iterations + 1
+
+
+JACOBIAN_MESH = build_disc_mesh(level=2)
+JACOBIAN_POINTS = np.array([[0.42, 0.5], [0.6, 0.57], [0.5, 0.33], [0.31, 0.64]])
+
+
+def kink_pattern(system, c):
+    """Where the control meets its bounds: fixed between two kinks of F."""
+    p = system.problem
+    if system.variant == CELLWISE:
+        values = -(c @ system._adjoint_cell_means) / p.alpha
+        return np.stack([values > p.lower, values < p.upper])
+    _, v, _, lo, hi = fem._classify_cells(
+        system.mesh, system.adjoint_of(c), p.lower, p.upper, p.alpha
+    )
+    return np.concatenate([lo > v, v > hi])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    variant=st.sampled_from([CELLWISE, VARIATIONAL]),
+    n_points=st.integers(1, 4),
+    bounds=st.tuples(
+        st.one_of(st.just(-np.inf), st.floats(-0.5, 0.1)),
+        st.one_of(st.just(np.inf), st.floats(-0.1, 0.5)),
+    ).filter(lambda b: b[0] < b[1]),
+    c=st.lists(st.floats(-0.05, 0.05), min_size=4, max_size=4),
+)
+def test_jacobian_matches_central_differences(variant, n_points, bounds, c):
+    # away from kinks F is smooth, and central differences of evaluate
+    # reach the analytic J to O(h^2); a crossed cell taken whole or left
+    # out is off by 1e-3 and more
+    problem = ControlProblem(JACOBIAN_POINTS[:n_points], np.zeros(n_points), 1e-2,
+                             bounds[0], bounds[1], ExactSolution().source)
+    system = ReducedSystem(problem, JACOBIAN_MESH, variant)
+    c = np.array(c[:n_points])
+    jacobian = system.jacobian(c)
+    pattern = kink_pattern(system, c)
+    h = 1e-7
+    for j, step in enumerate(h * np.eye(n_points)):
+        assume(np.array_equal(kink_pattern(system, c + step), pattern))
+        assume(np.array_equal(kink_pattern(system, c - step), pattern))
+        column = (system.evaluate(c + step)[0] - system.evaluate(c - step)[0]) / (2 * h)
+        assert np.max(np.abs(column - jacobian[:, j])) <= 1e-6 * np.max(np.abs(jacobian))
+
+
+@pytest.mark.parametrize("bounds", [(-np.inf, np.inf), (-1e3, 1e3)])
+def test_jacobian_with_every_cell_free_is_the_mass_gram(bounds):
+    # no cell meets a bound: J = I + G M G^T / alpha with M the assembled
+    # P1 mass matrix and G the nodal point fields
+    exact = ExactSolution()
+    problem = ControlProblem(JACOBIAN_POINTS[:3], np.array([0.3, -0.1, 0.2]), 1e-2,
+                             bounds[0], bounds[1], exact.source)
+    system = ReducedSystem(problem, JACOBIAN_MESH, VARIATIONAL)
+    c = np.array([0.02, -0.01, 0.03])
+    fields = system._adjoint_nodal
+    expected = np.eye(3) + fields @ (assemble_mass(JACOBIAN_MESH) @ fields.T) / 1e-2
+    jacobian = system.jacobian(c)
+    assert np.max(np.abs(jacobian - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(jacobian - jacobian.T)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_multipoint_cellwise_matches_dense_qp_oracle(level):
+    # three points with targets of both signs: cells at either bound and
+    # free cells on both levels.  The oracle's value error is about its
+    # stationarity tolerance over alpha |K|, so it runs to 1e-14
+    problem = ControlProblem(JACOBIAN_POINTS[:3], np.array([0.05, -0.05, 0.03]),
+                             1e-2, -0.2, 0.25, lambda p: np.zeros(len(p)))
+    mesh = build_disc_mesh(level=level)
+    solution = solve_discrete(problem, mesh, CELLWISE)
+    values = solution.control.values
+    assert np.any(values == -0.2) and np.any(values == 0.25)
+    assert np.any((values > -0.2) & (values < 0.25))
+    reference = oracle.cellwise_qp_oracle(problem, mesh, tol=1e-14)
+    assert np.max(np.abs(values - reference)) <= 1e-8
 
 
 def test_variational_gradient_vanishes_where_free(narrow_exact, narrow_problem):

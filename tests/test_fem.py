@@ -10,7 +10,6 @@ from ptcontrol.fem import (
     FactorizationError,
     FeFunction,
     StiffnessMatrix,
-    assemble_mass,
     assemble_stiffness,
     centroid_project,
     clipped_field_l2_sq,
@@ -24,6 +23,7 @@ from ptcontrol.fem import (
     load_smooth,
 )
 from ptcontrol.greens import ExactSolution
+from ptcontrol.quadrature import rule_degree4
 from ptcontrol.mesh import (
     Mesh,
     PointNotFoundError,
@@ -33,6 +33,8 @@ from ptcontrol.mesh import (
 )
 
 from oracles import (
+    assemble_mass,
+    clipped_polygon_mass,
     clipped_loads_on_mesh,
     clipped_square_on_mesh,
     gaussian_elimination,
@@ -673,6 +675,69 @@ def test_clipped_square_matches_oracle():
         ours = clipped_field_l2_sq(mesh, w, -0.2, 0.2, 1.0)
         reference = clipped_square_on_mesh(mesh, w, -0.2, 0.2, 1.0)
         assert ours == pytest.approx(reference, abs=1e-12)
+
+
+BOUND_PAIRS = st.tuples(
+    st.one_of(st.just(-np.inf), st.floats(-1.5, 0.5)),
+    st.one_of(st.just(np.inf), st.floats(-0.5, 1.5)),
+).filter(lambda b: b[0] < b[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corners=st.lists(st.floats(-0.2, 0.2), min_size=6, max_size=6),
+    scale=st.floats(1e-3, 1.0),
+    values=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    bounds=BOUND_PAIRS,
+    on_bound=st.lists(st.sampled_from([None, 0, 1]), min_size=3, max_size=3),
+)
+def test_free_mass_matches_clipped_polygon(corners, scale, values, bounds, on_bound):
+    # the free-part mass of one cell, exact from its corner triangles,
+    # against a clipped polygon integrated by a fan of degree-4 rules;
+    # some vertex values lie exactly on a bound
+    vertices = scale * (np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]])
+                        + np.reshape(corners, (3, 2)))
+    e1, e2 = vertices[1] - vertices[0], vertices[2] - vertices[0]
+    area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+    values = np.array(values)
+    for j, which in enumerate(on_bound):
+        if which is not None and np.isfinite(bounds[which]):
+            values[j] = bounds[which]
+    lower, upper = bounds
+    with np.errstate(all="raise", under="ignore"):
+        mass = fem._free_mass(values[None], np.array([[lower]]), np.array([[upper]]),
+                              np.array([area]))[0]
+    reference = clipped_polygon_mass(vertices, values, lower, upper, rule_degree4())
+    assert np.max(np.abs(mass - reference)) <= 1e-14 * area
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.1, 10.0),
+    bounds=BOUND_PAIRS,
+    snapped=st.floats(0.0, 0.6),
+)
+def test_free_mass_gram_matches_clipped_polygon_on_a_mesh(seed, alpha, bounds, snapped):
+    # the Jacobian kernel over a mesh: every cell classified, free-part
+    # masses applied to three fields, boundary values included
+    lower, upper = bounds
+    mesh = LEVEL1_MESH
+    rng = np.random.default_rng(seed)
+    w = alpha * rng.uniform(-2.0, 2.0, mesh.n_vertices)
+    levels = [b for b in bounds if np.isfinite(b)]
+    if levels:
+        for i in np.flatnonzero(rng.random(mesh.n_vertices) < snapped):
+            w[i] = _on_level(levels[rng.integers(len(levels))], alpha)
+    fields = rng.standard_normal((3, mesh.n_vertices))
+    with np.errstate(all="raise", under="ignore"):
+        gram = fem._free_mass_gram(mesh, w, lower, upper, alpha, fields)
+    reference = np.zeros((3, 3))
+    for cell in mesh.cells:
+        mass = clipped_polygon_mass(mesh.vertices[cell], -w[cell] / alpha, lower, upper,
+                                    rule_degree4())
+        reference += fields[:, cell] @ mass @ fields[:, cell].T
+    assert np.max(np.abs(gram - reference)) <= 1e-14 * max(1.0, np.max(np.abs(reference)))
 
 
 def _einsum_sums_outer_products_first():
