@@ -17,7 +17,6 @@ import os
 import secrets
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -105,8 +104,16 @@ class StudyConfig:
             raise ConfigError("bounds must satisfy lower < upper")
         if not self.tol >= 1e-13:
             raise ConfigError("tol must be at least 1e-13")
-        if self.out == "":
-            raise ConfigError("out must not be empty")
+        if self.out is not None:
+            if not isinstance(self.out, str):
+                raise ConfigError("out must be a string")
+            if self.out == "":
+                raise ConfigError("out must not be empty")
+            # a config file holds one stripped line per key
+            if self.out != self.out.strip() or self.out.splitlines() != [self.out]:
+                raise ConfigError(
+                    "out must be one line without surrounding whitespace"
+                )
 
     @property
     def levels(self):
@@ -292,34 +299,26 @@ def _level_error(config, exact, mesh):
     )
 
 
-def run_study(config, parallel=False):
+def run_study(config):
     """Run the level sweep of ``config.variant`` and write the CSV.
 
     The meshes of all levels come from one refinement chain, built before
-    any level is solved.  Levels run sequentially unless ``parallel`` is set
-    (levels are independent; results are ordered by level either way, so
-    the CSV is identical).  On solver divergence nothing is written.
+    any level is solved; the levels are then solved in order.  On solver
+    divergence nothing is written.
 
     Returns
     -------
     list of ConvergenceRecord
     """
     exact = _exact_solution(config)
-    meshes = _study_meshes(config)
-
-    def solve_level(mesh):
+    records = []
+    for mesh in _study_meshes(config):
         try:
-            return _level_error(config, exact, mesh)
+            records.append(_level_error(config, exact, mesh))
         except control.DivergenceError as exc:
             raise control.DivergenceError(
                 f"level {mesh.level}: {exc}", exc.residual_history
             )
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=len(meshes)) as pool:
-            records = list(pool.map(solve_level, meshes))
-    else:
-        records = [solve_level(mesh) for mesh in meshes]
     pairs = [(r.h, r.error) for r in records]
     if len(records) >= 2:
         for record, order in zip(records[1:], error.estimate_eoc(pairs)):
@@ -470,11 +469,6 @@ def _build_parser():
         for key, (_, _, _, help_text) in _KEYS.items():
             if help_text is not None:
                 p.add_argument(f"--{key}", help=help_text)
-        if name == "study":
-            p.add_argument(
-                "--parallel-levels", action="store_true",
-                help="run study levels concurrently",
-            )
     return parser
 
 
@@ -500,7 +494,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         config = _config_from_args(args)
         if args.command == "study":
-            records = run_study(config, parallel=args.parallel_levels)
+            records = run_study(config)
             for r in records:
                 eoc = "" if r.eoc is None else f" eoc={r.eoc:.3f}"
                 print(

@@ -190,8 +190,8 @@ class ReducedSystem:
     """Precomputed machinery shared by all residual evaluations on one mesh.
 
     Bundles the problem, the mesh, the stiffness factorization, the source
-    load b_f, and the point-load solutions g_i.  With G stacking the
-    interior dofs of the g_i, the residual is
+    load b_f, and the point-load solutions g_i, stored once as the rows of
+    G, their interior dofs.  The residual is
     F(c) = c - (G (b_f + b(c)) - target) for the control load b(c), so one
     residual evaluation costs a load assembly and no sparse solve.
     """
@@ -206,27 +206,28 @@ class ReducedSystem:
         self.factorization = fem.factorize(self.matrix)
         self.load_source = fem.load_smooth(mesh, problem.source)
 
-        point_loads = []
-        for x in problem.points:
+        # discrete point-source solutions, one row per tracking point
+        self._green = np.empty((problem.n_points, self.matrix.n))
+        for row, x in zip(self._green, problem.points):
             try:
-                point_loads.append(fem.load_point(mesh, x))
+                load = fem.load_point(mesh, x)
             except Exception as exc:
                 raise ValueError(f"tracking point {tuple(x)} is not usable: {exc}")
-        # discrete point-source solutions, one per tracking point
-        self._green = np.stack([self.factorization.solve(b) for b in point_loads])
-        self.point_fields = [self.matrix.field(g) for g in self._green]
+            row[:] = self.factorization.solve(load)
         self._source_misfit = self._green @ self.load_source - problem.targets
-        self._adjoint_nodal = np.stack([g.values for g in self.point_fields])
         if variant == CELLWISE:
-            self._adjoint_cell_means = self._adjoint_nodal[:, mesh.cells].mean(axis=2)
+            self._adjoint_cell_means = np.stack([
+                self.matrix.field(g).values[mesh.cells].mean(axis=1)
+                for g in self._green
+            ])
 
     def initial_guess(self):
         """Coefficients of the q = 0 state: u_f(x_i) - target_i."""
         return self._source_misfit.copy()
 
     def adjoint_of(self, c):
-        """Adjoint nodal field sum_i c_i g_i."""
-        return FeFunction(self.mesh, np.asarray(c, dtype=float) @ self._adjoint_nodal)
+        """Adjoint field sum_i c_i g_i."""
+        return self.matrix.field(np.asarray(c, dtype=float) @ self._green)
 
     def _cell_values(self, c):
         """Clamped cell means of the scaled adjoint (cellwise variant)."""
@@ -241,50 +242,48 @@ class ReducedSystem:
             return CellwiseFunction(self.mesh, self._cell_values(c))
         return VariationalControl(self.adjoint_of(c), p.alpha, p.lower, p.upper)
 
-    def _control_load(self, c):
-        """Control load at c and the squared L2 norm of the control on each cell."""
+    def evaluate(self, c):
+        """Residual F(c), the control's per-cell squares, its load and free set.
+
+        One pass over the cells: the squares come from the same pass as the
+        load, and ``objective`` sums them.  The free set is where the
+        control lies strictly within its bounds, the input of ``jacobian``:
+        the mask of cells whose -mean/alpha is inside the bounds (cellwise),
+        or the ``fem._classify_cells`` classes of the adjoint that the load
+        was integrated from (variational).
+        """
+        c = np.asarray(c, dtype=float)
         p = self.problem
         if self.variant == CELLWISE:
             values = self._cell_values(c)
+            # the clamp keeps a mean strictly within the bounds, and moves
+            # every other one onto a bound
+            free = (values > p.lower) & (values < p.upper)
             squares = values**2 * self.mesh.cell_areas()
-            return fem.load_cellwise(self.mesh, values), squares
-        z = c @ self._adjoint_nodal
-        return fem._clipped_load_and_squares(self.mesh, z, p.lower, p.upper, p.alpha)
-
-    def evaluate(self, c):
-        """Residual F(c), the control's per-cell squared L2 norms and its load.
-
-        The squares come from the same pass as the load; ``objective`` sums
-        them.
-        """
-        c = np.asarray(c, dtype=float)
-        load, squares = self._control_load(c)
+            load = fem.load_cellwise(self.mesh, values)
+        else:
+            load, squares, free = fem._clipped_load_and_squares(
+                self.mesh, self.adjoint_of(c), p.lower, p.upper, p.alpha
+            )
         F = c - (self._source_misfit + self._green @ load)
-        return F, squares, load
+        return F, squares, load, free
 
-    def jacobian(self, c):
-        """Generalized Jacobian of F at c, J = I + (1/alpha) G M_F G^T.
+    def jacobian(self, free):
+        """Generalized Jacobian J = I + (1/alpha) G M_F G^T of F.
 
-        M_F is the mass form on the free part of the control, where it lies
+        ``free`` is the free set that ``evaluate`` returns with F, and M_F
+        the mass form on the free part of the control, where it lies
         strictly within the bounds: the free cells of the cellwise variant,
         J_ij = delta_ij + (1/alpha) sum_K |K| mean_K g_i mean_K g_j, or the
         free set of the variational control, cut from each crossed cell
         exactly (``fem._free_mass_gram``).  J is symmetric and J >= I.
         """
-        p = self.problem
-        c = np.asarray(c, dtype=float)
         if self.variant == CELLWISE:
-            means = self._adjoint_cell_means
-            values = -(c @ means) / p.alpha
-            free = (values > p.lower) & (values < p.upper)
-            weighted = means[:, free] * self.mesh.cell_areas()[free]
-            gram = weighted @ means[:, free].T
+            means = self._adjoint_cell_means[:, free]
+            gram = (means * self.mesh.cell_areas()[free]) @ means.T
         else:
-            fields = self._adjoint_nodal
-            gram = fem._free_mass_gram(
-                self.mesh, c @ fields, p.lower, p.upper, p.alpha, fields
-            )
-        return np.eye(len(c)) + gram / p.alpha
+            gram = fem._free_mass_gram(self.mesh, free, self._green)
+        return np.eye(len(gram)) + gram / self.problem.alpha
 
     def state_of_load(self, load):
         """State field for a control load from ``evaluate`` (one sparse solve)."""
@@ -308,12 +307,13 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
 
     Semismooth Newton on F(c) = 0 from the q = 0 coefficients.  Each step d
     solves J d = -F with the exact generalized Jacobian of
-    ``ReducedSystem.jacobian``.  Along it the dual function
-    phi(t) = psi(c + t d) is convex, with slope phi'(t) = d . F(c + t d)
-    and phi'(0) = -F . J^-1 F < 0.  The step length t starts at 1 and then
-    bisects the bracket that the sign of phi' keeps; the first t with
-    |phi'(t)| <= SLOPE_REDUCTION |phi'(0)| is taken, and so is t = 1 when
-    phi'(1) < 0.
+    ``ReducedSystem.jacobian``, built from the free set that the accepted
+    evaluation of F found, so one pass over the cells serves both.  Along
+    d the dual function phi(t) = psi(c + t d) is convex, with slope
+    phi'(t) = d . F(c + t d) and phi'(0) = -F . J^-1 F < 0.  The step
+    length t starts at 1 and then bisects the bracket that the sign of
+    phi' keeps; the first t with |phi'(t)| <= SLOPE_REDUCTION |phi'(0)| is
+    taken, and so is t = 1 when phi'(1) < 0.
 
     Parameters
     ----------
@@ -341,7 +341,7 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
         raise ValueError("tol must be at least 1e-13")
     system = ReducedSystem(problem, mesh, variant)
     c = system.initial_guess()
-    F, squares, load = system.evaluate(c)
+    F, squares, load, free = system.evaluate(c)
     res = float(np.max(np.abs(F)))
     residual_history = [res]
     objective_history = [system.objective(c, F, squares)]
@@ -356,7 +356,7 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
                 residual_history,
             )
         iterations += 1
-        direction = np.linalg.solve(system.jacobian(c), -F)
+        direction = np.linalg.solve(system.jacobian(free), -F)
         target = SLOPE_REDUCTION * abs(direction @ F)
         t, low, high = 1.0, 0.0, 1.0
         previous = c
@@ -369,8 +369,8 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
                     f"(residual {res:.3e})",
                     residual_history,
                 )
-            F_t, squares_t, load_t = system.evaluate(trial)
-            slope = direction @ F_t
+            evaluation = system.evaluate(trial)
+            slope = direction @ evaluation[0]
             if abs(slope) <= target or (t == 1.0 and slope < 0.0):
                 break
             if not np.isfinite(slope):
@@ -384,7 +384,8 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
                 low = t
             previous = trial
             t = 0.5 * (low + high)
-        c, F, squares, load = trial, F_t, squares_t, load_t
+        c = trial
+        F, squares, load, free = evaluation
         res = float(np.max(np.abs(F)))
         residual_history.append(res)
         objective_history.append(system.objective(c, F, squares))

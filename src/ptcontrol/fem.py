@@ -354,11 +354,15 @@ class Factorization:
 
         Raises
         ------
+        ValueError
+            If b has a non-finite entry.
         FactorizationError
             If CG meets a nonpositive curvature or cannot reach the contract
             (signals a matrix outside the SPD precondition).
         """
         b = np.asarray(b, dtype=float)
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand side has a non-finite entry")
         scale = np.max(np.abs(b)) if b.size else 0.0
         if scale == 0.0:
             self.iterations.append(0)
@@ -720,14 +724,16 @@ def _classify_cells(mesh, w, lower, upper, alpha):
 def _clipped_integrals(mesh, w, lower, upper, alpha):
     """Per-cell exact integrals of g = clamp(-w/alpha, lower, upper).
 
-    Returns the loads (n_cells, 3), int g * lambda_j, and the squares
-    (n_cells,), int g^2.
+    Returns the loads (n_cells, 3), int g * lambda_j, the squares
+    (n_cells,), int g^2, and the ``_classify_cells`` result they were
+    integrated from.
     """
     if not lower < upper:
         raise ValueError("bounds must satisfy lower < upper")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    labels, v, shift, lo, hi = _classify_cells(mesh, w, lower, upper, alpha)
+    classes = _classify_cells(mesh, w, lower, upper, alpha)
+    labels, v, shift, lo, hi = classes
     areas = mesh.cell_areas()
     # the mass loads of v' and int v'^2, the integrals of a free cell; the
     # products are summed in the order of einsum("ni,ni->n").  In-place
@@ -770,7 +776,7 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
     square += term
     weight /= 3.0
     loads += weight
-    return loads.T, square
+    return loads.T, square, classes
 
 
 def load_clipped_linear(mesh, w, lower, upper, alpha):
@@ -794,12 +800,15 @@ def load_clipped_linear(mesh, w, lower, upper, alpha):
 
 
 def _clipped_load_and_squares(mesh, w, lower, upper, alpha):
-    """Load vector of ``load_clipped_linear`` and the per-cell squares, one pass.
+    """Load vector of ``load_clipped_linear``, the per-cell squares and the
+    cell classes, one pass.
 
-    ``float(np.sum(squares))`` is ``clipped_field_l2_sq`` bit for bit.
+    ``float(np.sum(squares))`` is ``clipped_field_l2_sq`` bit for bit, and
+    the classes are ``_classify_cells`` of the same arguments, the input of
+    ``_free_mass_gram``.
     """
-    loads, squares = _clipped_integrals(mesh, w, lower, upper, alpha)
-    return _scatter_cell_loads(mesh, loads), squares
+    loads, squares, classes = _clipped_integrals(mesh, w, lower, upper, alpha)
+    return _scatter_cell_loads(mesh, loads), squares, classes
 
 
 def _free_mass(u, lo, hi, areas):
@@ -815,35 +824,37 @@ def _free_mass(u, lo, hi, areas):
     return mass
 
 
-def _free_mass_gram(mesh, w, lower, upper, alpha, fields):
-    """Gram matrix int_free f_i f_j of nodal fields (rows of ``fields``).
+def _free_mass_gram(mesh, classes, fields):
+    """Gram matrix int_free f_i f_j of dof fields (rows of ``fields``).
 
-    The free set is where lower <= -w/alpha <= upper.  For fields that
-    vanish on the boundary, with w = sum_j c_j f_j, column j is minus alpha
-    times the derivative in c_j of the ``load_clipped_linear`` load tested
-    with each f_i.  Cells are classed by ``_classify_cells``: a free cell
+    ``classes`` is the ``_classify_cells`` result for some w, lower, upper
+    and alpha; the free set is where lower <= -w/alpha <= upper.  The
+    fields are interior dof vectors, zero on the boundary.  With
+    w = sum_j c_j f_j, column j is minus alpha times the derivative in c_j
+    of the ``load_clipped_linear`` load tested with each f_i.  A free cell
     takes the P1 mass form, a cell at a bound nothing, and a crossed cell
     the mass of its free part (``_free_mass``).  One column at a time, so
     no (fields, vertices) array is formed.
     """
-    labels, v, _, lo, hi = _classify_cells(mesh, w, lower, upper, alpha)
+    labels, v, _, lo, hi = classes
     areas = mesh.cell_areas()
     free_areas = np.where(labels == _FREE, areas, 0.0)
     crossed = np.flatnonzero(labels == _CROSSED)
     rows = np.ascontiguousarray(v[:, crossed].T)
     mass = _free_mass(rows, lo[crossed, None], hi[crossed, None], areas[crossed])
-    vertices = mesh.cells.ravel()
+    interior = mesh.interior_vertices()
+    values = np.zeros(mesh.n_vertices)
     gram = np.empty((len(fields), len(fields)))
     for j, field in enumerate(fields):
-        nodal = field[mesh.cells]
+        values[interior] = field
+        nodal = values[mesh.cells]
         loads = _mass_loads(nodal, free_areas)
         loads[crossed] = np.einsum("nab,nb->na", mass, nodal[crossed])
-        gram[:, j] = fields @ np.bincount(vertices, weights=loads.ravel(),
-                                          minlength=mesh.n_vertices)
+        gram[:, j] = fields @ _scatter_cell_loads(mesh, loads)
     return gram
 
 
 def clipped_field_l2_sq(mesh, w, lower, upper, alpha):
     """Exact squared L2 norm of clamp(-w/alpha, lower, upper) over the mesh."""
-    _, square = _clipped_integrals(mesh, w, lower, upper, alpha)
+    _, square, _ = _clipped_integrals(mesh, w, lower, upper, alpha)
     return float(np.sum(square))

@@ -115,8 +115,8 @@ def test_non_finite_residual_raises_divergence(monkeypatch):
     evaluate = ReducedSystem.evaluate
 
     def poisoned(system, c):
-        F, squares, load = evaluate(system, c)
-        return np.full_like(F, np.nan), squares, load
+        F, squares, load, free = evaluate(system, c)
+        return np.full_like(F, np.nan), squares, load, free
 
     monkeypatch.setattr(ReducedSystem, "evaluate", poisoned)
     with pytest.raises(DivergenceError, match="non-finite") as info:
@@ -358,7 +358,8 @@ def test_adjoint_is_point_field_combination(narrow_problem):
     system = ReducedSystem(narrow_problem, mesh, CELLWISE)
     solution = solve_discrete(narrow_problem, mesh, CELLWISE)
     combo = sum(
-        c * g.values for c, g in zip(solution.coefficients, system.point_fields)
+        c * system.matrix.field(g).values
+        for c, g in zip(solution.coefficients, system._green)
     )
     assert np.max(np.abs(solution.adjoint.values - combo)) <= 1e-12
 
@@ -416,7 +417,7 @@ def test_line_search_stall_raises_divergence(narrow_problem, monkeypatch):
     # a step below the rounding of the iterate cannot lower the residual;
     # the solve stops with its history instead of repeating it
     monkeypatch.setattr(ReducedSystem, "jacobian",
-                        lambda system, c: 1e30 * np.eye(len(c)))
+                        lambda system, free: 1e30 * np.eye(system.problem.n_points))
     with pytest.raises(DivergenceError, match="stalled") as info:
         solve_discrete(narrow_problem, build_disc_mesh(level=1), VARIATIONAL)
     assert len(info.value.residual_history) == 1
@@ -465,7 +466,7 @@ def test_jacobian_matches_central_differences(variant, n_points, bounds, c):
                              bounds[0], bounds[1], ExactSolution().source)
     system = ReducedSystem(problem, JACOBIAN_MESH, variant)
     c = np.array(c[:n_points])
-    jacobian = system.jacobian(c)
+    jacobian = system.jacobian(system.evaluate(c)[3])
     pattern = kink_pattern(system, c)
     h = 1e-7
     for j, step in enumerate(h * np.eye(n_points)):
@@ -484,11 +485,72 @@ def test_jacobian_with_every_cell_free_is_the_mass_gram(bounds):
                              bounds[0], bounds[1], exact.source)
     system = ReducedSystem(problem, JACOBIAN_MESH, VARIATIONAL)
     c = np.array([0.02, -0.01, 0.03])
-    fields = system._adjoint_nodal
+    fields = np.stack([system.matrix.field(g).values for g in system._green])
     expected = np.eye(3) + fields @ (assemble_mass(JACOBIAN_MESH) @ fields.T) / 1e-2
-    jacobian = system.jacobian(c)
+    jacobian = system.jacobian(system.evaluate(c)[3])
     assert np.max(np.abs(jacobian - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert np.max(np.abs(jacobian - jacobian.T)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("problem, level", [
+    (benchmark_problem(ExactSolution(lower=-0.2, upper=0.2)), 4),
+    # tiny alpha: the line search bisects
+    (ControlProblem(JACOBIAN_POINTS, np.array([7.7, 3.8, -26.1, 2.5]), 4e-8, -3.0, 3.5,
+                    ExactSolution().source), 2),
+], ids=["benchmark", "bisecting"])
+def test_variational_solve_classifies_once_per_evaluation(
+        problem, level, evaluations, monkeypatch):
+    # the Jacobian reads the classes of the accepted evaluation: one
+    # classification per residual, through full steps and bisections alike
+    calls = []
+    classify = fem._classify_cells
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(fem, "_classify_cells", counted)
+    solution = solve_discrete(problem, build_disc_mesh(level=level), VARIATIONAL)
+    assert solution.iterations >= 1
+    assert len(calls) == len(evaluations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from([CELLWISE, VARIATIONAL]),
+    n_points=st.integers(1, 4),
+    c=st.lists(st.floats(-0.05, 0.05), min_size=4, max_size=4),
+)
+def test_jacobian_of_the_evaluated_free_set_is_the_fresh_one(variant, n_points, c):
+    # the free set that evaluate returns is the one a fresh classification
+    # of the same adjoint finds, so J is the same to the bit
+    problem = ControlProblem(JACOBIAN_POINTS[:n_points], np.zeros(n_points), 1e-2,
+                             -0.1, 0.2, ExactSolution().source)
+    system = ReducedSystem(problem, JACOBIAN_MESH, variant)
+    c = np.array(c[:n_points])
+    if variant == CELLWISE:
+        values = -(c @ system._adjoint_cell_means) / problem.alpha
+        fresh = (values > problem.lower) & (values < problem.upper)
+    else:
+        fresh = fem._classify_cells(JACOBIAN_MESH, system.adjoint_of(c), problem.lower,
+                                    problem.upper, problem.alpha)
+    jacobian = system.jacobian(system.evaluate(c)[3])
+    assert np.array_equal(jacobian, system.jacobian(fresh))
+
+
+def test_reduced_system_stores_the_point_fields_once():
+    # the variational system keeps G, the interior dofs of the point
+    # fields, as its one point-sized array; the nodal fields are built on
+    # demand
+    problem = ControlProblem(JACOBIAN_POINTS, np.zeros(4), 1e-2, -0.1, 0.2,
+                             ExactSolution().source)
+    system = ReducedSystem(problem, JACOBIAN_MESH, VARIATIONAL)
+    arrays = {name for name, value in vars(system).items()
+              if isinstance(value, np.ndarray) and value.ndim == 2}
+    assert arrays == {"_green"}
+    assert system._green.shape == (4, len(JACOBIAN_MESH.interior_vertices()))
+    for e, g in zip(np.eye(4), system._green):
+        assert np.array_equal(system.adjoint_of(e).values, system.matrix.field(g).values)
 
 
 @pytest.mark.parametrize("level", [1, 2])

@@ -168,6 +168,20 @@ def test_solve_residual_contract():
         assert residual <= fact.RESIDUAL_CONTRACT * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("level", [2, 4])
+def test_solve_rejects_non_finite_rhs(level, bad):
+    # a caller's error, told apart from a matrix outside the SPD contract
+    # before any iteration, and without a floating-point warning
+    mesh = build_disc_mesh(level=level)
+    fact = factorize(assemble_stiffness(mesh))
+    b = load_point(mesh, (0.3, 0.6))
+    b[np.argmax(b)] = bad
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="non-finite"):
+        fact.solve(b)
+    assert fact.iterations == []
+
+
 def test_direct_matches_dense_solve():
     # level 2 takes the LU alone, level 3 one V-cycle level above it
     for level in (2, 3):
@@ -720,7 +734,7 @@ def test_free_mass_matches_clipped_polygon(corners, scale, values, bounds, on_bo
 )
 def test_free_mass_gram_matches_clipped_polygon_on_a_mesh(seed, alpha, bounds, snapped):
     # the Jacobian kernel over a mesh: every cell classified, free-part
-    # masses applied to three fields, boundary values included
+    # masses applied to three dof fields, zero on the boundary
     lower, upper = bounds
     mesh = LEVEL1_MESH
     rng = np.random.default_rng(seed)
@@ -729,14 +743,18 @@ def test_free_mass_gram_matches_clipped_polygon_on_a_mesh(seed, alpha, bounds, s
     if levels:
         for i in np.flatnonzero(rng.random(mesh.n_vertices) < snapped):
             w[i] = _on_level(levels[rng.integers(len(levels))], alpha)
-    fields = rng.standard_normal((3, mesh.n_vertices))
+    interior = mesh.interior_vertices()
+    fields = rng.standard_normal((3, len(interior)))
     with np.errstate(all="raise", under="ignore"):
-        gram = fem._free_mass_gram(mesh, w, lower, upper, alpha, fields)
+        classes = fem._classify_cells(mesh, w, lower, upper, alpha)
+        gram = fem._free_mass_gram(mesh, classes, fields)
+    nodal = np.zeros((3, mesh.n_vertices))
+    nodal[:, interior] = fields
     reference = np.zeros((3, 3))
     for cell in mesh.cells:
         mass = clipped_polygon_mass(mesh.vertices[cell], -w[cell] / alpha, lower, upper,
                                     rule_degree4())
-        reference += fields[:, cell] @ mass @ fields[:, cell].T
+        reference += nodal[:, cell] @ mass @ nodal[:, cell].T
     assert np.max(np.abs(gram - reference)) <= 1e-14 * max(1.0, np.max(np.abs(reference)))
 
 
@@ -814,7 +832,7 @@ def test_plane_kernel_matches_row_reference(mesh_index, seed, alpha, bounds, kin
             level = levels[rng.integers(len(levels))]
             w[i] = _on_level(_steps_from(level, int(rng.integers(-1, 2))), alpha)
     with np.errstate(all="raise", under="ignore"):
-        loads, squares = fem._clipped_integrals(mesh, w, lower, upper, alpha)
+        loads, squares, _ = fem._clipped_integrals(mesh, w, lower, upper, alpha)
     want_loads, want_squares = reference_clipped_integrals(mesh, w, lower, upper, alpha)
     assert np.array_equal(loads, want_loads)
     if EINSUM_OUTER_FIRST:
@@ -844,7 +862,7 @@ def test_plane_kernel_matches_row_reference_on_the_converged_adjoint():
     z = solve_discrete(problem, mesh, variant=VARIATIONAL).adjoint.values
     for scale in (1.0, 3.0, 0.5):
         args = (mesh, scale * z, problem.lower, problem.upper, problem.alpha)
-        loads, squares = fem._clipped_integrals(*args)
+        loads, squares, _ = fem._clipped_integrals(*args)
         want_loads, want_squares = reference_clipped_integrals(*args)
         assert np.array_equal(loads, want_loads)
         if EINSUM_OUTER_FIRST:
