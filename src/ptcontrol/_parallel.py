@@ -1,0 +1,76 @@
+"""One loop shared by the calling thread and one helper thread.
+
+``drain(fn, items)`` calls ``fn`` once on every item of a sequence.  The
+caller and one helper thread take the items from one shared iterator under
+a lock, so each item runs exactly once, in either thread.  The helper joins
+only when there are two or more items and the process may run on two or
+more CPUs: its affinity mask (``taskset``), or ``os.cpu_count()`` where the
+platform has no affinity call.  Otherwise the caller runs every item
+itself, on the same code path.
+
+The work gains from the second thread only where it releases the GIL, as
+numpy ufuncs and matmuls do.  Each call must write its own part of the
+output and nothing else, so that the result does not depend on which thread
+ran which item.
+
+The helper runs in a copy of the caller's context, so ``np.errstate`` and
+every other context variable set by the caller hold in both threads.  After
+the first exception, in either thread, no further item is handed out; the
+in-flight item of the other thread finishes and the exception propagates
+from ``drain``.  A helper that has not started by the time the caller has
+run out of items is cancelled rather than waited for: a call made while the
+pool's one thread is busy, from inside that thread or from another caller,
+completes in the calling thread alone.
+"""
+
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+# one worker thread for the process, started by the first drain that uses it
+_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ptcontrol-drain")
+_END = object()
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def drain(fn, items):
+    """Call ``fn(item)`` for every item of ``items``, in this thread and a helper.
+
+    Returns once every item has run.  After a failure it returns once the
+    other thread's item in flight, if any, has finished, and raises the
+    first exception that ``fn`` or the iterator raised.
+    """
+    # a single item is not worth waking the helper for
+    share = len(items) > 1 and _usable_cpus() >= 2
+    items = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    item = _END if errors else next(items, _END)
+                if item is _END:
+                    return
+                fn(item)
+        except BaseException as exc:  # re-raised by drain below
+            with lock:
+                errors.append(exc)
+
+    helper = _POOL.submit(contextvars.copy_context().run, work) if share else None
+    work()
+    # the items are exhausted or an error is recorded, so a helper that has
+    # started takes no further item
+    if helper is not None and not helper.cancel():
+        helper.result()
+    if errors:
+        raise errors[0]

@@ -96,6 +96,8 @@ class StudyConfig:
         if not (isinstance(self.center, Sequence) and len(self.center) == 2
                 and all(_is_real(x) and math.isfinite(x) for x in self.center)):
             raise ConfigError("center must be two finite numbers")
+        # a tuple, as parse_config gives, so that the round trip compares equal
+        object.__setattr__(self, "center", tuple(self.center))
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise ConfigError("radius must be positive and finite")
         if not (self.alpha > 0 and np.isfinite(self.alpha)):

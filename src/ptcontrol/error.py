@@ -19,6 +19,14 @@ coordinate columns.  It samples both fields there and reduces the squared
 giving one value per cell.  The cell values of all chunks are summed with
 the cell areas in one dot product at the end, so the result does not
 depend on where the chunks split.
+
+The chunks are shared by the calling thread and, on a machine where the
+process may use two or more CPUs, one helper thread (``_parallel.drain``):
+their ufuncs and matmuls release the GIL, so the two run at once.  The
+chunk boundaries do not depend on the threads, every chunk is computed by
+the same operations whichever thread takes it and writes only its own
+cells' values, and the final dot product runs in the caller after all
+chunks.  So the result is bitwise the same with or without the helper.
 """
 
 from dataclasses import dataclass
@@ -26,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._parallel import drain
 from .quadrature import subdivided_rule
 
 __all__ = [
@@ -107,7 +116,8 @@ def _cell_errors(mesh, first, second, bary, weights, cells, squared, out):
     cell's area it is the integral over the cell.
     """
     per_chunk = max(1, CHUNK_POINTS // len(bary))
-    for start in range(0, len(cells), per_chunk):
+
+    def chunk_errors(start):
         chunk = cells[start : start + per_chunk]
         physical = _physical_points(mesh, bary, chunk)
         diff = np.subtract(_sample(first, bary, chunk, physical),
@@ -117,6 +127,8 @@ def _cell_errors(mesh, first, second, bary, weights, cells, squared, out):
         else:
             np.abs(diff, out=diff)
         out[chunk] = diff @ weights
+
+    drain(chunk_errors, range(0, len(cells), per_chunk))
 
 
 def l2_error_control(mesh, exact, discrete, depth=DEFAULT_DEPTH):

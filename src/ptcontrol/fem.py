@@ -30,6 +30,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
+from . import error
+from ._parallel import drain
 from .mesh import PointNotFoundError, _ancestors, locate_point, cell_centroids
 from .quadrature import rule_degree4
 
@@ -198,17 +200,16 @@ def _stiffness_csr(mesh):
     if np.any(areas <= 0.0):
         raise AssemblyError("degenerate or inverted cell (nonpositive area)")
     k_elem = _element_stiffness(mesh, areas)
-    dof = mesh.dof_map()
-    interior = mesh.interior_vertices()
-    cell_dofs = dof[mesh.cells]
+    # int32 indices, which scipy would convert them to; the full-length
+    # triplets and the element matrices are freed before the CSR conversion
+    cell_dofs = mesh.dof_map()[mesh.cells].astype(np.int32)
     rows = np.repeat(cell_dofs, 3, axis=1).reshape(-1)
     cols = np.tile(cell_dofs, (1, 3)).reshape(-1)
-    vals = k_elem.reshape(-1)
     keep = (rows >= 0) & (cols >= 0)
-    n = len(interior)
-    mat = sparse.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsr()
+    rows, cols, vals = rows[keep], cols[keep], k_elem.reshape(-1)[keep]
+    del keep, k_elem
+    n = len(mesh.interior_vertices())
+    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
     for array in (mat.data, mat.indices, mat.indptr):
@@ -464,9 +465,8 @@ def _scatter_cell_loads(mesh, contrib):
     ``np.add.at`` would; boundary vertices go to one extra bin, dropped.
     """
     n = len(mesh.interior_vertices())
-    dof = mesh.dof_map()
-    bins = np.where(dof >= 0, dof, n)[mesh.cells]
-    return np.bincount(bins.ravel(), weights=np.ravel(contrib), minlength=n + 1)[:n]
+    return np.bincount(mesh._scatter_bins().ravel(), weights=np.ravel(contrib),
+                       minlength=n + 1)[:n]
 
 
 def load_smooth(mesh, f):
@@ -478,13 +478,21 @@ def load_smooth(mesh, f):
     f : callable
         Vectorized scalar field: maps an (m, 2) array of points to (m,)
         values.  Must be bounded at the quadrature points (all of which lie
-        strictly inside cells).
+        strictly inside cells).  It is called on slices of at most
+        ``error.CHUNK_POINTS`` points, shared by the calling thread and a
+        helper as in ``error``; each slice's values go to their own part of
+        one array, so the load does not depend on the threads.
     """
     bary, weights = rule_degree4()
-    points = np.matmul(bary, mesh.vertices[mesh.cells])
-    fvals = np.asarray(
-        f(points.reshape(-1, 2)), dtype=float
-    ).reshape(mesh.n_cells, len(weights))
+    points = np.matmul(bary, mesh.vertices[mesh.cells]).reshape(-1, 2)
+    fvals = np.empty(len(points))
+    step = error.CHUNK_POINTS
+
+    def sample(start):
+        fvals[start : start + step] = f(points[start : start + step])
+
+    drain(sample, range(0, len(points), step))
+    fvals = fvals.reshape(mesh.n_cells, len(weights))
     contrib = ((fvals * weights) @ bary) * mesh.cell_areas()[:, None]
     return _scatter_cell_loads(mesh, contrib)
 

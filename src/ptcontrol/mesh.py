@@ -122,6 +122,7 @@ class Mesh:
         self.h = float(edge_len.max())
         self._interior = None
         self._dof = None
+        self._bins = None
         self._inv_maps = None
         self._areas = None
         # set by refine_uniform: the coarser mesh and its unique edges,
@@ -180,6 +181,20 @@ class Mesh:
             dof.setflags(write=False)
             self._dof = dof
         return self._dof
+
+    def _scatter_bins(self):
+        """Cached (n_c, 3) dof of each cell vertex, the dof count on the boundary.
+
+        The bins of a load scatter by ``np.bincount``, in which the boundary
+        vertices share the one bin past the last dof.  The array is
+        read-only and computed once per mesh.
+        """
+        if self._bins is None:
+            dof = self.dof_map()
+            bins = np.where(dof >= 0, dof, len(self.interior_vertices()))[self.cells]
+            bins.setflags(write=False)
+            self._bins = bins
+        return self._bins
 
     def barycentric_maps(self):
         """Cached per-cell affine maps x -> barycentric coordinates.

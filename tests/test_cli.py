@@ -28,6 +28,13 @@ def test_config_round_trip():
     assert parse_config(format_config(config)) == config
 
 
+def test_config_center_sequence_round_trips():
+    # any two-number sequence is stored as the tuple that parsing gives
+    config = StudyConfig(center=[0.5, 0.25])
+    assert config.center == (0.5, 0.25) and isinstance(config.center, tuple)
+    assert parse_config(format_config(config)) == config
+
+
 def test_config_round_trip_infinite_bounds():
     config = StudyConfig(lower=float("-inf"), upper=float("inf"))
     text = format_config(config)
