@@ -17,9 +17,10 @@ Stiffness solves run conjugate gradients preconditioned by one symmetric
 V-cycle over the mesh's uniform-refinement chain: damped Jacobi smoothing
 (weight 0.8, two sweeps before and two after the coarse correction),
 restriction by the transpose of the midpoint interpolation, the stiffness
-matrix of each parent mesh as coarse operator and a sparse LU on level 2.
-A matrix without such a chain (a coarse or free-standing mesh, a hand-built
-or plain scipy matrix) gets that LU alone.  Iteration stops at a normwise
+matrix of each parent mesh as coarse operator and, on level 2, the inverse
+of a dense Cholesky factor.  A matrix without such a chain (a coarse or
+free-standing mesh, a hand-built or plain scipy matrix) gets that dense
+solve alone, up to ``DENSE_LIMIT`` dofs.  Iteration stops at a normwise
 backward error near machine precision, once the residual contract holds;
 see ``Factorization``.
 """
@@ -28,7 +29,6 @@ import weakref
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from . import error
 from ._parallel import drain
@@ -239,8 +239,15 @@ def _element_stiffness(mesh, areas):
     return k_elem
 
 
-# Level of the bottom of every multigrid hierarchy, solved by the sparse LU.
+# Level of the bottom of every multigrid hierarchy, solved densely.
 COARSE_LEVEL = 2
+
+# Most dofs of a bottom operator, factored as a dense array.  At 512 dofs
+# the Cholesky factor and its inverse take 28 ms and four 2 MiB arrays
+# (2-core Xeon, one BLAS thread), below the 0.04 s of the level-7 hierarchy
+# setup; at 961 dofs (disc level 4), 0.14 s and 28 MiB.  Hierarchy bottoms
+# have 49 dofs (disc) or 9 (square).
+DENSE_LIMIT = 512
 
 
 class Factorization:
@@ -255,16 +262,12 @@ class Factorization:
     smooths with damped Jacobi, weight ``SMOOTHING_WEIGHT``,
     ``SMOOTHING_SWEEPS`` sweeps from zero before the coarse correction and
     as many after it, so the cycle is symmetric.  The bottom operator is
-    solved by a sparse LU.  A matrix without a chain is its own bottom
-    level, and the V-cycle is then the direct solve.
-
-    The LU is in symmetric mode: the diagonal is always taken as pivot, so
-    no row pivoting departs from the fill-reducing column ordering and the
-    factorization coincides with a Cholesky-type one for SPD input.
-    Symmetric diagonal pivoting makes the signs of ``U.diagonal()`` the
-    inertia of the matrix, so a nonpositive pivot proves indefiniteness.
-    The ordering is COLAMD (column approximate minimum degree; Davis,
-    Gilbert, Larimore and Ng, ACM TOMS 30(3), 2004).
+    solved by one product with its inverse, formed once from its dense
+    Cholesky factor; the factorization succeeds exactly when the operator
+    is positive definite, so it is the definiteness test.  A matrix without
+    a chain is its own bottom level, and the V-cycle is then the direct
+    solve.  A bottom operator of more than ``DENSE_LIMIT`` (512) dofs
+    raises before any dense array is formed.
 
     A solve starts from the preconditioned right-hand side and iterates
     until the normwise backward error reaches machine precision,
@@ -275,12 +278,12 @@ class Factorization:
     meshes the load b shrinks like h^2 while |A||x| does not, so there the
     contract is the tighter rule.
 
-    SPD scope: the pivot-sign test covers the bottom operator only.  A
+    SPD scope: the Cholesky test covers the bottom operator only.  A
     hierarchy is built only for a ``StiffnessMatrix`` returned by
     ``assemble_stiffness`` on a refined mesh, which is SPD by construction:
     a sum of positive-area Gram element matrices with the Dirichlet rows
     eliminated.  A hand-built ``StiffnessMatrix`` and any scipy matrix are
-    their own bottom level and keep the inertia test.  A CG curvature
+    their own bottom level and keep the Cholesky test.  A CG curvature
     p.Ap <= 0 raises as well.
     """
 
@@ -292,11 +295,17 @@ class Factorization:
 
     def __init__(self, matrix):
         if isinstance(matrix, StiffnessMatrix):
-            mat, coarse = matrix.mat, _coarse_levels(matrix)
+            # only assemble_stiffness output gets a hierarchy: it is SPD by
+            # construction, so its finer levels need no Cholesky test
+            mat = matrix.mat
+            chain = _ancestors(matrix.mesh, COARSE_LEVEL) if matrix._assembled else []
         else:
-            mat, coarse = matrix.tocsr(), []
-        self.mat = mat
+            mat, chain = matrix, []
         self.iterations = []
+        bottom = len(chain[-1].interior_vertices()) if chain else mat.shape[0]
+        if bottom > DENSE_LIMIT:
+            raise FactorizationError(f"bottom of {bottom} dofs exceeds DENSE_LIMIT")
+        self.mat = mat = mat.tocsr()
         if not np.all(np.isfinite(mat.data)):
             raise FactorizationError("matrix has a non-finite entry")
         asym = _relative_asymmetry(mat)
@@ -306,24 +315,18 @@ class Factorization:
             )
         if np.any(mat.diagonal() <= 0.0):
             raise FactorizationError("matrix has a nonpositive diagonal entry")
-        operators = [mat] + [a for a, _ in coarse]
+        operators = [mat] + [assemble_stiffness(coarse).mat for coarse in chain[1:]]
         self._levels = [
             (a, self.SMOOTHING_WEIGHT / a.diagonal(), p, p.T.tocsr())
-            for a, (_, p) in zip(operators, coarse)
+            for a, p in zip(operators, map(_prolongation, chain, chain[1:]))
         ]
         self._abs = abs(mat)
         try:
-            self._lu = sparse_linalg.splu(
-                operators[-1].tocsc(),
-                permc_spec="COLAMD",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:
-            # SuperLU reports an exactly singular matrix this way
-            raise FactorizationError(f"factorization failed: {exc}") from exc
-        if np.any(self._lu.U.diagonal() <= 0.0):
-            raise FactorizationError("matrix is not positive definite")
+            factor = np.linalg.cholesky(operators[-1].toarray())
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError("matrix is not positive definite") from exc
+        inverse_factor = np.linalg.inv(factor)
+        self._bottom_inverse = inverse_factor.T @ inverse_factor
 
     def _precondition(self, r):
         """One V-cycle applied to r, from a zero initial guess."""
@@ -334,7 +337,7 @@ class Factorization:
                 x += weight * (r - a @ x)
             stack.append((x, r))
             r = restrict @ (r - a @ x)
-        x = self._lu.solve(r)
+        x = self._bottom_inverse @ r
         for (a, weight, prolong, _), (smoothed, r) in zip(
             reversed(self._levels), reversed(stack)
         ):
@@ -423,28 +426,13 @@ def _prolongation(fine, coarse):
     return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
-def _coarse_levels(matrix):
-    """(stiffness, prolongation) pairs down the mesh's refinement chain.
-
-    Only a matrix from ``assemble_stiffness`` gets any: it is SPD by
-    construction, so no inertia test is skipped.  The chain stops at
-    ``COARSE_LEVEL`` or at a mesh without a parent.
-    """
-    if not matrix._assembled:
-        return []
-    chain = _ancestors(matrix.mesh, COARSE_LEVEL)
-    return [
-        (assemble_stiffness(coarse).mat, _prolongation(fine, coarse))
-        for fine, coarse in zip(chain, chain[1:])
-    ]
-
-
 def factorize(matrix):
     """Set up the solve handle of an SPD matrix (StiffnessMatrix or scipy sparse).
 
     A ``StiffnessMatrix`` from ``assemble_stiffness`` on a mesh refined past
-    level 2 gets multigrid-preconditioned CG with the LU on level 2; every
-    other matrix gets the LU alone, with its inertia test.
+    level 2 gets multigrid-preconditioned CG with a dense Cholesky solve on
+    level 2; every other matrix gets that dense solve alone, with its
+    definiteness test, and must have at most ``DENSE_LIMIT`` (512) dofs.
 
     Returns
     -------
@@ -453,7 +441,8 @@ def factorize(matrix):
     Raises
     ------
     FactorizationError
-        If the matrix is not symmetric positive definite.
+        If the matrix is not symmetric positive definite, or its bottom
+        operator has more than ``DENSE_LIMIT`` dofs.
     """
     return Factorization(matrix)
 
@@ -478,21 +467,23 @@ def load_smooth(mesh, f):
     f : callable
         Vectorized scalar field: maps an (m, 2) array of points to (m,)
         values.  Must be bounded at the quadrature points (all of which lie
-        strictly inside cells).  It is called on slices of at most
-        ``error.CHUNK_POINTS`` points, shared by the calling thread and a
-        helper as in ``error``; each slice's values go to their own part of
-        one array, so the load does not depend on the threads.
+        strictly inside cells).  It is called on the points of slices of
+        ``error.CHUNK_POINTS // 6`` cells, built per slice and shared by the
+        calling thread and a helper as in ``error``; each slice's values go
+        to their own part of one array, so the load does not depend on the
+        threads.
     """
     bary, weights = rule_degree4()
-    points = np.matmul(bary, mesh.vertices[mesh.cells]).reshape(-1, 2)
-    fvals = np.empty(len(points))
-    step = error.CHUNK_POINTS
+    q = len(weights)
+    fvals = np.empty(mesh.n_cells * q)
+    step = max(1, error.CHUNK_POINTS // q)
 
     def sample(start):
-        fvals[start : start + step] = f(points[start : start + step])
+        points = np.matmul(bary, mesh.vertices[mesh.cells[start : start + step]])
+        fvals[q * start : q * (start + step)] = f(points.reshape(-1, 2))
 
-    drain(sample, range(0, len(points), step))
-    fvals = fvals.reshape(mesh.n_cells, len(weights))
+    drain(sample, range(0, mesh.n_cells, step))
+    fvals = fvals.reshape(mesh.n_cells, q)
     contrib = ((fvals * weights) @ bary) * mesh.cell_areas()[:, None]
     return _scatter_cell_loads(mesh, contrib)
 

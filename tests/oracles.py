@@ -2,8 +2,8 @@
 
 Nothing here imports solver machinery from the package; the point is to
 certify package results against structurally different algorithms (exact
-scanline slicing for clipped integrals, dense textbook elimination for
-linear solves, bisection for benchmark radii, row-wise ``np.unique`` for
+scanline slicing for clipped integrals, dense textbook elimination and a
+sparse LU for linear solves, bisection for benchmark radii, row-wise ``np.unique`` for
 edge numbering, polygon clipping for free-set mass matrices).  The row-wise clipped kernel and the einsum stiffness
 element matrices are earlier forms of the package's kernels, kept as
 bit-for-bit references for their plane-wise rewrites.
@@ -11,6 +11,7 @@ bit-for-bit references for their plane-wise rewrites.
 
 import numpy as np
 import scipy.sparse as sparse
+import scipy.sparse.linalg as sparse_linalg
 
 GAUSS2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 EDGES = ((0, 1), (1, 2), (2, 0))
@@ -350,6 +351,22 @@ def gaussian_elimination(matrix, rhs):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+def sparse_lu(matrix):
+    """SuperLU factors of a sparse SPD matrix; ``.solve(b)`` solves.
+
+    COLAMD column ordering (Davis, Gilbert, Larimore and Ng, ACM TOMS 30(3),
+    2004) in symmetric mode, the diagonal always the pivot: the direct solve
+    the package used at the bottom of its multigrid hierarchies, kept as a
+    reference for matrices past the package's dense limit.
+    """
+    return sparse_linalg.splu(
+        sparse.csc_matrix(matrix),
+        permc_spec="COLAMD",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
 
 
 def bisect_root(func, lo, hi, iterations=200):

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import ptcontrol
 
 PUBLIC_API = [
@@ -71,3 +76,17 @@ def test_public_api_is_pinned():
     ):
         assert removed not in ptcontrol.__all__
         assert not hasattr(ptcontrol, removed)
+
+
+def test_cli_import_leaves_out_sparse_linalg():
+    # every solve is the package's own PCG with a dense bottom, so the CLI
+    # does not pay for importing scipy's sparse solvers
+    env = dict(os.environ)
+    src = str(pathlib.Path(ptcontrol.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, ptcontrol.cli; print(*sys.modules, sep='\\n')"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    modules = result.stdout.split()
+    assert "ptcontrol.cli" in modules
+    assert "scipy.sparse.linalg" not in modules

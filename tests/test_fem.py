@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,7 @@ from oracles import (
     reference_clipped_integrals,
     reference_ramp_counts,
     reference_stiffness_csr,
+    sparse_lu,
     triangle_quadrature_integral,
 )
 
@@ -140,8 +142,8 @@ def test_factorize_failures_are_typed(entries):
 @settings(max_examples=40, deadline=None)
 @given(ratio=st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)))
 def test_factorize_detects_indefinite_shift(ratio):
-    # K - sigma I is SPD exactly when sigma < lambda_min(K); the sign test
-    # on the pivots is an inertia test only under symmetric permutations
+    # K - sigma I is SPD exactly when sigma < lambda_min(K), and exactly
+    # then has a Cholesky factor
     stiffness = assemble_stiffness(build_disc_mesh(level=3))
     matrix = stiffness.mat
     lambda_min = np.linalg.eigvalsh(matrix.toarray())[0]
@@ -149,13 +151,15 @@ def test_factorize_detects_indefinite_shift(ratio):
     if ratio > 1.0:
         with pytest.raises(FactorizationError):
             factorize(shifted)
-        # multigrid skips the pivot-sign test only for assemble_stiffness
-        # output; the shift wrapped by hand still goes through the LU
+        # multigrid skips the Cholesky test only for assemble_stiffness
+        # output; the shift wrapped by hand is still factored
         with pytest.raises(FactorizationError):
             factorize(StiffnessMatrix(shifted, stiffness.mesh, stiffness.interior))
     else:
-        lu = factorize(shifted)._lu
-        assert np.array_equal(lu.perm_r, lu.perm_c)
+        fact = factorize(shifted)
+        b = load_point(stiffness.mesh, (0.3, 0.6))
+        x = fact.solve(b)
+        assert np.max(np.abs(shifted @ x - b)) <= fact.RESIDUAL_CONTRACT * np.max(np.abs(b))
 
 
 def test_solve_residual_contract():
@@ -185,7 +189,7 @@ def test_solve_rejects_non_finite_rhs(level, bad):
 
 
 def test_direct_matches_dense_solve():
-    # level 2 takes the LU alone, level 3 one V-cycle level above it
+    # level 2 takes the dense solve alone, level 3 one V-cycle level above it
     for level in (2, 3):
         mesh = build_disc_mesh(level=level)
         matrix = assemble_stiffness(mesh)
@@ -206,10 +210,10 @@ MULTIGRID_SYSTEMS = {}
 
 
 def multigrid_system(key):
-    """Assembled matrix with its multigrid and its LU-only handle, cached."""
+    """Assembled matrix with its multigrid handle and its sparse LU, cached."""
     if key not in MULTIGRID_SYSTEMS:
         matrix = assemble_stiffness(MULTIGRID_MESHES[key])
-        MULTIGRID_SYSTEMS[key] = matrix, factorize(matrix), factorize(matrix.mat)
+        MULTIGRID_SYSTEMS[key] = matrix, factorize(matrix), sparse_lu(matrix.mat)
     return MULTIGRID_SYSTEMS[key]
 
 
@@ -222,7 +226,7 @@ def multigrid_system(key):
 def test_multigrid_matches_coarse_lu_property(key, kind, seed):
     matrix, multigrid, direct = multigrid_system(key)
     mesh = matrix.mesh
-    assert multigrid._levels and not direct._levels
+    assert multigrid._levels
     rng = np.random.default_rng(seed)
     interior = mesh.vertices[mesh.interior_vertices()]
     if kind == "random":
@@ -306,7 +310,7 @@ def test_multigrid_iterations_do_not_grow_with_level(build):
         assert max(fact.iterations) <= 15, (level, fact.iterations)
 
 
-def test_coarse_and_plain_matrices_use_the_lu_alone():
+def test_coarse_and_plain_matrices_use_the_dense_solve_alone():
     for matrix in (
         assemble_stiffness(build_disc_mesh(level=2)),
         assemble_stiffness(build_disc_mesh(level=3)).mat,
@@ -315,6 +319,96 @@ def test_coarse_and_plain_matrices_use_the_lu_alone():
         assert fact._levels == []
         fact.solve(np.ones(fact.mat.shape[0]))
         assert fact.iterations == [1]
+
+
+@functools.cache
+def level3_stiffness():
+    """The level-3 disc stiffness, dense, and its least eigenvalue."""
+    dense = assemble_stiffness(build_disc_mesh(level=3)).mat.toarray()
+    return dense, np.linalg.eigvalsh(dense)[0]
+
+
+@st.composite
+def plain_matrices(draw):
+    """Small dense matrices on either side of the SPD set, clear of its edge."""
+    kind = draw(st.sampled_from(
+        ["spd", "shift", "singular", "asymmetric", "non-finite", "coarse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    # eigenvalues spread over up to two decades in a random basis, exactly
+    # symmetric
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    spd = (basis * np.logspace(0.0, -draw(st.floats(0.0, 2.0)), n)) @ basis.T
+    spd = draw(st.floats(1e-3, 1e3)) * (spd + spd.T) / 2.0
+    if kind == "spd":
+        return spd
+    if kind == "shift":
+        dense, lambda_min = level3_stiffness()
+        ratio = draw(st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)))
+        return dense - ratio * lambda_min * np.eye(len(dense))
+    if kind == "singular":
+        # beside the SPD block, a * [[1, 1], [1, 1]] with a a power of 4:
+        # Cholesky meets an exact zero pivot, in any symmetric order
+        a = 4.0 ** draw(st.integers(-3, 3))
+        dense = np.zeros((n + 2, n + 2))
+        dense[:n, :n] = spd
+        dense[n:, n:] = a
+        order = rng.permutation(n + 2)
+        return dense[np.ix_(order, order)]
+    i, j = rng.choice(n, size=2, replace=False)
+    if kind == "asymmetric":
+        spd[i, j] += draw(st.floats(1e-9, 1.0)) * np.max(np.abs(spd))
+        return spd
+    if kind == "non-finite":
+        spd[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if draw(st.booleans()):
+            spd[j, i] = spd[i, j]
+        return spd
+    # square level 0 has no dof, disc level 0 one
+    build = draw(st.sampled_from([build_square_mesh, build_disc_mesh]))
+    return assemble_stiffness(build(level=0)).mat.toarray()
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense=plain_matrices(), seed=st.integers(0, 2**32 - 1))
+def test_dense_solve_raises_exactly_off_spd_property(dense, seed):
+    eigenvalues = (np.linalg.eigvalsh(dense)
+                   if np.all(np.isfinite(dense)) and np.array_equal(dense, dense.T)
+                   else np.array([-np.inf]))
+    if eigenvalues.size and not eigenvalues[0] > 1e-8 * np.max(np.abs(eigenvalues)):
+        with pytest.raises(FactorizationError):
+            factorize(sp.csr_matrix(dense))
+        return
+    fact = factorize(sp.csr_matrix(dense))
+    b = np.random.default_rng(seed).standard_normal(len(dense))
+    x = fact.solve(b)
+    want = gaussian_elimination(dense, b)
+    assert x.shape == want.shape
+    assert np.all(np.abs(x - want) <= 1e-12 * np.max(np.abs(want), initial=0.0))
+
+
+def test_dense_limit_raises_before_any_dense_array():
+    eye = sp.identity(fem.DENSE_LIMIT + 1, format="csr")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FactorizationError, match="DENSE_LIMIT"):
+            factorize(eye)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense array would take 8 n^2 bytes; not one of its rows is formed
+    assert peak < 8 * (fem.DENSE_LIMIT + 1)
+
+
+def test_hierarchy_on_a_large_hand_built_root_raises():
+    # the parentless root of the chain is the bottom, past the dense limit
+    level4 = build_disc_mesh(level=4)
+    root = Mesh(level4.vertices, level4.cells, level4.boundary, level=4)
+    assert len(root.interior_vertices()) > fem.DENSE_LIMIT
+    with pytest.raises(FactorizationError, match="DENSE_LIMIT"):
+        factorize(assemble_stiffness(refine_uniform(root)))
+    # the same mesh built by refinement has a bottom at COARSE_LEVEL
+    assert len(factorize(assemble_stiffness(level4))._levels) == 4 - fem.COARSE_LEVEL
 
 
 def test_load_smooth_constant_gives_star_areas():
