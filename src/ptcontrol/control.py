@@ -155,9 +155,11 @@ class VariationalControl:
 
     def sample_cells(self, bary, cells=None):
         # -z / alpha, clamped, in place on the fresh sample; z / (-alpha)
-        # rounds to the same bits as (-z) / alpha
+        # rounds to the same bits as (-z) / alpha, and a quotient that
+        # overflows is infinite, which the clamp makes a bound
         values = self.adjoint.sample_cells(bary, cells)
-        np.divide(values, -self.alpha, out=values)
+        with np.errstate(over="ignore"):
+            np.divide(values, -self.alpha, out=values)
         return np.clip(values, self.lower, self.upper, out=values)
 
     def __call__(self, x):
@@ -217,7 +219,7 @@ class ReducedSystem:
         self._source_misfit = self._green @ self.load_source - problem.targets
         if variant == CELLWISE:
             self._adjoint_cell_means = np.stack([
-                self.matrix.field(g).values[mesh.cells].mean(axis=1)
+                fem.l2_project_cells(mesh, self.matrix.field(g)).values
                 for g in self._green
             ])
 
@@ -233,7 +235,9 @@ class ReducedSystem:
         """Clamped cell means of the scaled adjoint (cellwise variant)."""
         p = self.problem
         means = np.asarray(c, dtype=float) @ self._adjoint_cell_means
-        return np.clip(-means / p.alpha, p.lower, p.upper)
+        # a quotient that overflows is infinite, which the clamp makes a bound
+        with np.errstate(over="ignore"):
+            return np.clip(-means / p.alpha, p.lower, p.upper)
 
     def control_of(self, c):
         """Control representation induced by coefficients c."""

@@ -9,8 +9,10 @@ clipped-linear sources, point evaluation, and the two cell projections
 Degrees of freedom are the interior vertices in mesh order; load vectors
 and solution vectors are aligned with that ordering.  The clipped-linear
 load integrates clamp(-w/alpha, a, b) times each hat function exactly, in
-closed form by the ramp identity of the clipped-loads section, whose ramp
-formulas run on the cells that a level line crosses only; no quadrature
+closed form: by the P1 mass form on cells within the bounds or past one,
+and on the cells that a level line crosses by fans of triangles of the
+parts below, between and above the bounds (the clipped-loads section),
+whose values stay within the bounds however small alpha is.  No quadrature
 error pollutes second-order convergence of the variational control.
 
 Stiffness solves run conjugate gradients preconditioned by one symmetric
@@ -576,38 +578,36 @@ def l2_norm(u):
 # Clipped-linear loads.
 #
 # The field is g = clamp(v, a, b) with v = -w/alpha affine on each cell and
-# a < b.  With the ramp r(x) = max(x, 0),
+# a < b.  Every cell is integrated shifted by a cell constant s, the clamped
+# mean of its vertex values: g = s + clamp(v', lo, hi) with v' = v - s,
+# lo = a - s and hi = b - s.  The shifted values class each cell exactly
+# (``_classify_cells``): on a free cell no vertex value lies past a bound
+# and g - s = v', integrated by the P1 mass form; on a cell at a bound all
+# three lie past it, their computed mean does too, s is the bound and
+# g - s = 0.  These kernels work on three contiguous vertex planes, one
+# array per vertex slot.
 #
-#     g   = v + r(a - v) - r(v - b),
-#     g^2 = v^2 + (a + v) r(a - v) - (b + v) r(v - b),
+# Only a crossed cell, which a level line cuts, takes its cut geometry
+# (``_cut_cells``).  With its values sorted, u0 <= u1 <= u2 at the vertices
+# P0, P1, P2, the line of a level c meets the long edge P0 P2 at X(c) and
+# the path P0 P1 P2 at Y(c).  The lines of lo and hi cut the cell into
+# three convex parts:
 #
-# the second because r(a - v) is nonzero only where it equals a - v, and
-# likewise r(v - b).  As v = sum_j v_j lambda_j, every integral is a sum of
-# P1 mass-matrix integrals of v and of ramp loads R_j(u) = int r(u) lambda_j,
-# e.g. int (a + v) r(a - v) = sum_j (a + v_j) R_j(a - v).  A ramp positive
-# at exactly one vertex i lives on the corner triangle of area
-# S = t_k t_l |K|, t_k = u_i / (u_i - u_k), cut off by the zero line of u;
-# there it is affine with vertex values (u_i, 0, 0), so
-# R_i = S u_i (4 - t_k - t_l) / 12 and R_k = S u_i t_k / 12.  A ramp
-# positive at two vertices is r(u) = u + r(-u), at three r(u) = u.  An
-# infinite bound contributes no term.
+#     below lo   P0, B, Y(lo), X(lo)                 g - s = lo
+#     free       X(lo), Y(lo), M, Y(hi), X(hi)       g - s = v'
+#     above hi   X(hi), Y(hi), A, P2                 g - s = hi
 #
-# Every cell is integrated shifted by a cell constant s, the clamped mean of
-# its vertex values: clamp(v, a, b) = s + clamp(v', a - s, b - s) with
-# v' = v - s.  The ramps of the shifted values, r(a - s - v') and
-# r(v' - b + s), class each cell exactly (``_classify_cells``): on a free
-# cell neither is positive at a vertex and g - s = v'; on a cell at a bound
-# one is positive at all three, so all three vertex values lie past the
-# bound, their computed mean does too, s is the bound and g - s = 0; only a
-# crossed cell, cut by a level line, needs the ramp formulas.  The kernels
-# work on three contiguous vertex planes, one array per vertex slot.
+# B is P1 when u1 < lo and Y(lo) otherwise, A is P1 when u1 > hi and Y(hi)
+# otherwise, and M is P1 when lo <= u1 <= hi, else Y(lo) or Y(hi).  With lo
+# and hi clamped to [u0, u2], a part that its level line misses collapses
+# onto repeated corners, and an infinite bound leaves its part empty.  On
+# each triangle of a part's fan, g is affine with values in [lo, hi] at its
+# corners, so P1 integrals are exact on it and no term grows with the range
+# of v', which grows like 1/alpha.
 #
 # The load's derivative in w is minus 1/alpha times the P1 mass form on the
 # free part of each cell, where a <= v <= b: the whole of a free cell,
-# nothing of a cell at a bound, and on a crossed cell the cell less the
-# parts past each bound.  The part {u > 0} of a ramp positive at one vertex
-# is its corner triangle, on which the cell's hats are affine, so its mass
-# is exact; at two vertices it is the cell less the corner of -u.
+# nothing of a cell at a bound, and the free fan of a crossed cell.
 
 _FREE, _AT_LOWER, _AT_UPPER, _CROSSED = range(4)
 
@@ -619,77 +619,58 @@ def _mass_loads(u, areas):
     return areas[:, None] / 12.0 * (u + (u[:, 0] + u[:, 1] + u[:, 2])[:, None])
 
 
-def _corners(u):
-    """Corner triangles cut off by the zero line of affine u (n, 3) per cell.
+# The nine corners of the cut geometry, P0, B, Y(lo), X(lo), M, Y(hi),
+# X(hi), A and P2, and the seven fan triangles of the three parts, two
+# below lo, three free and two above hi, each as three corner indices.
+_FANS = np.array([[0, 1, 2], [0, 2, 3], [3, 2, 4], [3, 4, 5], [3, 5, 6],
+                  [6, 5, 7], [6, 7, 8]])
+_FREE_FAN = slice(2, 5)
 
-    Returns ``(positive, cells, ci, i, k, l, tk, tl)``: ``positive`` counts
-    the vertices where u > 0 on every cell, and the rest describes the
-    corner of each cell positive at one or two vertices, listed in
-    ``cells``.  There the corner is {u > 0}, or {-u > 0} on a two-vertex
-    cell, whose complement is {u > 0} up to the zero line; it lies at
-    vertex i, where c = u or -u takes its maximum ci >= 0, and meets the
-    edges to k and l at the fractions tk = ci / (ci - c_k) and
-    tl = ci / (ci - c_l), so its area is tk tl |K|.  Either ci > 0 and the
-    other two values of c are at most 0, or they are negative, so
-    ci - c_k > 0: a zero maximum gives tk = tl = 0, never 0/0.
+
+def _cut_cells(rows, lo, hi):
+    """The fans of the parts of crossed cells below lo, free and above hi.
+
+    ``rows`` (n, 3) holds the shifted vertex values of each cell, and lo
+    and hi (n,) the shifted bounds.  Returns ``(corners, values, areas,
+    slots)`` for the seven fan triangles of each cell (``_FANS``):
+    ``corners`` (n, 7, 3, 3), the barycentric coordinates of each
+    triangle's corners with respect to P0, P1 and P2; ``values`` (n, 7, 3),
+    the clamped field at them; ``areas`` (n, 7), each triangle's area over
+    the cell's; and ``slots`` (n, 3, 3), whose row j is the unit vector of
+    the vertex slot that holds Pj, so that ``x @ slots`` takes a row x of
+    per-vertex quantities from P0, P1, P2 to the cell's own slots, exactly.
+
+    Each corner is a point of the path P0 P1 P2 at the fractions (t01, t12)
+    of its two edges, barycentric (1 - t01, t01 - t12, t12); a point of the
+    long edge at fraction t is the path point (t, t).  A level line meets
+    the edge from value a to value b at (c - a) / (b - a), or at 0 or 1
+    where it misses.  On an edge of one value that the level equals, the
+    fraction is 0 for the first point of the path at or above lo, and 1
+    for the last point at or below hi.  The map (t01, t12) -> (lambda_1,
+    lambda_2) has determinant 1, so the fractions give the areas directly.
     """
-    positive = np.count_nonzero(u > 0.0, axis=1)
-    cells = np.flatnonzero((positive == 1) | (positive == 2))
-    c = np.where((positive[cells] == 2)[:, None], -u[cells], u[cells])
-    n = np.arange(len(cells))
-    i = np.argmax(c, axis=1)
-    k, l = (i + 1) % 3, (i + 2) % 3
-    ci = c[n, i]
-    tk = ci / (ci - c[n, k])
-    tl = ci / (ci - c[n, l])
-    return positive, cells, ci, i, k, l, tk, tl
-
-
-def _ramp_loads(u, areas):
-    """Per-cell integrals of max(u, 0) times each hat, u (n, 3) vertex values."""
-    positive, cells, ci, i, k, l, tk, tl = _corners(u)
-    loads = np.zeros_like(u)
-    affine = positive >= 2
-    loads[affine] = _mass_loads(u[affine], areas[affine])
-    # on two-vertex cells r(u) = u + r(-u), the ramp of -u on its corner
-    scale = tk * tl * areas[cells] * ci / 12.0
-    loads[cells, i] += scale * (4.0 - tk - tl)
-    loads[cells, k] += scale * tk
-    loads[cells, l] += scale * tl
-    return loads
-
-
-# 12 / |K| times the P1 element mass matrix, the same on every cell
-_MASS_PATTERN = np.ones((3, 3)) + np.eye(3)
-
-
-def _cell_mass(areas):
-    """P1 element mass matrices int lambda_a lambda_b, shape (n, 3, 3)."""
-    return areas[:, None, None] / 12.0 * _MASS_PATTERN
-
-
-def _ramp_mass(u, areas):
-    """Per-cell integrals of lambda_a lambda_b over {u > 0}, shape (n, 3, 3).
-
-    On a corner triangle at vertex i the cell's hats are affine with
-    values e_i, (1 - tk) e_i + tk e_k and (1 - tl) e_i + tl e_l at its
-    vertices, the rows of Lambda, so the integrals are Lambda^T M_T Lambda
-    for the corner's own P1 mass matrix M_T.  A two-vertex cell takes the
-    cell minus the corner of -u, a three-vertex cell the whole cell.
-    """
-    positive, cells, _, i, k, l, tk, tl = _corners(u)
-    mass = np.where((positive >= 2)[:, None, None], _cell_mass(areas), 0.0)
-    n = np.arange(len(cells))
-    lam = np.zeros((len(cells), 3, 3))
-    lam[n, :, i] = 1.0
-    lam[n, 1, i] -= tk
-    lam[n, 1, k] = tk
-    lam[n, 2, i] -= tl
-    lam[n, 2, l] = tl
-    corner = np.einsum("npa,pq,nqb->nab", lam, _MASS_PATTERN, lam)
-    corner *= (tk * tl * areas[cells] / 12.0)[:, None, None]
-    mass[cells] += np.where((positive[cells] == 2)[:, None, None], -corner, corner)
-    return mass
+    order = np.argsort(rows, axis=1)
+    u0, u1, u2 = np.take_along_axis(rows, order, axis=1).T
+    lo = np.clip(lo, u0, u2)
+    hi = np.clip(hi, u0, u2)
+    mid = np.clip(u1, lo, hi)
+    # f01, f12, f02 of lo and f12 of mid, then l01, l12, l02 of hi and l01
+    # of mid: first points read 0 on a tie, last points 1
+    c = np.stack([lo, lo, lo, mid, hi, hi, hi, mid])
+    a = np.stack([u0, u1, u0, u1, u0, u1, u0, u0])
+    b = np.stack([u1, u2, u2, u2, u1, u2, u2, u1])
+    t = np.concatenate([c[:4] > a[:4], c[4:] >= b[4:]]).astype(float)
+    np.divide(c - a, b - a, out=t, where=(a < c) & (c < b))
+    zero, one = np.zeros_like(lo), np.ones_like(lo)
+    f01, f12, f02, f12m, l01, l12, l02, l01m = t
+    t01 = np.stack([zero, f01, f01, f02, l01m, l01, l02, one, one], axis=1)[:, _FANS]
+    t12 = np.stack([zero, zero, f12, f02, f12m, l12, l02, l12, one], axis=1)[:, _FANS]
+    d01 = t01[..., 1:] - t01[..., :1]
+    d12 = t12[..., 1:] - t12[..., :1]
+    areas = d01[..., 0] * d12[..., 1] - d12[..., 0] * d01[..., 1]
+    corners = np.stack([1.0 - t01, t01 - t12, t12], axis=3)
+    values = np.stack([lo, lo, lo, lo, mid, hi, hi, hi, hi], axis=1)[:, _FANS]
+    return corners, values, areas, np.eye(3)[order]
 
 
 def _classify_cells(mesh, w, lower, upper, alpha):
@@ -699,15 +680,24 @@ def _classify_cells(mesh, w, lower, upper, alpha):
     v' = v - s as three planes, a (3, n_cells) array whose row j is the
     value at the j-th vertex of every cell; s is the clamped vertex mean of
     v on each cell, lo = lower - s and hi = upper - s.  ``labels`` is
-    ``_FREE`` where neither ramp r(lo - v') nor r(v' - hi) is positive at a
-    vertex, ``_AT_LOWER`` or ``_AT_UPPER`` where one is positive at all
-    three, and ``_CROSSED`` otherwise.  These are the values whose positive
-    entries ``_ramp_loads`` counts (lo > v' is the sign of lo - v'); the raw
-    v against a bound can disagree within an ulp of it.  An infinite bound
-    is positive nowhere.
+    ``_FREE`` where no vertex value lies past a bound (lo > v' or v' > hi),
+    ``_AT_LOWER`` or ``_AT_UPPER`` where all three lie past one, and
+    ``_CROSSED`` otherwise.  These are the values that the kernels
+    integrate; the raw v against a bound can disagree within an ulp of it.
+    No value lies past an infinite bound.  If some -w/alpha is not finite,
+    every value of v is nan and every cell free.
     """
     nodal = w.values if isinstance(w, FeFunction) else np.asarray(w, dtype=float)
-    v = -nodal[np.ascontiguousarray(mesh.cells.T)] / alpha
+    # |w| / alpha rounds up with |w|, so its largest value is finite
+    # exactly when every -w/alpha is
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.max(np.abs(nodal)) / alpha)
+    if finite:
+        v = -nodal[np.ascontiguousarray(mesh.cells.T)] / alpha
+    else:
+        # an overflowing or non-finite field: every value nan, so the
+        # integrals are nan without a warning on the way
+        v = np.full((3, mesh.n_cells), np.nan)
     shift = np.clip((v[0] + v[1] + v[2]) / 3.0, lower, upper)
     v -= shift
     lo, hi = lower - shift, upper - shift
@@ -736,36 +726,30 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
     areas = mesh.cell_areas()
     # the mass loads of v' and int v'^2, the integrals of a free cell; the
     # products are summed in the order of einsum("ni,ni->n").  In-place
-    # steps keep the operands of every rounding as they are.
-    loads = v + (v[0] + v[1] + v[2])
-    loads *= areas / 12.0
-    square = v[0] * loads[0] + v[2] * loads[2]
-    square += v[1] * loads[1]
-    # on a cell at a bound, s is that bound, so the ramp is -v' or v' and
-    # the shifted integrals cancel to zero
+    # steps keep the operands of every rounding as they are.  The values
+    # of a cell past a bound, which may overflow here, are replaced below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loads = v + (v[0] + v[1] + v[2])
+        loads *= areas / 12.0
+        square = v[0] * loads[0] + v[2] * loads[2]
+        square += v[1] * loads[1]
+    # on a cell at a bound, s is that bound and g - s = 0
     bound = (labels == _AT_LOWER) | (labels == _AT_UPPER)
     np.copyto(loads, 0.0, where=bound)
     np.copyto(square, 0.0, where=bound)
     crossed = np.flatnonzero(labels == _CROSSED)
     if crossed.size:
-        # (n, 3) rows in C order: einsum's order of summation follows the
-        # layout of its operands
-        rows = np.ascontiguousarray(v[:, crossed].T)
-        row_loads = loads[:, crossed].T
-        row_square = square[crossed]
-        row_areas = areas[crossed]
-        if np.isfinite(lower):
-            lo_c = lo[crossed, None]
-            ramp = _ramp_loads(lo_c - rows, row_areas)
-            row_loads += ramp
-            row_square += np.einsum("ni,ni->n", lo_c + rows, ramp)
-        if np.isfinite(upper):
-            hi_c = hi[crossed, None]
-            ramp = _ramp_loads(rows - hi_c, row_areas)
-            row_loads -= ramp
-            row_square -= np.einsum("ni,ni->n", hi_c + rows, ramp)
-        loads[:, crossed] = row_loads.T
-        square[crossed] = row_square
+        # on a fan triangle T with corner values g_p of g - s,
+        # int (g - s) lambda_j = sum_p w_p lambda_j(p) and
+        # int (g - s)^2 = sum_p w_p g_p with w_p = |T| / 12 (g_p + sum_q g_q)
+        corners, values, fractions, slots = _cut_cells(v[:, crossed].T, lo[crossed],
+                                                       hi[crossed])
+        weights = values + values.sum(axis=2, keepdims=True)
+        weights *= (fractions * (areas[crossed, None] / 12.0))[..., None]
+        weights = weights.reshape(len(crossed), 1, _FANS.size)
+        row_loads = weights @ corners.reshape(len(crossed), _FANS.size, 3) @ slots
+        loads[:, crossed] = row_loads[:, 0].T
+        square[crossed] = (weights @ values.reshape(len(crossed), _FANS.size, 1))[:, 0, 0]
     # the shift terms: square += s (2 sum_j L_j + s |K|), L_j += s |K| / 3
     weight = shift * areas
     term = loads[0] + loads[1] + loads[2]
@@ -781,10 +765,11 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
 def load_clipped_linear(mesh, w, lower, upper, alpha):
     """Load vector (clamp(-w/alpha, lower, upper), phi_i), integrated exactly.
 
-    Every cell is integrated in closed form from the ramp identity above: a
-    cell on which -w/alpha stays within the bounds, or lies past one bound
-    at all three vertices, by the P1 mass form, and only a cell that a
-    level line crosses by the ramp formulas.  Bounds may be infinite.
+    Every cell is integrated in closed form (see the clipped-loads section
+    above): a cell on which -w/alpha stays within the bounds, or lies past
+    one bound at all three vertices, by the P1 mass form, and only a cell
+    that a level line crosses by the fans of its cut geometry.  Bounds may
+    be infinite.
 
     Parameters
     ----------
@@ -810,19 +795,6 @@ def _clipped_load_and_squares(mesh, w, lower, upper, alpha):
     return _scatter_cell_loads(mesh, loads), squares, classes
 
 
-def _free_mass(u, lo, hi, areas):
-    """Per-cell integrals of lambda_a lambda_b over {lo <= u <= hi}, (n, 3, 3).
-
-    u (n, 3) holds affine vertex values: the cell less its parts past each
-    bound, where the ramps lo - u and u - hi are positive.  An infinite
-    bound is positive nowhere, so its part is empty.
-    """
-    mass = _cell_mass(areas)
-    mass -= _ramp_mass(lo - u, areas)
-    mass -= _ramp_mass(u - hi, areas)
-    return mass
-
-
 def _free_mass_gram(mesh, classes, fields):
     """Gram matrix int_free f_i f_j of dof fields (rows of ``fields``).
 
@@ -832,15 +804,22 @@ def _free_mass_gram(mesh, classes, fields):
     w = sum_j c_j f_j, column j is minus alpha times the derivative in c_j
     of the ``load_clipped_linear`` load tested with each f_i.  A free cell
     takes the P1 mass form, a cell at a bound nothing, and a crossed cell
-    the mass of its free part (``_free_mass``).  One column at a time, so
-    no (fields, vertices) array is formed.
+    the mass of the fan of its free part (``_cut_cells``).  One column at a
+    time, so no (fields, vertices) array is formed.
     """
     labels, v, _, lo, hi = classes
     areas = mesh.cell_areas()
     free_areas = np.where(labels == _FREE, areas, 0.0)
     crossed = np.flatnonzero(labels == _CROSSED)
-    rows = np.ascontiguousarray(v[:, crossed].T)
-    mass = _free_mass(rows, lo[crossed, None], hi[crossed, None], areas[crossed])
+    corners, _, fractions, slots = _cut_cells(v[:, crossed].T, lo[crossed], hi[crossed])
+    # |T| / 12 (L^T L + s^T s) on a free triangle T, L the barycentric rows
+    # of its corners and s their sum: the four rows of each of the three
+    # triangles stacked
+    free = corners[:, _FREE_FAN]
+    rows = np.concatenate([free, free.sum(axis=2, keepdims=True)], axis=2)
+    rows = rows.reshape(len(crossed), 12, 3) @ slots
+    scale = np.repeat(fractions[:, _FREE_FAN] * (areas[crossed, None] / 12.0), 4, axis=1)
+    mass = np.swapaxes(rows * scale[..., None], 1, 2) @ rows
     interior = mesh.interior_vertices()
     values = np.zeros(mesh.n_vertices)
     gram = np.empty((len(fields), len(fields)))

@@ -106,7 +106,9 @@ class ExactSolution:
         """Optimal control at distance r: clamp(-greens/alpha); equals lower at r=0."""
         out = np.asarray(self.greens_radial(r))
         np.negative(out, out=out)
-        out /= self.alpha
+        # a quotient that overflows is infinite, which the clamp makes a bound
+        with np.errstate(over="ignore"):
+            out /= self.alpha
         np.clip(out, self.lower, self.upper, out=out)
         return out if out.ndim else float(out)
 

@@ -1,12 +1,16 @@
 """Independent recomputation paths used as test oracles.
 
 Nothing here imports solver machinery from the package; the point is to
-certify package results against structurally different algorithms (exact
-scanline slicing for clipped integrals, dense textbook elimination and a
-sparse LU for linear solves, bisection for benchmark radii, row-wise ``np.unique`` for
-edge numbering, polygon clipping for free-set mass matrices).  The row-wise clipped kernel and the einsum stiffness
-element matrices are earlier forms of the package's kernels, kept as
-bit-for-bit references for their plane-wise rewrites.
+certify package results against structurally different algorithms: exact
+scanline slicing for clipped integrals where alpha is moderate,
+Sutherland-Hodgman polygon clipping in physical coordinates for clipped
+loads, squares and free-set mass matrices at any alpha, dense textbook
+elimination and a sparse LU for linear solves, bisection for benchmark
+radii and row-wise ``np.unique`` for edge numbering.  The row-wise ramp
+identity and the einsum stiffness element matrices are earlier forms of
+the package's kernels, kept as bit-for-bit references for their
+plane-wise rewrites: the ramp identity on free cells and cells at a
+bound, where its terms stay small.
 """
 
 import numpy as np
@@ -134,6 +138,76 @@ def clipped_square_on_mesh(mesh, w, lower, upper, alpha):
     return total
 
 
+# degree-2 exact rule: the three edge midpoints, weight 1/3 each
+EDGE_MIDPOINT_RULE = (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+                      np.full(3, 1.0 / 3.0))
+
+
+def _clip(polygon, level, sign, strict=False):
+    """Sutherland-Hodgman clip of a polygon to its part where sign (u - level) >= 0.
+
+    ``polygon`` lists (point, value) corners, u interpolated linearly along
+    the edges; a crossing point lies on the level line, so it takes the
+    value ``level`` exactly.  ``strict`` keeps sign (u - level) > 0 only,
+    so a polygon on the level line is left out.
+    """
+    kept = []
+    for (p, u), (q, w) in zip(polygon, polygon[1:] + polygon[:1]):
+        mp, mq = sign * (u - level), sign * (w - level)
+        inside_p, inside_q = (mp > 0.0, mq > 0.0) if strict else (mp >= 0.0, mq >= 0.0)
+        if inside_p:
+            kept.append((p, u))
+        if inside_p != inside_q:
+            t = mp / (mp - mq)
+            kept.append((p + t * (q - p), level))
+    return kept
+
+
+def _fan_integrals(polygon, basis, rule):
+    """Integrals over a polygon of g lambda_a (3,), g^2 and lambda_a lambda_b (3, 3).
+
+    The polygon is cut into the fan of triangles from its first corner; g
+    is affine on each with the corners' values, lambda_a are the
+    barycentric coordinates of the cell whose ``basis`` is [x, y, 1], and
+    each piece is integrated by ``rule`` = (barycentric nodes, weights
+    summing to 1), which must be exact for degree 2.
+    """
+    loads, square, mass = np.zeros(3), 0.0, np.zeros((3, 3))
+    bary, weights = rule
+    for j in range(1, len(polygon) - 1):
+        piece = np.array([polygon[0][0], polygon[j][0], polygon[j + 1][0]])
+        g = bary @ np.array([polygon[0][1], polygon[j][1], polygon[j + 1][1]])
+        e1, e2 = piece[1] - piece[0], piece[2] - piece[0]
+        area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
+        nodes = np.column_stack([bary @ piece, np.ones(len(bary))])
+        lam = np.linalg.solve(basis.T, nodes.T).T
+        loads += area * (weights * g) @ lam
+        square += area * weights @ g**2
+        mass += area * (lam.T * weights) @ lam
+    return loads, square, mass
+
+
+def _triangle(vertices, values):
+    """Basis and (point, value) corners of a triangle moved to its first vertex.
+
+    The integrals do not depend on the translation, and barycentric
+    coordinates solved from small coordinates lose less to rounding.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    vertices = vertices - vertices[0]
+    basis = np.column_stack([vertices, np.ones(3)])
+    return basis, [(vertices[j], float(values[j])) for j in range(3)]
+
+
+def _free_polygon(polygon, lower, upper):
+    """The part of a polygon where lower <= u <= upper, finite bounds only."""
+    if np.isfinite(lower):
+        polygon = _clip(polygon, lower, 1.0)
+    if np.isfinite(upper):
+        polygon = _clip(polygon, upper, -1.0)
+    return polygon
+
+
 def clipped_polygon_mass(vertices, values, lower, upper, rule):
     """Integrals of lambda_a lambda_b over {lower <= u <= upper} in a triangle.
 
@@ -145,34 +219,55 @@ def clipped_polygon_mass(vertices, values, lower, upper, rule):
     ``rule`` = (barycentric nodes, weights summing to 1), which must be
     exact for the degree-2 products of the hats.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    basis = np.column_stack([vertices, np.ones(3)])
-    polygon = [(vertices[j], float(values[j])) for j in range(3)]
-    margins = []
-    if np.isfinite(lower):
-        margins.append(lambda x: x - lower)
-    if np.isfinite(upper):
-        margins.append(lambda x: upper - x)
-    for margin in margins:
-        kept = []
-        for (p, u), (q, w) in zip(polygon, polygon[1:] + polygon[:1]):
-            mp, mq = margin(u), margin(w)
-            if mp >= 0.0:
-                kept.append((p, u))
-            if (mp >= 0.0) != (mq >= 0.0):
-                t = mp / (mp - mq)
-                kept.append((p + t * (q - p), u + t * (w - u)))
-        polygon = kept
-    mass = np.zeros((3, 3))
-    bary, weights = rule
-    for j in range(1, len(polygon) - 1):
-        piece = np.array([polygon[0][0], polygon[j][0], polygon[j + 1][0]])
-        e1, e2 = piece[1] - piece[0], piece[2] - piece[0]
-        area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
-        nodes = np.column_stack([bary @ piece, np.ones(len(bary))])
-        lam = np.linalg.solve(basis.T, nodes.T).T
-        mass += area * (lam.T * weights) @ lam
-    return mass
+    basis, polygon = _triangle(vertices, values)
+    return _fan_integrals(_free_polygon(polygon, lower, upper), basis, rule)[2]
+
+
+def clipped_polygon_integrals(vertices, values, lower, upper):
+    """Integrals of q lambda_a (3,) and of q^2 over a triangle, q = clamp(u, lower, upper).
+
+    u is the linear interpolant of ``values``.  The triangle is clipped into
+    its part where u lies within the bounds, on which q = u, and its parts
+    strictly past each finite bound, on which q is that bound, each by
+    Sutherland-Hodgman in physical coordinates; crossing points carry the
+    bound exactly, so every value integrated lies within the bounds.  Each
+    part's fan is integrated by the edge-midpoint rule.
+    """
+    basis, polygon = _triangle(vertices, values)
+    parts = [_free_polygon(polygon, lower, upper)]
+    for bound, sign in ((lower, -1.0), (upper, 1.0)):
+        if np.isfinite(bound):
+            parts.append([(p, bound) for p, _ in _clip(polygon, bound, sign, True)])
+    loads, square = np.zeros(3), 0.0
+    for part in parts:
+        part_loads, part_square, _ = _fan_integrals(part, basis, EDGE_MIDPOINT_RULE)
+        loads += part_loads
+        square += part_square
+    return loads, square
+
+
+def polygon_clipped_integrals(mesh, w, lower, upper, alpha):
+    """Per-cell (loads (n, 3), squares (n,)) of clamp(-w/alpha, lower, upper).
+
+    ``clipped_polygon_integrals`` on every cell; unlike the scanline
+    oracle, no tolerance merges close breakpoints, so it holds for any
+    alpha.
+    """
+    values = w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
+    loads = np.zeros((mesh.n_cells, 3))
+    squares = np.zeros(mesh.n_cells)
+    for k, cell in enumerate(mesh.cells):
+        loads[k], squares[k] = clipped_polygon_integrals(
+            mesh.vertices[cell], -values[cell] / alpha, lower, upper
+        )
+    return loads, squares
+
+
+def interior_load(mesh, cell_loads):
+    """Sum per-cell vertex loads (n, 3) into the interior vertices, in mesh order."""
+    out = np.zeros(mesh.n_vertices)
+    np.add.at(out, mesh.cells, cell_loads)
+    return out[~mesh.boundary]
 
 
 def _reference_mass_loads(u, areas):
@@ -202,9 +297,14 @@ def _reference_ramp_loads(u, areas):
 def reference_clipped_integrals(mesh, w, lower, upper, alpha):
     """Per-cell (loads (n, 3), squares (n,)) of clamp(-w/alpha, lower, upper).
 
-    The ramp identity evaluated on (n, 3) rows of vertex values over every
-    cell, free and at-bound cells included; see the clipped-loads section
-    of ``ptcontrol.fem``.
+    The ramp identity on (n, 3) rows of vertex values, every cell shifted
+    by its clamped vertex mean: with r(x) = max(x, 0),
+    g = v + r(a - v) - r(v - b) and g^2 = v^2 + (a + v) r(a - v)
+    - (b + v) r(v - b), and a ramp positive at one vertex lives on the
+    corner triangle that the zero line cuts off.  On free cells and cells
+    at a bound it is the package's plane kernel, bit for bit; on crossed
+    cells its subtractions lose about eps |v| |K|, which grows like
+    1/alpha, so there it is no reference.
     """
     nodal = w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
     v = -nodal[mesh.cells] / alpha

@@ -1,4 +1,7 @@
 import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -431,6 +434,34 @@ def test_divergence_exit_code(tmp_path, monkeypatch):
                  "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("variant, alpha, code", [
+    ("variational", "1e-300", 0),
+    ("variational", "1e-320", 2),
+    ("cellwise", "1e-320", 0),
+    ("postproc", "1e-320", 0),
+])
+def test_tiny_alpha_study_raises_no_warning(tmp_path, variant, alpha, code):
+    # a subprocess with RuntimeWarning as an error, which would end in a
+    # traceback and exit 1.  At alpha = 1e-300 the variational study runs;
+    # at 1e-320, where -z/alpha overflows, it stops with the typed
+    # divergence, while the cellwise controls and the closed-form control,
+    # clamped quotients, take the bound
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "x.csv"
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ptcontrol", "study",
+         "--variant", variant, "--levels", "1..2", "--alpha", alpha, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == code, result.stderr
+    assert "Warning" not in result.stderr
+    if code:
+        assert "solver error" in result.stderr and "non-finite" in result.stderr
+    assert out.exists() == (code == 0)
 
 
 def test_missing_config_file_exit_code():

@@ -16,7 +16,7 @@ from ptcontrol.control import (
 from ptcontrol.greens import ExactSolution
 from ptcontrol.mesh import build_disc_mesh
 
-from oracles import assemble_mass
+from oracles import assemble_mass, interior_load, polygon_clipped_integrals
 
 
 @pytest.fixture(scope="module")
@@ -126,13 +126,35 @@ def test_non_finite_residual_raises_divergence(monkeypatch):
 
 
 def test_overflowing_control_raises_divergence():
-    # alpha = 1e-300: -z/alpha overflows, which is a divergence of the
-    # iteration, not a failure of the state solve
+    # alpha = 1e-320: -z/alpha overflows, which is a divergence of the
+    # iteration, not a failure of the state solve, and raises no
+    # floating-point warning on the way.  At alpha = 1e-300, -z/alpha stays
+    # below 6e299 and the problem is solved (test_tiny_alpha_benchmark...)
     exact = ExactSolution(lower=-0.2, upper=0.2)
     problem = ControlProblem(np.array([exact.center]), np.array([exact.target()]),
-                             1e-300, -0.2, 0.2, exact.source)
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="non-finite"):
+                             1e-320, -0.2, 0.2, exact.source)
+    with pytest.raises(DivergenceError, match="non-finite"):
         solve_discrete(problem, build_disc_mesh(level=2), VARIATIONAL)
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 1e-30, 1e-300])
+def test_tiny_alpha_benchmark_converges(alpha):
+    # crossed cells are integrated on fans whose values stay within the
+    # bounds, so the load keeps its accuracy however small alpha is: the
+    # level-2 benchmark converges to the fixed point of the polygon-clip
+    # loads, where the ramp identity's loads were off by 3e-8 (1e-12) and
+    # 2e10 (1e-30) and stalled the line search
+    exact = ExactSolution(lower=-0.2, upper=0.2)
+    problem = ControlProblem(np.array([exact.center]), np.array([exact.target()]),
+                             alpha, -0.2, 0.2, exact.source)
+    mesh = build_disc_mesh(level=2)
+    solution = solve_discrete(problem, mesh, VARIATIONAL)
+    assert solution.residual <= 1e-12
+    system = ReducedSystem(problem, mesh, VARIATIONAL)
+    cell_loads, _ = polygon_clipped_integrals(mesh, solution.adjoint, -0.2, 0.2, alpha)
+    load = interior_load(mesh, cell_loads)
+    residual = solution.coefficients - (system.initial_guess() + system._green @ load)
+    assert np.max(np.abs(residual)) <= 1e-12
 
 
 @pytest.mark.parametrize("points", [
@@ -372,20 +394,24 @@ def test_divergence_error_carries_history(wide_problem):
     assert info.value.residual_history[0] > 0
 
 
+# small alpha and far-off targets: full Newton steps overshoot the minimum
+# of psi along the step, so the line search bisects (for alpha from 2.6e-6
+# to 2.9e-6 alike)
+BISECTING_PROBLEM = ControlProblem(
+    np.array([[0.63, 0.58], [0.53, 0.63], [0.34, 0.22], [0.44, 0.47]]),
+    np.array([-25.4, 27.8, -23.2, 2.2]),
+    2.8e-6,
+    -2.7,
+    1.1,
+    ExactSolution().source,
+)
+
+
 def test_newton_fallbacks_reach_the_fixed_point(evaluations):
-    # tiny alpha and far-off targets: full Newton steps overshoot the
-    # minimum of psi along the step, so the line search bisects to a t < 1
-    # at least once (an evaluation beyond the one trial of each step)
-    # before the iteration converges
+    # the line search bisects to a t < 1 at least once (an evaluation
+    # beyond the one trial of each step) before the iteration converges
     mesh = build_disc_mesh(level=2)
-    problem = ControlProblem(
-        np.array([[0.43, 0.69], [0.68, 0.19], [0.37, 0.38], [0.62, 0.78]]),
-        np.array([7.7, 3.8, -26.1, 2.5]),
-        4e-8,
-        -3.0,
-        3.5,
-        ExactSolution().source,
-    )
+    problem = BISECTING_PROBLEM
     tol = 1e-12
     solution = solve_discrete(problem, mesh, VARIATIONAL, tol=tol)
     assert len(evaluations) > solution.iterations + 1
@@ -494,9 +520,7 @@ def test_jacobian_with_every_cell_free_is_the_mass_gram(bounds):
 
 @pytest.mark.parametrize("problem, level", [
     (benchmark_problem(ExactSolution(lower=-0.2, upper=0.2)), 4),
-    # tiny alpha: the line search bisects
-    (ControlProblem(JACOBIAN_POINTS, np.array([7.7, 3.8, -26.1, 2.5]), 4e-8, -3.0, 3.5,
-                    ExactSolution().source), 2),
+    (BISECTING_PROBLEM, 2),
 ], ids=["benchmark", "bisecting"])
 def test_variational_solve_classifies_once_per_evaluation(
         problem, level, evaluations, monkeypatch):

@@ -20,8 +20,10 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # the RuntimeWarning filter of pyproject.toml holds in-process only, so
+    # the demo's interpreter gets it as a flag
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

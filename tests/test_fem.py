@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ptcontrol import fem
 from ptcontrol.control import VARIATIONAL, benchmark_problem, solve_discrete
@@ -41,6 +41,7 @@ from oracles import (
     clipped_loads_on_mesh,
     clipped_square_on_mesh,
     gaussian_elimination,
+    polygon_clipped_integrals,
     reference_clipped_integrals,
     reference_ramp_counts,
     reference_stiffness_csr,
@@ -826,9 +827,11 @@ BOUND_PAIRS = st.tuples(
     on_bound=st.lists(st.sampled_from([None, 0, 1]), min_size=3, max_size=3),
 )
 def test_free_mass_matches_clipped_polygon(corners, scale, values, bounds, on_bound):
-    # the free-part mass of one cell, exact from its corner triangles,
-    # against a clipped polygon integrated by a fan of degree-4 rules;
-    # some vertex values lie exactly on a bound
+    # the free-part mass of one crossed cell, the only cells whose mass the
+    # Jacobian kernel cuts, exact from the fan of its free part, against a
+    # clipped polygon integrated by a fan of degree-4 rules; some vertex
+    # values lie exactly on a bound.  The cell is a mesh of its own, all
+    # three vertices dofs, so the Gram matrix of the unit fields is its mass
     vertices = scale * (np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]])
                         + np.reshape(corners, (3, 2)))
     e1, e2 = vertices[1] - vertices[0], vertices[2] - vertices[0]
@@ -838,9 +841,11 @@ def test_free_mass_matches_clipped_polygon(corners, scale, values, bounds, on_bo
         if which is not None and np.isfinite(bounds[which]):
             values[j] = bounds[which]
     lower, upper = bounds
+    cell = Mesh(vertices, np.array([[0, 1, 2]]), np.zeros(3, dtype=bool))
     with np.errstate(all="raise", under="ignore"):
-        mass = fem._free_mass(values[None], np.array([[lower]]), np.array([[upper]]),
-                              np.array([area]))[0]
+        classes = fem._classify_cells(cell, -values, lower, upper, 1.0)
+        assume(classes[0][0] == fem._CROSSED)
+        mass = fem._free_mass_gram(cell, classes, np.eye(3))
     reference = clipped_polygon_mass(vertices, values, lower, upper, rule_degree4())
     assert np.max(np.abs(mass - reference)) <= 1e-14 * area
 
@@ -898,6 +903,30 @@ def _steps_from(level, ulps):
     return level
 
 
+# a crossed cell's loads and squares may differ from the polygon clip's by
+# this many eps times the cell's value scale and area (squares: scale^2),
+# and by as many steps of the subnormal spacing, where those underflow
+CROSSED_EPS = 8
+
+
+def _assert_near_polygon(mesh, w, lower, upper, alpha, loads, squares, cells):
+    """Loads and squares of ``cells`` against ``polygon_clipped_integrals``.
+
+    The value scale of a cell is the largest magnitude of its finite bounds
+    and its clamped vertex values: the cut geometry integrates values
+    within the bounds only, so its error does not grow as alpha shrinks.
+    """
+    want_loads, want_squares = polygon_clipped_integrals(mesh, w, lower, upper, alpha)
+    scale = np.max(np.abs(np.clip(-np.asarray(w)[mesh.cells] / alpha, lower, upper)), axis=1)
+    for bound in (lower, upper):
+        if np.isfinite(bound):
+            scale = np.maximum(scale, abs(bound))
+    tol = CROSSED_EPS * np.finfo(float).eps * scale * mesh.cell_areas()
+    floor = CROSSED_EPS * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(loads - want_loads)[cells] <= tol[cells, None] + floor)
+    assert np.all(np.abs(squares - want_squares)[cells] <= (tol * scale)[cells] + floor)
+
+
 def _expected_labels(mesh, w, lower, upper, alpha):
     below, above = reference_ramp_counts(mesh, w, lower, upper, alpha)
     labels = np.full(mesh.n_cells, fem._CROSSED)
@@ -922,8 +951,9 @@ def _expected_labels(mesh, w, lower, upper, alpha):
 def test_plane_kernel_matches_row_reference(mesh_index, seed, alpha, bounds, kind,
                                             snapped):
     # the per-cell loads and squares of the classified plane kernel against
-    # the row-wise ramp identity on every cell, and its classes against the
-    # ramp counts of the rows
+    # the row-wise ramp identity on free cells and cells at a bound, bit
+    # for bit, and on crossed cells the cut geometry against the polygon
+    # clip; the classes against the ramp counts of the rows
     lower, upper = bounds
     mesh = COARSE_MESHES[mesh_index]
     rng = np.random.default_rng(seed)
@@ -954,17 +984,20 @@ def test_plane_kernel_matches_row_reference(mesh_index, seed, alpha, bounds, kin
     with np.errstate(all="raise", under="ignore"):
         loads, squares, _ = fem._clipped_integrals(mesh, w, lower, upper, alpha)
     want_loads, want_squares = reference_clipped_integrals(mesh, w, lower, upper, alpha)
-    assert np.array_equal(loads, want_loads)
+    labels = fem._classify_cells(mesh, w, lower, upper, alpha)[0]
+    plane = labels != fem._CROSSED
+    assert np.array_equal(loads[plane], want_loads[plane])
     if EINSUM_OUTER_FIRST:
-        assert np.array_equal(squares.view(np.int64), want_squares.view(np.int64))
+        assert np.array_equal(squares[plane].view(np.int64),
+                              want_squares[plane].view(np.int64))
     else:
         # another order of summation: 4 eps sum_j |v'_j L_j| per cell
         rows = -np.asarray(w)[mesh.cells] / alpha
         rows = rows - np.clip(rows.mean(axis=1), lower, upper)[:, None]
         mass = mesh.cell_areas()[:, None] / 12.0 * (rows + rows.sum(axis=1, keepdims=True))
         bound = 4.0 * np.finfo(float).eps * np.sum(np.abs(rows * mass), axis=1)
-        assert np.all(np.abs(squares - want_squares) <= bound)
-    labels = fem._classify_cells(mesh, w, lower, upper, alpha)[0]
+        assert np.all(np.abs(squares - want_squares)[plane] <= bound[plane])
+    _assert_near_polygon(mesh, w, lower, upper, alpha, loads, squares, ~plane)
     assert np.array_equal(labels, _expected_labels(mesh, w, lower, upper, alpha))
     if kind == "free" or (kind == "zero" and lower < 0.0 < upper):
         assert np.all(labels == fem._FREE)
@@ -984,10 +1017,57 @@ def test_plane_kernel_matches_row_reference_on_the_converged_adjoint():
         args = (mesh, scale * z, problem.lower, problem.upper, problem.alpha)
         loads, squares, _ = fem._clipped_integrals(*args)
         want_loads, want_squares = reference_clipped_integrals(*args)
-        assert np.array_equal(loads, want_loads)
+        crossed = fem._classify_cells(*args)[0] == fem._CROSSED
+        assert np.array_equal(loads[~crossed], want_loads[~crossed])
         if EINSUM_OUTER_FIRST:
-            assert np.array_equal(squares.view(np.int64), want_squares.view(np.int64))
-        assert np.count_nonzero(fem._classify_cells(*args)[0] == fem._CROSSED) > 0
+            assert np.array_equal(squares[~crossed].view(np.int64),
+                                  want_squares[~crossed].view(np.int64))
+        assert np.count_nonzero(crossed) > 0
+        _assert_near_polygon(*args, loads, squares, crossed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mesh_index=st.integers(0, len(COARSE_MESHES) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    log_alpha=st.floats(-30.0, 0.0),
+    bounds=BOUND_PAIRS,
+    snapped=st.floats(0.0, 0.8),
+)
+def test_clipped_integrals_match_polygon_for_any_alpha(mesh_index, seed, log_alpha,
+                                                       bounds, snapped):
+    # every cell against the polygon clip for alpha log-uniform in
+    # [1e-30, 1], where -w/alpha spans up to 4e30 on a cell; some vertex
+    # values on a bound and one ulp to either side of it.  The scanline
+    # oracle merges breakpoints closer than 1e-14, so it is no reference
+    # here
+    alpha = 10.0**log_alpha
+    lower, upper = bounds
+    mesh = COARSE_MESHES[mesh_index]
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-2.0, 2.0, mesh.n_vertices)
+    levels = [b for b in bounds if np.isfinite(b)]
+    if levels:
+        for i in np.flatnonzero(rng.random(mesh.n_vertices) < snapped):
+            level = levels[rng.integers(len(levels))]
+            w[i] = _on_level(_steps_from(level, int(rng.integers(-1, 2))), alpha)
+    with np.errstate(all="raise", under="ignore"):
+        loads, squares, _ = fem._clipped_integrals(mesh, w, lower, upper, alpha)
+    _assert_near_polygon(mesh, w, lower, upper, alpha, loads, squares,
+                         np.ones(mesh.n_cells, dtype=bool))
+
+
+@pytest.mark.parametrize("bad, alpha", [(np.inf, 1.0), (-np.inf, 1.0), (np.nan, 1.0),
+                                        (1.0, 1e-320)])
+def test_non_finite_field_gives_nan_integrals(bad, alpha):
+    # an infinite, nan or overflowing -w/alpha is found where v is formed:
+    # every load and square is nan, with no floating-point warning, never
+    # the finite loads of clamped infinite values
+    w = np.full(LEVEL1_MESH.n_vertices, 0.1)
+    w[LEVEL1_MESH.interior_vertices()[0]] = bad
+    with np.errstate(all="raise"):
+        loads, squares, _ = fem._clipped_integrals(LEVEL1_MESH, w, -0.2, 0.2, alpha)
+    assert np.all(np.isnan(loads)) and np.all(np.isnan(squares))
 
 
 def test_galerkin_residual_benchmark_state():
