@@ -176,11 +176,14 @@ class DiscreteSolution:
     variant) or a VariationalControl (variational variant).  ``adjoint``
     equals the coefficient combination of the point-load solutions by
     construction; ``objective_history`` records the discrete objective at
-    every accepted iterate (diagnostic).
+    every accepted iterate (diagnostic).  No state field is solved for: it
+    is ``matrix.field(factorize(matrix).solve(load_smooth(mesh, source) +
+    load))`` with ``matrix = assemble_stiffness(mesh)`` and ``load`` from
+    ``load_cellwise(mesh, control)`` or ``load_clipped_linear(mesh,
+    adjoint, lower, upper, alpha)``.
     """
 
     control: object
-    state: FeFunction
     adjoint: FeFunction
     coefficients: np.ndarray
     iterations: int
@@ -191,11 +194,11 @@ class DiscreteSolution:
 class ReducedSystem:
     """Precomputed machinery shared by all residual evaluations on one mesh.
 
-    Bundles the problem, the mesh, the stiffness factorization, the source
-    load b_f, and the point-load solutions g_i, stored once as the rows of
-    G, their interior dofs.  The residual is
-    F(c) = c - (G (b_f + b(c)) - target) for the control load b(c), so one
-    residual evaluation costs a load assembly and no sparse solve.
+    Bundles the problem, the mesh, the stiffness matrix and the point-load
+    solutions g_i, stored once as the rows of G, their interior dofs.  The
+    residual is F(c) = c - (G (b_f + b(c)) - target) for the source load
+    b_f and the control load b(c), so one residual evaluation costs a load
+    assembly and no sparse solve: the N solves that build G are all.
     """
 
     def __init__(self, problem, mesh, variant):
@@ -205,8 +208,8 @@ class ReducedSystem:
         self.mesh = mesh
         self.variant = variant
         self.matrix = fem.assemble_stiffness(mesh)
-        self.factorization = fem.factorize(self.matrix)
-        self.load_source = fem.load_smooth(mesh, problem.source)
+        factorization = fem.factorize(self.matrix)
+        load_source = fem.load_smooth(mesh, problem.source)
 
         # discrete point-source solutions, one row per tracking point
         self._green = np.empty((problem.n_points, self.matrix.n))
@@ -215,8 +218,8 @@ class ReducedSystem:
                 load = fem.load_point(mesh, x)
             except Exception as exc:
                 raise ValueError(f"tracking point {tuple(x)} is not usable: {exc}")
-            row[:] = self.factorization.solve(load)
-        self._source_misfit = self._green @ self.load_source - problem.targets
+            row[:] = factorization.solve(load)
+        self._source_misfit = self._green @ load_source - problem.targets
         if variant == CELLWISE:
             self._adjoint_cell_means = np.stack([
                 fem.l2_project_cells(mesh, self.matrix.field(g)).values
@@ -247,7 +250,7 @@ class ReducedSystem:
         return VariationalControl(self.adjoint_of(c), p.alpha, p.lower, p.upper)
 
     def evaluate(self, c):
-        """Residual F(c), the control's per-cell squares, its load and free set.
+        """Residual F(c), the control's per-cell squares and its free set.
 
         One pass over the cells: the squares come from the same pass as the
         load, and ``objective`` sums them.  The free set is where the
@@ -270,7 +273,7 @@ class ReducedSystem:
                 self.mesh, self.adjoint_of(c), p.lower, p.upper, p.alpha
             )
         F = c - (self._source_misfit + self._green @ load)
-        return F, squares, load, free
+        return F, squares, free
 
     def jacobian(self, free):
         """Generalized Jacobian J = I + (1/alpha) G M_F G^T of F.
@@ -288,10 +291,6 @@ class ReducedSystem:
         else:
             gram = fem._free_mass_gram(self.mesh, free, self._green)
         return np.eye(len(gram)) + gram / self.problem.alpha
-
-    def state_of_load(self, load):
-        """State field for a control load from ``evaluate`` (one sparse solve)."""
-        return self.matrix.field(self.factorization.solve(self.load_source + load))
 
     def objective(self, c, F, squares):
         """Discrete objective at c from the residual evaluation at c.
@@ -333,6 +332,7 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     Returns
     -------
     DiscreteSolution
+        Control, adjoint and coefficients, from N solves (one per point).
 
     Raises
     ------
@@ -345,7 +345,7 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
         raise ValueError("tol must be at least 1e-13")
     system = ReducedSystem(problem, mesh, variant)
     c = system.initial_guess()
-    F, squares, load, free = system.evaluate(c)
+    F, squares, free = system.evaluate(c)
     res = float(np.max(np.abs(F)))
     residual_history = [res]
     objective_history = [system.objective(c, F, squares)]
@@ -389,13 +389,12 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
             previous = trial
             t = 0.5 * (low + high)
         c = trial
-        F, squares, load, free = evaluation
+        F, squares, free = evaluation
         res = float(np.max(np.abs(F)))
         residual_history.append(res)
         objective_history.append(system.objective(c, F, squares))
     return DiscreteSolution(
         control=system.control_of(c),
-        state=system.state_of_load(load),
         adjoint=system.adjoint_of(c),
         coefficients=c,
         iterations=iterations,

@@ -1,6 +1,8 @@
 """Independent recomputation paths used as test oracles.
 
-Nothing here imports solver machinery from the package; the point is to
+Nothing here imports solver machinery from the package, apart from
+``discrete_state``, which replays the documented public recipe for the
+state field that ``solve_discrete`` does not return; the point is to
 certify package results against structurally different algorithms: exact
 scanline slicing for clipped integrals where alpha is moderate,
 Sutherland-Hodgman polygon clipping in physical coordinates for clipped
@@ -428,6 +430,28 @@ def reference_refine(mesh):
         np.concatenate([mesh.boundary, on_boundary]),
         edges,
     )
+
+
+def discrete_state(problem, mesh, solution, variant):
+    """State field of a discrete solution, by one explicit stiffness solve.
+
+    The state solves K u = b_f + b(q) for the source load b_f and the load
+    of the solution's control q: its cell values (cellwise) or the clamped,
+    scaled adjoint integrated exactly (variational), as ``DiscreteSolution``
+    documents.  Public calls only, and not ``solve_discrete``, so a check of
+    the state does not read what it checks.
+    """
+    from ptcontrol import CELLWISE, fem
+
+    if variant == CELLWISE:
+        load = fem.load_cellwise(mesh, solution.control)
+    else:
+        load = fem.load_clipped_linear(
+            mesh, solution.adjoint, problem.lower, problem.upper, problem.alpha
+        )
+    matrix = fem.assemble_stiffness(mesh)
+    source = fem.load_smooth(mesh, problem.source)
+    return matrix.field(fem.factorize(matrix).solve(source + load))
 
 
 def gaussian_elimination(matrix, rhs):

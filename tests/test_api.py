@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -76,6 +77,26 @@ def test_public_api_is_pinned():
     ):
         assert removed not in ptcontrol.__all__
         assert not hasattr(ptcontrol, removed)
+
+
+SOLUTION_FIELDS = [
+    "adjoint",
+    "coefficients",
+    "control",
+    "iterations",
+    "objective_history",
+    "residual",
+]
+
+
+def test_solution_fields_are_pinned():
+    # a discrete solution holds what the Newton iteration computed; its
+    # fields change only together with this list
+    assert SOLUTION_FIELDS == sorted(SOLUTION_FIELDS)
+    names = [f.name for f in dataclasses.fields(ptcontrol.DiscreteSolution)]
+    assert sorted(names) == SOLUTION_FIELDS
+    assert "state" not in names
+    assert not hasattr(ptcontrol.ReducedSystem, "state_of_load")
 
 
 def test_cli_import_leaves_out_sparse_linalg():

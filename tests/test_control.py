@@ -16,7 +16,12 @@ from ptcontrol.control import (
 from ptcontrol.greens import ExactSolution
 from ptcontrol.mesh import build_disc_mesh
 
-from oracles import assemble_mass, interior_load, polygon_clipped_integrals
+from oracles import (
+    assemble_mass,
+    discrete_state,
+    interior_load,
+    polygon_clipped_integrals,
+)
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +120,8 @@ def test_non_finite_residual_raises_divergence(monkeypatch):
     evaluate = ReducedSystem.evaluate
 
     def poisoned(system, c):
-        F, squares, load, free = evaluate(system, c)
-        return np.full_like(F, np.nan), squares, load, free
+        F, squares, free = evaluate(system, c)
+        return np.full_like(F, np.nan), squares, free
 
     monkeypatch.setattr(ReducedSystem, "evaluate", poisoned)
     with pytest.raises(DivergenceError, match="non-finite") as info:
@@ -280,14 +285,36 @@ def test_large_alpha_limit_matches_source_state():
 
 @pytest.mark.parametrize("variant", [CELLWISE, VARIATIONAL])
 def test_state_at_points_matches_coefficients(variant, narrow_problem):
-    # the returned state comes from its own solve; at the tracking points
-    # it must reproduce c_i = u_h(x_i) - target_i of the Green's residual
-    solution = solve_discrete(narrow_problem, build_disc_mesh(level=3), variant)
-    at_points = np.array(
-        [fem.evaluate(solution.state, x) for x in narrow_problem.points]
-    )
+    # the state comes from its own solve; at the tracking points it must
+    # reproduce c_i = u_h(x_i) - target_i of the Green's residual
+    mesh = build_disc_mesh(level=3)
+    solution = solve_discrete(narrow_problem, mesh, variant)
+    state = discrete_state(narrow_problem, mesh, solution, variant)
+    at_points = np.array([fem.evaluate(state, x) for x in narrow_problem.points])
     misfit = at_points - narrow_problem.targets
     assert np.max(np.abs(misfit - solution.coefficients)) <= 1e-11
+
+
+@pytest.mark.parametrize("variant", [CELLWISE, VARIATIONAL])
+@pytest.mark.parametrize("n_points", [1, 2])
+def test_solve_makes_one_stiffness_solve_per_point(variant, n_points, monkeypatch):
+    # the residual reads the point-load solutions and needs no solve, and
+    # the solution holds no state field: the N solves that build G are all
+    exact = ExactSolution(lower=-0.2, upper=0.2)
+    points = np.array([exact.center, [0.6, 0.57]])[:n_points]
+    problem = ControlProblem(points, np.array([exact.target(), -0.1])[:n_points],
+                             1e-2, -0.2, 0.2, exact.source)
+    calls = []
+    solve = fem.Factorization.solve
+
+    def counted(self, b):
+        calls.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(fem.Factorization, "solve", counted)
+    solution = solve_discrete(problem, build_disc_mesh(level=3), variant)
+    assert solution.iterations >= 1
+    assert len(calls) == problem.n_points
 
 
 def test_residual_finite_difference_slope(wide_problem):
@@ -339,7 +366,8 @@ def test_unconstrained_matches_dense_kkt(n_points):
     solution = solve_discrete(problem, mesh, CELLWISE)
     q_ref, u_ref, _ = oracle.unconstrained_kkt(problem, mesh)
     assert np.max(np.abs(solution.control.values - q_ref)) <= 1e-10
-    assert np.max(np.abs(solution.state.interior() - u_ref)) <= 1e-10
+    state = discrete_state(problem, mesh, solution, CELLWISE)
+    assert np.max(np.abs(state.interior() - u_ref)) <= 1e-10
 
 
 def test_cellwise_control_eight_fold_symmetric(narrow_problem):
@@ -492,7 +520,7 @@ def test_jacobian_matches_central_differences(variant, n_points, bounds, c):
                              bounds[0], bounds[1], ExactSolution().source)
     system = ReducedSystem(problem, JACOBIAN_MESH, variant)
     c = np.array(c[:n_points])
-    jacobian = system.jacobian(system.evaluate(c)[3])
+    jacobian = system.jacobian(system.evaluate(c)[2])
     pattern = kink_pattern(system, c)
     h = 1e-7
     for j, step in enumerate(h * np.eye(n_points)):
@@ -513,7 +541,7 @@ def test_jacobian_with_every_cell_free_is_the_mass_gram(bounds):
     c = np.array([0.02, -0.01, 0.03])
     fields = np.stack([system.matrix.field(g).values for g in system._green])
     expected = np.eye(3) + fields @ (assemble_mass(JACOBIAN_MESH) @ fields.T) / 1e-2
-    jacobian = system.jacobian(system.evaluate(c)[3])
+    jacobian = system.jacobian(system.evaluate(c)[2])
     assert np.max(np.abs(jacobian - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert np.max(np.abs(jacobian - jacobian.T)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -558,7 +586,7 @@ def test_jacobian_of_the_evaluated_free_set_is_the_fresh_one(variant, n_points, 
     else:
         fresh = fem._classify_cells(JACOBIAN_MESH, system.adjoint_of(c), problem.lower,
                                     problem.upper, problem.alpha)
-    jacobian = system.jacobian(system.evaluate(c)[3])
+    jacobian = system.jacobian(system.evaluate(c)[2])
     assert np.array_equal(jacobian, system.jacobian(fresh))
 
 
@@ -682,6 +710,7 @@ def test_solution_metadata(wide_problem):
     mesh = build_disc_mesh(level=2)
     solution = solve_discrete(wide_problem, mesh, CELLWISE)
     assert 1 <= solution.iterations <= 200
-    assert solution.state.values.shape == (mesh.n_vertices,)
-    assert np.all(solution.state.values[mesh.boundary] == 0.0)
+    state = discrete_state(wide_problem, mesh, solution, CELLWISE)
+    assert state.values.shape == (mesh.n_vertices,)
+    assert np.all(state.values[mesh.boundary] == 0.0)
     assert np.all(solution.adjoint.values[mesh.boundary] == 0.0)
