@@ -3,7 +3,10 @@
 ``text_rows`` turns equal-length columns into the lines "c0 c1 ... ck" as
 bytes: a float column prints each value exactly as ``format(x, ".17g")``
 does, an integer column as ``str``.  Rows go out in blocks of about
-``BLOCK_VALUES`` values, so the temporaries stay small and in cache.
+``BLOCK_VALUES`` values, so the temporaries stay small and in cache.  The
+blocks are formatted on both cores, two at a time: ``_parallel.drain``
+hands one to the calling thread and one to its helper, and the pair is
+yielded in order before the next is formatted.
 
 A float x whose decimal exponent X lies in -6..16 (1e-6 <= |x| < 1e17,
 up to rounding) takes the vectorized path.  Its 17 significant digits are
@@ -24,6 +27,8 @@ are squeezed out at the end.
 import itertools
 
 import numpy as np
+
+from ._parallel import drain
 
 BLOCK_VALUES = 1 << 16
 
@@ -200,27 +205,40 @@ def text_rows(*columns):
     Every line ends in a newline; floats print as ".17g", integers and
     booleans as ``str`` of the integer.  Each yielded chunk holds whole
     lines of about ``BLOCK_VALUES`` values; adjacent float columns are
-    formatted in one call.
+    formatted in one call.  At most two chunks are held at a time.
     """
     columns = [np.asarray(c) for c in columns]
     kinds = [np.issubdtype(c.dtype, np.floating) for c in columns]
     step = max(1, BLOCK_VALUES // len(columns))
-    for start in range(0, len(columns[0]), step):
-        parts, widths = [], []
-        block = (c[start : start + step] for c in columns)
-        for is_float, run in itertools.groupby(zip(kinds, block), key=lambda p: p[0]):
-            run = [c for _, c in run]
-            if is_float:
-                fields = float_fields(np.column_stack(run).ravel())
-                parts.append(fields.reshape(len(run[0]), -1))
-                widths += [FLOAT_WIDTH + 1] * len(run)
-            else:
-                for column in run:
-                    parts.append(int_fields(column))
-                    widths.append(parts[-1].shape[1])
-        buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        separators = np.cumsum(widths) - 1  # the last byte of each field
-        buf[:, separators[:-1]] = ord(" ")
-        buf[:, separators[-1]] = ord("\n")
-        buf = buf.ravel()
-        yield buf[buf != 0].tobytes()
+    starts = range(0, len(columns[0]), step)
+    for first in range(0, len(starts), 2):
+        pair = starts[first : first + 2]
+        blocks = {}
+
+        def format_block(start):
+            blocks[start] = _block_rows([c[start : start + step] for c in columns], kinds)
+
+        drain(format_block, pair)
+        for start in pair:
+            yield blocks[start]
+
+
+def _block_rows(block, kinds):
+    """The text of the lines of one block of columns, as bytes."""
+    parts, widths = [], []
+    for is_float, run in itertools.groupby(zip(kinds, block), key=lambda p: p[0]):
+        run = [c for _, c in run]
+        if is_float:
+            fields = float_fields(np.column_stack(run).ravel())
+            parts.append(fields.reshape(len(run[0]), -1))
+            widths += [FLOAT_WIDTH + 1] * len(run)
+        else:
+            for column in run:
+                parts.append(int_fields(column))
+                widths.append(parts[-1].shape[1])
+    buf = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    separators = np.cumsum(widths) - 1  # the last byte of each field
+    buf[:, separators[:-1]] = ord(" ")
+    buf[:, separators[-1]] = ord("\n")
+    buf = buf.ravel()
+    return buf[buf != 0].tobytes()

@@ -217,7 +217,7 @@ class ReducedSystem:
             try:
                 load = fem.load_point(mesh, x)
             except Exception as exc:
-                raise ValueError(f"tracking point {tuple(x)} is not usable: {exc}")
+                raise ValueError(f"tracking point {tuple(x.tolist())} is not usable: {exc}")
             row[:] = factorization.solve(load)
         self._source_misfit = self._green @ load_source - problem.targets
         if variant == CELLWISE:

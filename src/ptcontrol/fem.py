@@ -226,8 +226,7 @@ def _element_stiffness(mesh, areas):
     the j-th vertex of every cell; they are freed on return, before the
     sparse assembly.
     """
-    cells = np.ascontiguousarray(mesh.cells.T)
-    x, y = (coordinate[cells] for coordinate in mesh.vertices.T)
+    x, y = mesh._planes()
     # e_i = edge opposite vertex i
     ex = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
     ey = (y[2] - y[1], y[0] - y[2], y[1] - y[0])
@@ -524,7 +523,7 @@ def load_point(mesh, x0):
         # then zero on the Dirichlet space and the zero vector is returned.
         if len(support) == 1:
             raise ValueError(
-                f"point {tuple(np.asarray(x0, float))} is a boundary vertex"
+                f"point {tuple(np.asarray(x0, float).tolist())} is a boundary vertex"
             )
         if len(support) == 2:
             edges, counts = mesh.edges()
@@ -532,7 +531,7 @@ def load_point(mesh, x0):
             row = np.flatnonzero((edges[:, 0] == key[0]) & (edges[:, 1] == key[1]))
             if len(row) and counts[row[0]] == 1:
                 raise ValueError(
-                    f"point {tuple(np.asarray(x0, float))} lies on a boundary edge"
+                    f"point {tuple(np.asarray(x0, float).tolist())} lies on a boundary edge"
                 )
     dof = mesh.dof_map()
     out = np.zeros(len(mesh.interior_vertices()))

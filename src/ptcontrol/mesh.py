@@ -97,10 +97,11 @@ class Mesh:
     level : int
         Number of uniform refinements applied to the coarse mesh.
 
-    Attributes
-    ----------
-    h : float
-        Maximal cell diameter = maximum over cells of the longest edge.
+    Raises
+    ------
+    MeshError
+        If an array has the wrong shape, the cell array is empty, or a
+        cell names a vertex index outside 0 .. n_v - 1.
     """
 
     def __init__(self, vertices, cells, boundary, domain=None, level=0):
@@ -115,15 +116,17 @@ class Mesh:
             raise MeshError("cells must have shape (n_c, 3)")
         if self.boundary.shape != (len(self.vertices),):
             raise MeshError("boundary mask length must equal vertex count")
+        if len(self.cells) == 0:
+            raise MeshError("a mesh needs at least one cell")
+        # a negative index would wrap to the last vertices without a word
+        if self.cells.min() < 0 or self.cells.max() >= len(self.vertices):
+            raise MeshError("cell vertex index outside 0 .. n_vertices - 1")
         for a in (self.vertices, self.cells, self.boundary):
             a.setflags(write=False)
-        edges = self.vertices[self.cells]
-        edge_len = np.linalg.norm(np.roll(edges, -1, axis=1) - edges, axis=2)
-        self.h = float(edge_len.max())
+        self._h = None
         self._interior = None
         self._dof = None
         self._bins = None
-        self._inv_maps = None
         self._areas = None
         # set by refine_uniform: the coarser mesh and its unique edges,
         # whose midpoints are vertices parent.n_vertices onward
@@ -138,16 +141,34 @@ class Mesh:
     def n_cells(self):
         return len(self.cells)
 
+    @property
+    def h(self):
+        """Maximal cell diameter = maximum over cells of the longest edge.
+
+        Computed on first read and cached; a solve does not read it.
+        """
+        if self._h is None:
+            x, y = self._planes()
+            ex, ey = np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y
+            # sqrt is monotone, so the root of the largest square is the
+            # largest root, to the bit
+            self._h = float(np.sqrt((ex * ex + ey * ey).max()))
+        return self._h
+
+    def _planes(self):
+        """The x and y coordinate planes: (3, n_c) arrays, row j the j-th vertex of every cell."""
+        cells = np.ascontiguousarray(self.cells.T)
+        x, y = (coordinate[cells] for coordinate in self.vertices.T)
+        return x, y
+
     def cell_areas(self):
         """Cached signed areas of all cells; positive for counterclockwise cells.
 
         The array is read-only and computed once per mesh.
         """
         if self._areas is None:
-            p = self.vertices[self.cells]
-            d1 = p[:, 1] - p[:, 0]
-            d2 = p[:, 2] - p[:, 0]
-            areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            x, y = self._planes()
+            areas = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
             areas.setflags(write=False)
             self._areas = areas
         return self._areas
@@ -195,29 +216,6 @@ class Mesh:
             bins.setflags(write=False)
             self._bins = bins
         return self._bins
-
-    def barycentric_maps(self):
-        """Cached per-cell affine maps x -> barycentric coordinates.
-
-        Returns (origin, inverse) with origin = first vertex of each cell and
-        inverse the (n_c, 2, 2) matrix sending x - origin to the local
-        coordinates (s, t); the barycentric triple is (1-s-t, s, t).
-        """
-        if self._inv_maps is None:
-            p = self.vertices[self.cells]
-            J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            inv = np.empty_like(J)
-            inv[:, 0, 0] = J[:, 1, 1]
-            inv[:, 0, 1] = -J[:, 0, 1]
-            inv[:, 1, 0] = -J[:, 1, 0]
-            inv[:, 1, 1] = J[:, 0, 0]
-            inv /= det[:, None, None]
-            origin = np.ascontiguousarray(p[:, 0])
-            origin.setflags(write=False)
-            inv.setflags(write=False)
-            self._inv_maps = (origin, inv)
-        return self._inv_maps
 
     def __repr__(self):
         dom = "polygonal" if self.domain is None else "disc"
@@ -403,21 +401,60 @@ def locate_point(mesh, x):
         If x lies outside every cell.
     """
     x = np.asarray(x, dtype=float).reshape(2)
-    origin, inv = mesh.barycentric_maps()
-    d = x - origin
-    st = np.einsum("nij,nj->ni", inv, d)
+    candidates = _box_candidates(mesh, x)
+    p = mesh.vertices[mesh.cells[candidates]]
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    inv = np.empty_like(J)
+    inv[:, 0, 0] = J[:, 1, 1]
+    inv[:, 0, 1] = -J[:, 0, 1]
+    inv[:, 1, 0] = -J[:, 1, 0]
+    inv[:, 1, 1] = J[:, 0, 0]
+    inv /= det[:, None, None]
+    st = np.einsum("nij,nj->ni", inv, x - p[:, 0])
     lam = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
-    inside = np.all(lam >= -BARYCENTRIC_TOL, axis=1)
-    hits = np.flatnonzero(inside)
+    hits = np.flatnonzero(np.all(lam >= -BARYCENTRIC_TOL, axis=1))
     if len(hits) == 0:
-        raise PointNotFoundError(f"point {tuple(x)} is outside the mesh")
+        raise PointNotFoundError(f"point {tuple(x.tolist())} is outside the mesh")
     k = int(hits[0])
-    return k, lam[k]
+    return int(candidates[k]), lam[k]
+
+
+# Margin of the bounding-box test in ``locate_point``, relative to s + 1,
+# s the largest |vertex coordinate|.  Say the barycentric test accepts x
+# in a cell K: its computed barycentrics are >= -BARYCENTRIC_TOL.  To first
+# order they differ from the exact ones by at most e = 5 eps k^2 + 12 eps k
+# + eps, k = diam(K)^2 / |K|: x - v0 and v_j - v0 are rounded once each,
+# and the cancellation in the determinant costs 2 eps k relative.  So the
+# exact barycentrics are >= -(BARYCENTRIC_TOL + e), at most two of them
+# are negative, and along each axis x lies within 2 (BARYCENTRIC_TOL + e) w
+# of K's box, w <= 2 s the box's width along that axis.
+# The margin exceeds that, with room for the rounding of x +- margin,
+# while BARYCENTRIC_TOL + e <= 2.5e-10, that is for k up to about 450.
+# The meshes built here have k <= 1 / QUASI_UNIFORMITY_CONSTANT < 6.
+_BOX_MARGIN = 1e-9
+
+
+def _box_candidates(mesh, x):
+    """Ascending indices of the cells whose bounding box, widened by the margin, holds x.
+
+    Each vertex gets a four-bit outcode, one bit for each side of the
+    widened window around x that it lies beyond; a cell's box misses the
+    window exactly when its three outcodes share a bit.
+    """
+    margin = _BOX_MARGIN * (float(np.abs(mesh.vertices).max()) + 1.0)
+    code = np.zeros(mesh.n_vertices, dtype=np.uint8)
+    for bit, (coordinate, value) in enumerate(zip(mesh.vertices.T, x)):
+        code |= (coordinate < value - margin).view(np.uint8) << 2 * bit
+        code |= (coordinate > value + margin).view(np.uint8) << 2 * bit + 1
+    corners = code[mesh.cells]
+    return np.flatnonzero((corners[:, 0] & corners[:, 1] & corners[:, 2]) == 0)
 
 
 def cell_centroids(mesh):
     """Centroids of all cells, shape (n_c, 2)."""
-    return mesh.vertices[mesh.cells].mean(axis=1)
+    x, y = mesh._planes()
+    return np.column_stack([(x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0])
 
 
 def audit_mesh(mesh):

@@ -8,11 +8,13 @@ scanline slicing for clipped integrals where alpha is moderate,
 Sutherland-Hodgman polygon clipping in physical coordinates for clipped
 loads, squares and free-set mass matrices at any alpha, dense textbook
 elimination and a sparse LU for linear solves, bisection for benchmark
-radii and row-wise ``np.unique`` for edge numbering.  The row-wise ramp
+radii, row-wise ``np.unique`` for edge numbering and a barycentric scan
+of every cell for point location.  The row-wise ramp
 identity and the einsum stiffness element matrices are earlier forms of
 the package's kernels, kept as bit-for-bit references for their
 plane-wise rewrites: the ramp identity on free cells and cells at a
-bound, where its terms stay small.
+bound, where its terms stay small.  So are the row-wise (n_c, 3, 2)
+formulas for the mesh width, the cell areas and the centroids.
 """
 
 import numpy as np
@@ -430,6 +432,52 @@ def reference_refine(mesh):
         np.concatenate([mesh.boundary, on_boundary]),
         edges,
     )
+
+
+def reference_h(mesh):
+    """Longest cell edge by the row-wise (n_c, 3, 2) gather and ``np.linalg.norm``."""
+    edges = mesh.vertices[mesh.cells]
+    return float(np.linalg.norm(np.roll(edges, -1, axis=1) - edges, axis=2).max())
+
+
+def reference_cell_areas(mesh):
+    """Signed cell areas from the row-wise (n_c, 3, 2) gather."""
+    p = mesh.vertices[mesh.cells]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def reference_cell_centroids(mesh):
+    """Cell centroids as the mean of the row-wise (n_c, 3, 2) gather."""
+    return mesh.vertices[mesh.cells].mean(axis=1)
+
+
+def locate_point_scan(mesh, x, tol=1e-12):
+    """Point location by the barycentric test on every cell of the mesh.
+
+    Every cell's inverse affine map sends x to (s, t) and the barycentrics
+    (1 - s - t, s, t); the lowest-index cell whose barycentrics are all
+    >= -tol holds x.  Returns (cell, barycentrics), or None when no cell
+    passes.
+    """
+    x = np.asarray(x, dtype=float).reshape(2)
+    p = mesh.vertices[mesh.cells]
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    inv = np.empty_like(J)
+    inv[:, 0, 0] = J[:, 1, 1]
+    inv[:, 0, 1] = -J[:, 0, 1]
+    inv[:, 1, 0] = -J[:, 1, 0]
+    inv[:, 1, 1] = J[:, 0, 0]
+    inv /= det[:, None, None]
+    st = np.einsum("nij,nj->ni", inv, x - np.ascontiguousarray(p[:, 0]))
+    lam = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
+    hits = np.flatnonzero(np.all(lam >= -tol, axis=1))
+    if len(hits) == 0:
+        return None
+    k = int(hits[0])
+    return k, lam[k]
 
 
 def discrete_state(problem, mesh, solution, variant):

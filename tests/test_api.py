@@ -77,6 +77,8 @@ def test_public_api_is_pinned():
     ):
         assert removed not in ptcontrol.__all__
         assert not hasattr(ptcontrol, removed)
+    # point location tests bounding boxes; no per-cell inverse maps are kept
+    assert not hasattr(ptcontrol.Mesh, "barycentric_maps")
 
 
 SOLUTION_FIELDS = [

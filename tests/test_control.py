@@ -14,7 +14,7 @@ from ptcontrol.control import (
     solve_discrete,
 )
 from ptcontrol.greens import ExactSolution
-from ptcontrol.mesh import build_disc_mesh
+from ptcontrol.mesh import PointNotFoundError, build_disc_mesh, build_square_mesh, locate_point
 
 from oracles import (
     assemble_mass,
@@ -714,3 +714,22 @@ def test_solution_metadata(wide_problem):
     assert state.values.shape == (mesh.n_vertices,)
     assert np.all(state.values[mesh.boundary] == 0.0)
     assert np.all(solution.adjoint.values[mesh.boundary] == 0.0)
+
+
+def test_point_messages_print_plain_floats():
+    # the points print as (2.0, 2.0), not as numpy scalars
+    mesh = build_square_mesh(level=2)
+    problem = ControlProblem([(2.0, 2.0)], [0.0], 1.0, -1.0, 1.0,
+                             lambda p: np.zeros(len(p)))
+    cases = [
+        (lambda: locate_point(mesh, (2.0, 2.0)), "point (2.0, 2.0) is outside the mesh"),
+        (lambda: fem.load_point(mesh, (1.0, 0.0)), "point (1.0, 0.0) is a boundary vertex"),
+        (lambda: fem.load_point(mesh, (0.125, 0.0)),
+         "point (0.125, 0.0) lies on a boundary edge"),
+        (lambda: ReducedSystem(problem, mesh, VARIATIONAL),
+         "tracking point (2.0, 2.0) is not usable: point (2.0, 2.0) is outside the mesh"),
+    ]
+    for call, message in cases:
+        with pytest.raises((ValueError, PointNotFoundError)) as info:
+            call()
+        assert str(info.value) == message

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptcontrol.mesh import (
     _ancestors,
@@ -17,7 +18,14 @@ from ptcontrol.mesh import (
     refine_uniform,
 )
 
-from oracles import reference_edges, reference_refine
+from oracles import (
+    locate_point_scan,
+    reference_cell_areas,
+    reference_cell_centroids,
+    reference_edges,
+    reference_h,
+    reference_refine,
+)
 
 
 def test_disc_level0_counts():
@@ -207,6 +215,85 @@ def test_locate_point_outside_raises():
         locate_point(mesh, bulge)
 
 
+def free_standing(mesh, scale, shift):
+    """The mesh's cells on scaled and shifted vertices, without a domain."""
+    return Mesh(mesh.vertices * scale + shift, mesh.cells, mesh.boundary)
+
+
+# disc and square meshes of levels 0-5, and free-standing copies far from
+# unit size and from the origin, where the box margin scales with them
+LOCATE_MESHES = {
+    **{("disc", level): build_disc_mesh(level=level) for level in range(6)},
+    **{("square", level): build_square_mesh(level=level) for level in range(6)},
+    **{(f"disc*{scale:g}+{shift:g}", 3): free_standing(build_disc_mesh(level=3), scale, shift)
+       for scale, shift in ((1e-6, 0.0), (1e3, 0.0), (1.0, 1e4), (1e-3, -750.0))},
+    **{(f"square*{scale:g}+{shift:g}", 3): free_standing(build_square_mesh(level=3), scale, shift)
+       for scale, shift in ((1e5, 3e6), (2.0**-20, 0.5))},
+}
+LOCATE_KINDS = ["vertex", "midpoint", "near_edge", "sliver", "inside", "box"]
+
+
+def assert_located_like_the_scan(mesh, x):
+    expected = locate_point_scan(mesh, x)
+    if expected is None:
+        with pytest.raises(PointNotFoundError):
+            locate_point(mesh, x)
+        return
+    k, lam = locate_point(mesh, x)
+    assert k == expected[0]
+    assert lam.dtype == expected[1].dtype and lam.tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("key", [k for k in LOCATE_MESHES if k[1] <= 3], ids=str)
+def test_locate_point_matches_scan_on_vertices_and_midpoints(key):
+    # every vertex and every interior and boundary edge midpoint: the
+    # points that several cells hold, where the lowest index must win
+    mesh = LOCATE_MESHES[key]
+    edges, _ = mesh.edges()
+    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    for x in np.vstack([mesh.vertices, midpoints]):
+        assert_located_like_the_scan(mesh, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(sorted(LOCATE_MESHES, key=str)),
+       kind=st.sampled_from(LOCATE_KINDS),
+       index=st.integers(0, 2**31),
+       t=st.floats(0.0, 1.0),
+       u=st.floats(-1.0, 1.0),
+       weights=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_locate_point_matches_scan(key, kind, index, t, u, weights):
+    # vertices, edge midpoints, points within 1e-13 (relative to the mesh
+    # size) of an edge, the slivers between a boundary chord and the
+    # circle that refinement snaps to, points inside a cell and points
+    # anywhere in and around the mesh's box
+    mesh = LOCATE_MESHES[key]
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    size = float(np.max(hi - lo))
+    corners = mesh.vertices[mesh.cells[index % mesh.n_cells]]
+    a, b = corners[index % 3], corners[(index + 1) % 3]
+    if kind == "sliver":
+        edges, counts = mesh.edges()
+        a, b = mesh.vertices[edges[counts == 1][index % np.count_nonzero(counts == 1)]]
+    normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.hypot(*(b - a))
+    if kind == "vertex":
+        x = mesh.vertices[index % mesh.n_vertices]
+    elif kind == "midpoint":
+        x = 0.5 * (a + b)
+    elif kind == "near_edge":
+        x = a + t * (b - a) + u * 1e-13 * size * normal
+    elif kind == "sliver":
+        # up to 0.04 of the mesh's width: a little past the sagitta of a
+        # level-0 disc chord, 0.076 of the radius, on either side
+        x = a + t * (b - a) + u * 0.04 * size * normal
+    elif kind == "inside":
+        w = np.asarray(weights) + 1e-3
+        x = (w / w.sum()) @ corners
+    else:
+        x = lo - 0.2 * (hi - lo) + np.array([t, 0.5 * (u + 1.0)]) * 1.4 * (hi - lo)
+    assert_located_like_the_scan(mesh, x)
+
+
 def test_cell_centroid_is_vertex_mean():
     # the two coarse square cells (0,0)-(1,0)-(1,1) and (0,0)-(1,1)-(0,1)
     centroids = cell_centroids(build_square_mesh(level=0))
@@ -231,6 +318,42 @@ def test_cell_areas_cached_read_only():
     shoelace = 0.5 * (x[:, 0] * (y[:, 1] - y[:, 2]) + x[:, 1] * (y[:, 2] - y[:, 0])
                       + x[:, 2] * (y[:, 0] - y[:, 1]))
     assert np.allclose(areas, shoelace, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
+def test_geometry_matches_row_wise_formulas(build):
+    # h, the areas and the centroids from coordinate planes keep the bits of
+    # the (n_c, 3, 2) formulas, on levels 0-6 and on a copy whose zero
+    # coordinates are -0.0
+    for level in range(7):
+        mesh = build(level=level)
+        for m in (mesh, Mesh(-mesh.vertices, mesh.cells, mesh.boundary)):
+            assert np.float64(m.h).tobytes() == np.float64(reference_h(m)).tobytes()
+            assert _bitwise_equal(m.cell_areas(), reference_cell_areas(m))
+            assert _bitwise_equal(cell_centroids(m), reference_cell_centroids(m))
+
+
+def test_h_is_computed_on_first_read():
+    mesh = build_disc_mesh(level=4)
+    # neither the build nor a refinement step reads h
+    assert [m._h for m in _ancestors(mesh, 0)] == [None] * 5
+    h = mesh.h
+    assert mesh._h == h == reference_h(mesh)
+    assert mesh._parent._h is None
+    with pytest.raises(AttributeError):
+        mesh.h = 1.0
+
+
+@pytest.mark.parametrize("cells", [
+    [[0, 1, -1]],
+    [[0, 1, 3]],
+    np.empty((0, 3), dtype=np.int64),
+], ids=["negative", "past-the-end", "empty"])
+def test_mesh_rejects_bad_cell_arrays(cells):
+    # a negative index must not wrap to the last vertex
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError):
+        Mesh(vertices, cells, np.ones(3, dtype=bool))
 
 
 def test_dump_round_trip():

@@ -1,8 +1,9 @@
-"""The quadrature chunks shared by the calling thread and one helper thread.
+"""The work shared by the calling thread and one helper thread.
 
 ``_parallel.drain`` hands the chunks of the error quadrature and of
-``load_smooth`` to the caller and a helper.  These tests check that the
-results keep their bits whichever thread runs a chunk, that the caller's
+``load_smooth``, and the blocks of the text dumps, to the caller and a
+helper.  These tests check that the results keep their bits, and the dumps
+their bytes, whichever thread runs a chunk, that the caller's
 ``np.errstate`` holds in the helper, that a failure stops the hand-out and
 propagates, and that ``drain`` cannot deadlock when the helper's pool is busy.
 """
@@ -16,16 +17,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptcontrol import _parallel, error, fem
+from ptcontrol import _parallel, _text, cli, error, fem
 from ptcontrol.control import VariationalControl
 from ptcontrol.greens import ExactSolution
-from ptcontrol.mesh import build_disc_mesh
+from ptcontrol.mesh import build_disc_mesh, format_mesh
 from ptcontrol.quadrature import rule_degree4
 
 TIMEOUT_S = 30.0
 DRAIN = _parallel.drain
 EXACT = ExactSolution(lower=-0.2, upper=0.2)
-MESHES = {level: build_disc_mesh(level=level) for level in range(5)}
+MESHES = {level: build_disc_mesh(level=level) for level in range(6)}
 
 
 def helper_joins(fn, items):
@@ -116,6 +117,36 @@ def test_load_smooth_keeps_the_bits_of_one_call():
         mesh, ((fvals * weights) @ bary) * mesh.cell_areas()[:, None])
     got = fem.load_smooth(mesh, EXACT.source)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def dumps(tmp_path, name):
+    """The level-5 variational and cellwise solve dumps and the level-5 mesh dump."""
+    files = []
+    for variant in ("variational", "cellwise"):
+        out = tmp_path / f"{name}-{variant}.txt"
+        cli.run_solve(cli.StudyConfig(variant=variant, level_min=5, level_max=5,
+                                      lower=-0.2, upper=0.2, out=str(out)))
+        files.append(out.read_bytes())
+    return files + [format_mesh(MESHES[5]).encode()]
+
+
+def test_dumps_keep_their_bytes_with_and_without_the_helper(tmp_path):
+    # blocks of 1000 rows split the 4225 vertex rows and 8192 cell rows of
+    # level 5 into 5 and 9 blocks: pairs, and a last block on its own
+    assert MESHES[5].n_vertices == 4225 and MESHES[5].n_cells == 8192
+    runs = {}
+    for block_values in (_text.BLOCK_VALUES, 3 * 1000):
+        for helper in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_text, "BLOCK_VALUES", block_values)
+                if helper:
+                    patch.setattr(_text, "drain", helper_joins)
+                else:
+                    patch.setattr(_parallel, "_usable_cpus", lambda: 1)
+                runs[block_values, helper] = dumps(tmp_path, f"{block_values}-{helper}")
+    first = next(iter(runs.values()))
+    for files in runs.values():
+        assert files == first
 
 
 def divides_by_zero_in(thread):
