@@ -104,8 +104,8 @@ class StudyConfig:
             raise ConfigError("alpha must be positive and finite")
         if not self.lower < self.upper:
             raise ConfigError("bounds must satisfy lower < upper")
-        if not self.tol >= 1e-13:
-            raise ConfigError("tol must be at least 1e-13")
+        if not (self.tol >= 1e-13 and np.isfinite(self.tol)):
+            raise ConfigError("tol must be finite and at least 1e-13")
         if self.out is not None:
             if not isinstance(self.out, str):
                 raise ConfigError("out must be a string")

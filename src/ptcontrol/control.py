@@ -325,7 +325,7 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     variant : str
         "variational" or "cellwise".
     tol : float
-        Convergence threshold on max|F(c)|; at least 1e-13.
+        Convergence threshold on max|F(c)|; finite and at least 1e-13.
     max_iter : int
         Iteration cap.
 
@@ -341,8 +341,8 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
         if a residual is not finite, or if the line search can no longer
         move the iterate; carries the residual history.
     """
-    if not tol >= 1e-13:
-        raise ValueError("tol must be at least 1e-13")
+    if not (tol >= 1e-13 and np.isfinite(tol)):
+        raise ValueError("tol must be finite and at least 1e-13")
     system = ReducedSystem(problem, mesh, variant)
     c = system.initial_guess()
     F, squares, free = system.evaluate(c)

@@ -56,21 +56,8 @@ CUT = 2
 
 DEFAULT_DEPTH = 2
 SINGULAR_EXTRA_DEPTH = 4
-CLASSIFY_RTOL = 1e-10
 # quadrature nodes per chunk: temporaries of 1 MiB stay in cache
 CHUNK_POINTS = 2**17
-
-_CLASSIFY_BARY = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-        [0.5, 0.5, 0.0],
-        [0.0, 0.5, 0.5],
-        [0.5, 0.0, 0.5],
-    ]
-)
 
 
 @dataclass
@@ -182,31 +169,28 @@ def l1_error_fe(mesh, exact, fe, singular_point=None, depth=DEFAULT_DEPTH,
     return float(cellwise @ mesh.cell_areas())
 
 
-def classify_cells(mesh, control, lower, upper, rtol=CLASSIFY_RTOL):
+def classify_cells(mesh, control, lower, upper):
     """Tag each cell by where the control sits relative to its bounds.
 
-    Samples the field at the three vertices, the centroid, and the three
-    edge midpoints of every cell.  All samples within tolerance of one
-    bound gives AT_BOUND; all samples farther than the tolerance from both
-    bounds gives FREE; everything else is CUT (the conservative catch-all
-    holding the active-set boundary).  The tolerance is ``rtol * (upper -
-    lower)``, or just ``rtol`` if the bounds are not finite.
+    Reads the control at the three vertices of every cell.  The largest
+    value at or below ``lower``, or the smallest at or above ``upper``,
+    gives AT_BOUND; every value strictly between the bounds gives FREE;
+    everything else is CUT (the cells holding the active-set boundary).
+    On a cell where the field is constant or a clamped affine function,
+    as every discrete control is, the vertex values are its extremes, so
+    the tags are exact.
 
     Returns
     -------
     (n_cells,) int array with values AT_BOUND, FREE, CUT.
     """
-    span = upper - lower
-    tol = rtol * span if np.isfinite(span) else rtol
+    vertices = np.eye(3)
     cells = np.arange(mesh.n_cells)
-    physical = _physical_points(mesh, _CLASSIFY_BARY, cells)
-    values = _sample(control, _CLASSIFY_BARY, cells, physical)
-    at_lower = np.all(np.abs(values - lower) <= tol, axis=1)
-    at_upper = np.all(np.abs(values - upper) <= tol, axis=1)
-    inside = np.all((values > lower + tol) & (values < upper - tol), axis=1)
+    values = _sample(control, vertices, cells, _physical_points(mesh, vertices, cells))
+    smallest, largest = values.min(axis=1), values.max(axis=1)
     tags = np.full(mesh.n_cells, CUT, dtype=int)
-    tags[inside] = FREE
-    tags[at_lower | at_upper] = AT_BOUND
+    tags[(lower < smallest) & (largest < upper)] = FREE
+    tags[(largest <= lower) | (smallest >= upper)] = AT_BOUND
     return tags
 
 

@@ -2,14 +2,17 @@
 
 Nothing here imports solver machinery from the package, apart from
 ``discrete_state``, which replays the documented public recipe for the
-state field that ``solve_discrete`` does not return; the point is to
+state field that ``solve_discrete`` does not return (``exact_cell_tags``
+imports the field types only to tell them apart); the point is to
 certify package results against structurally different algorithms: exact
 scanline slicing for clipped integrals where alpha is moderate,
 Sutherland-Hodgman polygon clipping in physical coordinates for clipped
 loads, squares and free-set mass matrices at any alpha, dense textbook
 elimination and a sparse LU for linear solves, bisection for benchmark
-radii, row-wise ``np.unique`` for edge numbering and a barycentric scan
-of every cell for point location.  The row-wise ramp
+radii, row-wise ``np.unique`` for edge numbering, a barycentric scan
+of every cell for point location and each cell's exact extremes (nodal
+data, or the distance range of a radial field) for the active-set cell
+tags.  The row-wise ramp
 identity and the einsum stiffness element matrices are earlier forms of
 the package's kernels, kept as bit-for-bit references for their
 plane-wise rewrites: the ramp identity on free cells and cells at a
@@ -478,6 +481,77 @@ def locate_point_scan(mesh, x, tol=1e-12):
         return None
     k = int(hits[0])
     return k, lam[k]
+
+
+def _distance_range(mesh, center):
+    """Least and greatest distance from ``center`` to each closed cell.
+
+    The greatest is at a vertex.  The least is 0 for a cell that holds the
+    center, else at the nearest point of the nearest edge.  A distance
+    taken at a vertex is sqrt(dx*dx + dy*dy), the bits that a radial field
+    evaluated at that vertex sees.
+    """
+    p = mesh.vertices[mesh.cells] - np.asarray(center, dtype=float)
+
+    def radius(q):
+        return np.sqrt(q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1])
+
+    nearest, crosses = [], []
+    for i, j in EDGES:
+        a, b = p[:, i], p[:, j]
+        d = b - a
+        # a + t d is the edge point nearest the center, the origin here
+        t = np.clip(-(a * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)[:, None]
+        q = np.where(t <= 0.0, a, np.where(t >= 1.0, b, a + t * d))
+        nearest.append(radius(q))
+        crosses.append(np.sign(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]))
+    crosses = np.array(crosses)
+    holds = np.all(crosses > 0, axis=0) | np.all(crosses < 0, axis=0)
+    least = np.where(holds, 0.0, np.min(nearest, axis=0))
+    return least, radius(p).max(axis=1)
+
+
+def exact_cell_tags(mesh, field, lower, upper):
+    """The tags of ``error.classify_cells``, from each cell's exact extremes.
+
+    AT_BOUND where the largest value on the closed cell is at or below
+    ``lower`` or the smallest at or above ``upper``, FREE where both lie
+    strictly between the bounds, CUT otherwise.  The extremes are read
+    from the field's data, not sampled:
+
+    - ``FeFunction``: the smallest and largest nodal value of the cell;
+    - ``CellwiseFunction``: the cell value;
+    - ``VariationalControl``: the clamp of -z/alpha at the adjoint's
+      extreme nodal values, as the clamp is monotone;
+    - ``ExactSolution`` (its control): the control is nondecreasing in the
+      distance to the center, so its extremes are its values at the ends
+      of the cell's distance range.
+    """
+    from ptcontrol.control import VariationalControl
+    from ptcontrol.error import AT_BOUND, CUT, FREE
+    from ptcontrol.fem import CellwiseFunction, FeFunction
+    from ptcontrol.greens import ExactSolution
+
+    if isinstance(field, ExactSolution):
+        least, greatest = _distance_range(mesh, field.center)
+        smallest = field.control_radial(least)
+        largest = field.control_radial(greatest)
+    elif isinstance(field, CellwiseFunction):
+        smallest = largest = field.values
+    elif isinstance(field, VariationalControl):
+        nodal = field.adjoint.values[mesh.cells]
+        with np.errstate(over="ignore"):
+            smallest = np.clip(nodal.max(axis=1) / -field.alpha, field.lower, field.upper)
+            largest = np.clip(nodal.min(axis=1) / -field.alpha, field.lower, field.upper)
+    elif isinstance(field, FeFunction):
+        nodal = field.values[mesh.cells]
+        smallest, largest = nodal.min(axis=1), nodal.max(axis=1)
+    else:
+        raise TypeError(f"no exact extremes for {type(field).__name__}")
+    tags = np.full(mesh.n_cells, CUT, dtype=int)
+    tags[(lower < smallest) & (largest < upper)] = FREE
+    tags[(largest <= lower) | (smallest >= upper)] = AT_BOUND
+    return tags
 
 
 def discrete_state(problem, mesh, solution, variant):

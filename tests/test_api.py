@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import pathlib
 import subprocess
@@ -79,6 +80,15 @@ def test_public_api_is_pinned():
         assert not hasattr(ptcontrol, removed)
     # point location tests bounding boxes; no per-cell inverse maps are kept
     assert not hasattr(ptcontrol.Mesh, "barycentric_maps")
+
+
+def test_classify_cells_takes_no_tolerance():
+    # the tags come from the vertex values alone; perfbench/spans.py calls
+    # classify_cells(mesh, control, lower, upper) positionally
+    parameters = inspect.signature(ptcontrol.classify_cells).parameters
+    assert list(parameters) == ["mesh", "control", "lower", "upper"]
+    assert not hasattr(ptcontrol.error, "CLASSIFY_RTOL")
+    assert not hasattr(ptcontrol.error, "_CLASSIFY_BARY")
 
 
 SOLUTION_FIELDS = [

@@ -72,6 +72,7 @@ bounds = -1, 1
     "variant = cellwise\nvariant = greens",
     "subdivision = 1.5",
     "tol = 1e-20",
+    "tol = inf",
     "solver = quantum",
     "solver = direct",
     "domain = hexagon",
@@ -348,6 +349,17 @@ def test_solve_dump_matches_per_value_format(tmp_path):
 
 def test_solve_requires_out():
     assert main(["solve", "--levels", "2..2"]) == 3
+
+
+@pytest.mark.parametrize("command", ["study", "solve"])
+def test_infinite_tol_is_a_config_error(tmp_path, capsys, command):
+    # an infinite tol would pass the initial guess as converged, so study
+    # would write the q = 0 errors and solve their dump
+    out = tmp_path / "out.txt"
+    assert main([command, "--variant", "variational", "--levels", "3..3",
+                 "--bounds=-0.2,0.2", "--tol", "inf", "--out", str(out)]) == 3
+    assert "tol must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_square_domain_study_rejected(tmp_path):

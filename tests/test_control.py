@@ -190,6 +190,13 @@ def test_tolerance_floor(wide_problem):
                        tol=1e-14)
 
 
+def test_infinite_tolerance_is_rejected(narrow_problem):
+    # an infinite tol would accept the initial guess, residual and all
+    with pytest.raises(ValueError, match="tol must be finite"):
+        solve_discrete(narrow_problem, build_disc_mesh(level=1), VARIATIONAL,
+                       tol=float("inf"))
+
+
 def test_converged_residual_is_fixed_point(wide_problem):
     mesh = build_disc_mesh(level=2)
     solution = solve_discrete(wide_problem, mesh, CELLWISE)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ptcontrol import error, fem
-from ptcontrol.control import CELLWISE, VARIATIONAL, benchmark_problem, solve_discrete
+from ptcontrol.control import (
+    CELLWISE,
+    VARIATIONAL,
+    VariationalControl,
+    benchmark_problem,
+    solve_discrete,
+)
 from ptcontrol.error import (
     AT_BOUND,
     CUT,
@@ -20,6 +26,8 @@ from ptcontrol.error import (
 from ptcontrol.greens import ExactSolution
 from ptcontrol.mesh import build_disc_mesh
 from ptcontrol.quadrature import rule_degree4, subdivided_rule
+
+from oracles import exact_cell_tags
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +235,73 @@ def test_classification_stable_under_refinement(narrow_exact):
     # produces a strictly-free child
     for k in np.flatnonzero(coarse_tags == AT_BOUND):
         assert FREE not in fine_tags[4 * k : 4 * k + 4]
+
+
+TAG_MESHES = {level: build_disc_mesh(level=level) for level in range(4)}
+INF = float("inf")
+
+
+def near(bound):
+    """The bound and its two neighbouring doubles, when it is finite."""
+    if not np.isfinite(bound):
+        return []
+    return [bound, np.nextafter(bound, -INF), np.nextafter(bound, INF)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(level=st.integers(0, 3),
+       kind=st.sampled_from(["fe", "cellwise", "variational"]),
+       lower=st.sampled_from([-INF, -1.0, -0.2, 0.0, 0.3]),
+       upper=st.sampled_from([INF, 1.0, 0.2, 0.3, 0.5]),
+       alpha=st.sampled_from([1.0, 0.25, 8.0]),
+       on_bound=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_classification_matches_exact_extremes(level, kind, lower, upper, alpha,
+                                               on_bound, seed):
+    # values on a bound and one ulp either side of it, mixed with values
+    # inside and outside the bounds, for every discrete control type
+    assume(lower < upper)
+    mesh = TAG_MESHES[level]
+    rng = np.random.default_rng(seed)
+    count = mesh.n_cells if kind == "cellwise" else mesh.n_vertices
+    values = rng.uniform(-1.5, 1.5, count)
+    special = near(lower) + near(upper)
+    if special:
+        pick = rng.random(count) < on_bound
+        values[pick] = rng.choice(special, pick.sum())
+    if kind == "fe":
+        field = fem.FeFunction(mesh, values)
+    elif kind == "cellwise":
+        field = fem.CellwiseFunction(mesh, values)
+    else:
+        # alpha is a power of two, so -z / alpha gives the values back exactly
+        field = VariationalControl(fem.FeFunction(mesh, -values * alpha), alpha,
+                                   lower, upper)
+    tags = classify_cells(mesh, field, lower, upper)
+    assert np.array_equal(tags, exact_cell_tags(mesh, field, lower, upper))
+
+
+@pytest.mark.parametrize("bounds", [(-0.2, 0.2), (-1.0, 1.0), (-0.5, -0.1)])
+def test_closed_form_tags_match_the_radial_extremes(bounds):
+    # the closed-form control is monotone in the distance to the center;
+    # its vertex values give the tags of its exact range on every cell
+    exact = ExactSolution(lower=bounds[0], upper=bounds[1])
+    for level in range(2, 8):
+        mesh = build_disc_mesh(level=level)
+        tags = classify_cells(mesh, exact.control, *bounds)
+        assert np.array_equal(tags, exact_cell_tags(mesh, exact, *bounds))
+        assert np.any(tags == CUT)
+
+
+@pytest.mark.parametrize("kind", ["fe", "cellwise"])
+def test_values_just_inside_the_bounds_are_free(kind):
+    # no tolerance: a value 1e-12 inside a bound is strictly between them
+    mesh = TAG_MESHES[2]
+    count = mesh.n_cells if kind == "cellwise" else mesh.n_vertices
+    make = fem.CellwiseFunction if kind == "cellwise" else fem.FeFunction
+    for value in (-0.2 + 1e-12, 0.2 - 1e-12):
+        tags = classify_cells(mesh, make(mesh, np.full(count, value)), -0.2, 0.2)
+        assert np.all(tags == FREE)
 
 
 def test_cut_area_ratio_values(narrow_exact):
