@@ -104,8 +104,10 @@ class StudyConfig:
             raise ConfigError("alpha must be positive and finite")
         if not self.lower < self.upper:
             raise ConfigError("bounds must satisfy lower < upper")
-        if not (self.tol >= 1e-13 and np.isfinite(self.tol)):
-            raise ConfigError("tol must be finite and at least 1e-13")
+        try:
+            control._check_tol(self.tol)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.out is not None:
             if not isinstance(self.out, str):
                 raise ConfigError("out must be a string")

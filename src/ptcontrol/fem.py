@@ -197,21 +197,48 @@ def assemble_stiffness(mesh):
 
 
 def _stiffness_csr(mesh):
-    """The read-only stiffness CSR of ``assemble_stiffness``, assembled anew."""
+    """The read-only stiffness CSR of ``assemble_stiffness``, assembled anew.
+
+    The element entries go straight into CSR arrays with duplicates, in the
+    order in which a COO conversion leaves them: every (cell, slot)
+    incidence of a dof contributes its element row's entries in the cell's
+    dof columns, in slot order, and the incidences go by dof, then by cell.
+    ``sum_duplicates`` and ``sort_indices`` then see the rows that
+    ``coo_matrix(...).tocsr()`` would give them and sum each in the same
+    order, bit for bit, with no COO triplets alive beside the CSR arrays.
+    """
     areas = mesh.cell_areas()
     if np.any(areas <= 0.0):
         raise AssemblyError("degenerate or inverted cell (nonpositive area)")
-    k_elem = _element_stiffness(mesh, areas)
-    # int32 indices, which scipy would convert them to; the full-length
-    # triplets and the element matrices are freed before the CSR conversion
-    cell_dofs = mesh.dof_map()[mesh.cells].astype(np.int32)
-    rows = np.repeat(cell_dofs, 3, axis=1).reshape(-1)
-    cols = np.tile(cell_dofs, (1, 3)).reshape(-1)
-    keep = (rows >= 0) & (cols >= 0)
-    rows, cols, vals = rows[keep], cols[keep], k_elem.reshape(-1)[keep]
-    del keep, k_elem
     n = len(mesh.interior_vertices())
-    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    bins = mesh._scatter_bins().astype(np.int32)
+    # entry (c, bin of slot i) of the cell-by-bin incidence matrix is the
+    # incidence 3 c + i; the CSC form lists each bin's incidences by cell,
+    # a stable counting sort, and the boundary bin n comes last
+    by_bin = sparse.csr_matrix(
+        (np.arange(bins.size), bins.reshape(-1), np.arange(0, bins.size + 1, 3)),
+        shape=(len(bins), n + 1)).tocsc()
+    interior = by_bin.indptr[n]
+    incidences, cells = by_bin.data[:interior], by_bin.indices[:interior]
+    keep = np.take(bins, cells, axis=0) < n
+    # an incidence has an entry for each dof of its cell, and the row of
+    # dof d ends with the entries of its last incidence
+    runs = np.cumsum(keep[:, 0] + keep[:, 1].astype(np.int64) + keep[:, 2])
+    indptr = np.concatenate([[0], runs])[by_bin.indptr[: n + 1]].astype(np.int32)
+    del by_bin, runs
+    # element row i of cell c is row 3 c + i of the cell-major matrices
+    planes = _element_stiffness(mesh, areas)
+    element_rows = np.ascontiguousarray(planes.transpose(2, 0, 1)).reshape(-1, 3)
+    del planes
+    entries = np.take(element_rows, incidences, axis=0)
+    del element_rows, incidences
+    data = entries[keep]
+    del entries
+    # the columns last, taken again, so that they are not held beside the
+    # element matrices
+    indices = np.take(bins, cells, axis=0)[keep]
+    del cells, keep
+    mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     mat.sum_duplicates()
     mat.sort_indices()
     for array in (mat.data, mat.indices, mat.indptr):
@@ -220,23 +247,30 @@ def _stiffness_csr(mesh):
 
 
 def _element_stiffness(mesh, areas):
-    """The (n_cells, 3, 3) element matrices (e_i . e_j) / (4 |K|).
+    """The element matrices (e_i . e_j) / (4 |K|) as (3, 3, n_cells) planes.
 
-    The edges come from x and y coordinate planes, arrays whose row j holds
-    the j-th vertex of every cell; they are freed on return, before the
-    sparse assembly.
+    Plane (i, j) holds entry (i, j) of every cell's matrix, computed
+    contiguously from the x and y coordinate planes, arrays whose row j
+    holds the j-th vertex of every cell.
     """
     x, y = mesh._planes()
     # e_i = edge opposite vertex i
     ex = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
     ey = (y[2] - y[1], y[0] - y[2], y[1] - y[0])
+    del x, y
     scale = 4.0 * areas
-    k_elem = np.empty((mesh.n_cells, 3, 3))
+    k_elem = np.empty((3, 3, mesh.n_cells))
+    term = np.empty(mesh.n_cells)
     for i in range(3):
         for j in range(i, 3):
-            # + 0.0 turns a -0.0 dot product into +0.0, as a sum from zero does
-            dot = ex[i] * ex[j] + ey[i] * ey[j] + 0.0
-            k_elem[:, i, j] = k_elem[:, j, i] = dot / scale
+            plane = np.multiply(ex[i], ex[j], out=k_elem[i, j])
+            plane += np.multiply(ey[i], ey[j], out=term)
+            if i != j:
+                # + 0.0 turns a -0.0 dot product into +0.0, as a sum from
+                # zero does; a sum of squares is never -0.0
+                plane += 0.0
+            plane /= scale
+            k_elem[j, i] = plane
     return k_elem
 
 
@@ -484,8 +518,13 @@ def load_smooth(mesh, f):
         fvals[q * start : q * (start + step)] = f(points.reshape(-1, 2))
 
     drain(sample, range(0, mesh.n_cells, step))
+    # the weights and areas in place, so the values and the contributions
+    # are the only whole-mesh arrays
     fvals = fvals.reshape(mesh.n_cells, q)
-    contrib = ((fvals * weights) @ bary) * mesh.cell_areas()[:, None]
+    fvals *= weights
+    contrib = fvals @ bary
+    del fvals
+    contrib *= mesh.cell_areas()[:, None]
     return _scatter_cell_loads(mesh, contrib)
 
 
@@ -713,8 +752,8 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
     """Per-cell exact integrals of g = clamp(-w/alpha, lower, upper).
 
     Returns the loads (n_cells, 3), int g * lambda_j, the squares
-    (n_cells,), int g^2, and the ``_classify_cells`` result they were
-    integrated from.
+    (n_cells,), int g^2, and the ``_free_set`` of the ``_classify_cells``
+    result they were integrated from.
     """
     if not lower < upper:
         raise ValueError("bounds must satisfy lower < upper")
@@ -736,13 +775,13 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
     bound = (labels == _AT_LOWER) | (labels == _AT_UPPER)
     np.copyto(loads, 0.0, where=bound)
     np.copyto(square, 0.0, where=bound)
-    crossed = np.flatnonzero(labels == _CROSSED)
+    free = _free_set(classes)
+    crossed = free[1]
     if crossed.size:
         # on a fan triangle T with corner values g_p of g - s,
         # int (g - s) lambda_j = sum_p w_p lambda_j(p) and
         # int (g - s)^2 = sum_p w_p g_p with w_p = |T| / 12 (g_p + sum_q g_q)
-        corners, values, fractions, slots = _cut_cells(v[:, crossed].T, lo[crossed],
-                                                       hi[crossed])
+        corners, values, fractions, slots = _cut_cells(*free[2:])
         weights = values + values.sum(axis=2, keepdims=True)
         weights *= (fractions * (areas[crossed, None] / 12.0))[..., None]
         weights = weights.reshape(len(crossed), 1, _FANS.size)
@@ -758,7 +797,7 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
     square += term
     weight /= 3.0
     loads += weight
-    return loads.T, square, classes
+    return loads.T, square, free
 
 
 def load_clipped_linear(mesh, w, lower, upper, alpha):
@@ -784,33 +823,47 @@ def load_clipped_linear(mesh, w, lower, upper, alpha):
 
 def _clipped_load_and_squares(mesh, w, lower, upper, alpha):
     """Load vector of ``load_clipped_linear``, the per-cell squares and the
-    cell classes, one pass.
+    free set, one pass.
 
     ``float(np.sum(squares))`` is ``clipped_field_l2_sq`` bit for bit, and
-    the classes are ``_classify_cells`` of the same arguments, the input of
-    ``_free_mass_gram``.
+    the free set is ``_free_set`` of ``_classify_cells`` of the same
+    arguments, the input of ``_free_mass_gram``.
     """
-    loads, squares, classes = _clipped_integrals(mesh, w, lower, upper, alpha)
-    return _scatter_cell_loads(mesh, loads), squares, classes
+    loads, squares, free = _clipped_integrals(mesh, w, lower, upper, alpha)
+    return _scatter_cell_loads(mesh, loads), squares, free
 
 
-def _free_mass_gram(mesh, classes, fields):
-    """Gram matrix int_free f_i f_j of dof fields (rows of ``fields``).
+def _free_set(classes):
+    """What ``_free_mass_gram`` reads of a ``_classify_cells`` result.
 
-    ``classes`` is the ``_classify_cells`` result for some w, lower, upper
-    and alpha; the free set is where lower <= -w/alpha <= upper.  The
-    fields are interior dof vectors, zero on the boundary.  With
-    w = sum_j c_j f_j, column j is minus alpha times the derivative in c_j
-    of the ``load_clipped_linear`` load tested with each f_i.  A free cell
-    takes the P1 mass form, a cell at a bound nothing, and a crossed cell
-    the mass of the fan of its free part (``_cut_cells``).  One column at a
-    time, so no (fields, vertices) array is formed.
+    Returns ``(labels, crossed, rows, lo, hi)``: the labels of all cells,
+    the indices of the crossed cells, and their shifted vertex values
+    (crossed, 3) and shifted bounds, the input of ``_cut_cells``.  The
+    planes of every cell are not kept, so a free set held through a line
+    search costs one byte a cell.
     """
     labels, v, _, lo, hi = classes
+    crossed = np.flatnonzero(labels == _CROSSED)
+    return labels, crossed, v[:, crossed].T, lo[crossed], hi[crossed]
+
+
+def _free_mass_gram(mesh, free_set, fields):
+    """Gram matrix int_free f_i f_j of dof fields (rows of ``fields``).
+
+    ``free_set`` is the ``_free_set`` of the ``_classify_cells`` result for
+    some w, lower, upper and alpha; the free set is where
+    lower <= -w/alpha <= upper.  The fields are interior dof vectors, zero
+    on the boundary.  With w = sum_j c_j f_j, column j is minus alpha times
+    the derivative in c_j of the ``load_clipped_linear`` load tested with
+    each f_i.  A free cell takes the P1 mass form, a cell at a bound
+    nothing, and a crossed cell the mass of the fan of its free part
+    (``_cut_cells``).  One column at a time, so no (fields, vertices) array
+    is formed.
+    """
+    labels, crossed, *cut = free_set
     areas = mesh.cell_areas()
     free_areas = np.where(labels == _FREE, areas, 0.0)
-    crossed = np.flatnonzero(labels == _CROSSED)
-    corners, _, fractions, slots = _cut_cells(v[:, crossed].T, lo[crossed], hi[crossed])
+    corners, _, fractions, slots = _cut_cells(*cut)
     # |T| / 12 (L^T L + s^T s) on a free triangle T, L the barycentric rows
     # of its corners and s their sum: the four rows of each of the three
     # triangles stacked

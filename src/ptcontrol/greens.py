@@ -60,9 +60,10 @@ class ExactSolution:
         self.upper = float(upper)
 
     def _radius_of(self, x):
+        """Distance of x to the center, a new float array (0-d for one point)."""
         x = np.asarray(x, dtype=float)
         if x.shape == (2,):
-            return float(np.linalg.norm(x - self.center))
+            return np.asarray(np.linalg.norm(x - self.center))
         if x.ndim == 2 and x.shape[1] == 2:
             # sqrt(dx*dx + dy*dy) in place: equals np.linalg.norm(x - center,
             # axis=1) bit for bit, without its temporaries
@@ -77,26 +78,18 @@ class ExactSolution:
 
     def greens_radial(self, r):
         """Adjoint value at distance r from the center; +inf at r = 0."""
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        with np.errstate(divide="ignore"):
-            np.divide(self.radius, r, out=out)
-            np.log(out, out=out)
-        out /= 2.0 * np.pi
-        return out if out.ndim else float(out)
+        return _value(self._greens_over(np.array(r, dtype=float)))
 
     def greens(self, x):
         """Optimal adjoint = Green's function of the disc at the center.
 
         Singular at the center: returns +inf there (the flag value).
         """
-        return self.greens_radial(self._radius_of(x))
+        return _value(self._greens_over(self._radius_of(x)))
 
     def state(self, x):
         """Optimal state cos(pi r)."""
-        r = self._radius_of(x)
-        out = np.cos(np.pi * np.asarray(r))
-        return out if out.ndim else float(out)
+        return _value(np.cos(np.pi * self._radius_of(x)))
 
     def target(self):
         """Tracking target: state(center) - 1 (zero, so the misfit coefficient is 1)."""
@@ -104,17 +97,11 @@ class ExactSolution:
 
     def control_radial(self, r):
         """Optimal control at distance r: clamp(-greens/alpha); equals lower at r=0."""
-        out = np.asarray(self.greens_radial(r))
-        np.negative(out, out=out)
-        # a quotient that overflows is infinite, which the clamp makes a bound
-        with np.errstate(over="ignore"):
-            out /= self.alpha
-        np.clip(out, self.lower, self.upper, out=out)
-        return out if out.ndim else float(out)
+        return _value(self._control_over(np.array(r, dtype=float)))
 
     def control(self, x):
         """Optimal control by the projection formula clamp(-greens/alpha, a, b)."""
-        return self.control_radial(self._radius_of(x))
+        return _value(self._control_over(self._radius_of(x)))
 
     def active_radius(self):
         """Radius inside which the control sits at the lower bound.
@@ -135,19 +122,51 @@ class ExactSolution:
         term is continued by its series limit pi^2 for r < 1e-8, so
         f(center) = 2 pi^2 - lower.
         """
-        r = np.asarray(r, dtype=float)
-        small = r < 1e-8
-        safe = np.where(small, 1.0, r)
-        radial = np.where(small, np.pi**2, np.pi * np.sin(np.pi * safe) / safe)
-        out = np.pi**2 * np.cos(np.pi * r) + radial - np.asarray(self.control_radial(r))
-        return out if out.ndim else float(out)
+        return _value(self._source_over(np.array(r, dtype=float)))
 
     def source(self, x):
         """Manufactured source term of the state equation -Laplace(u) = f + q."""
-        return self.source_radial(self._radius_of(x))
+        return _value(self._source_over(self._radius_of(x)))
+
+    # The radial fields are evaluated over a fresh radius array, which each
+    # overwrites with its values: the ufuncs and their order are those of
+    # the formulas above, so the values keep their bits, without the
+    # temporaries of a new array per step.
+
+    def _greens_over(self, r):
+        with np.errstate(divide="ignore"):
+            np.divide(self.radius, r, out=r)
+            np.log(r, out=r)
+        r /= 2.0 * np.pi
+        return r
+
+    def _control_over(self, r):
+        out = np.negative(self._greens_over(r), out=r)
+        # a quotient that overflows is infinite, which the clamp makes a bound
+        with np.errstate(over="ignore"):
+            out /= self.alpha
+        return np.clip(out, self.lower, self.upper, out=out)
+
+    def _source_over(self, r):
+        angle = np.multiply(np.pi, r, out=np.empty_like(r))
+        radial = np.sin(angle, out=np.empty_like(r))
+        radial *= np.pi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radial /= r
+        np.copyto(radial, np.pi**2, where=r < 1e-8)
+        out = np.cos(angle, out=angle)
+        out *= np.pi**2
+        out += radial
+        out -= self._control_over(r)
+        return out
 
     def __repr__(self):
         return (
             f"ExactSolution(center={tuple(map(float, self.center))}, radius={self.radius}, "
             f"alpha={self.alpha}, bounds=({self.lower}, {self.upper}))"
         )
+
+
+def _value(out):
+    """An array result, or a float for a single point."""
+    return out if out.ndim else float(out)

@@ -13,10 +13,10 @@ radii, row-wise ``np.unique`` for edge numbering, a barycentric scan
 of every cell for point location and each cell's exact extremes (nodal
 data, or the distance range of a radial field) for the active-set cell
 tags.  The row-wise ramp
-identity and the einsum stiffness element matrices are earlier forms of
-the package's kernels, kept as bit-for-bit references for their
-plane-wise rewrites: the ramp identity on free cells and cells at a
-bound, where its terms stay small.  So are the row-wise (n_c, 3, 2)
+identity, the einsum stiffness element matrices and the COO stiffness
+assembly are earlier forms of the package's kernels, kept as bit-for-bit
+references for their rewrites: the ramp identity on free cells and cells
+at a bound, where its terms stay small.  So are the row-wise (n_c, 3, 2)
 formulas for the mesh width, the cell areas and the centroids.
 """
 
@@ -353,12 +353,41 @@ def reference_stiffness_csr(mesh):
     """Stiffness CSR on the interior vertices from einsum element matrices.
 
     K_ij = (e_i . e_j) / (4 |K|) with e_i the edge opposite vertex i, summed
-    into the interior dofs (vertex order) by COO assembly.
+    into the interior dofs (vertex order) by ``coo_stiffness``.
     """
     areas = mesh.cell_areas()
     p = mesh.vertices[mesh.cells]
     e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    k_elem = np.einsum("nid,njd->nij", e, e) / (4.0 * areas)[:, None, None]
+    return coo_stiffness(mesh, np.einsum("nid,njd->nij", e, e) / (4.0 * areas)[:, None, None])
+
+
+def row_wise_element_stiffness(mesh):
+    """The (n_cells, 3, 3) element matrices (e_i . e_j) / (4 |K|), row by row.
+
+    The edges come from the coordinate planes, and each entry is stored
+    into the (n_cells, 3, 3) array column by column.
+    """
+    areas = mesh.cell_areas()
+    x, y = mesh._planes()
+    ex = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
+    ey = (y[2] - y[1], y[0] - y[2], y[1] - y[0])
+    scale = 4.0 * areas
+    k_elem = np.empty((mesh.n_cells, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            # + 0.0 turns a -0.0 dot product into +0.0, as a sum from zero does
+            dot = ex[i] * ex[j] + ey[i] * ey[j] + 0.0
+            k_elem[:, i, j] = k_elem[:, j, i] = dot / scale
+    return k_elem
+
+
+def coo_stiffness(mesh, k_elem):
+    """The element matrices ``k_elem`` (n_cells, 3, 3) summed by COO assembly.
+
+    The triplets (dof of slot i, dof of slot j, entry (i, j)) of every
+    cell, cell by cell, with the boundary rows and columns dropped, are
+    converted by ``coo_matrix(...).tocsr()``, which sums the duplicates.
+    """
     interior = np.flatnonzero(~mesh.boundary)
     dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
     dof[interior] = np.arange(len(interior))

@@ -123,7 +123,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
     levels=st.lists(st.integers(0, cli.MAX_STUDY_LEVEL), min_size=2, max_size=2),
     alpha=st.floats(min_value=1e-300, max_value=1e300),
     bounds=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
-    tol=st.floats(min_value=1e-13, max_value=1e300),
+    tol=st.floats(min_value=1e-13, max_value=1e-8),
     out=st.none() | st.text("abcXYZ019._-/", min_size=1, max_size=20),
 )
 def test_config_round_trip_property(domain, center, radius, variant, levels,
@@ -359,6 +359,26 @@ def test_infinite_tol_is_a_config_error(tmp_path, capsys, command):
     assert main([command, "--variant", "variational", "--levels", "3..3",
                  "--bounds=-0.2,0.2", "--tol", "inf", "--out", str(out)]) == 3
     assert "tol must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e300])
+def test_tol_is_capped_at_1e_8(tol):
+    # 1e-8 is the largest tol accepted, and the float after it is not
+    if tol == 1e-8:
+        assert StudyConfig(tol=tol).tol == tol
+        tol = float(np.nextafter(tol, 1.0))
+    with pytest.raises(ConfigError, match="at most 1e-8"):
+        StudyConfig(tol=tol)
+
+
+@pytest.mark.parametrize("command", ["study", "solve"])
+def test_large_tol_is_a_config_error(tmp_path, capsys, command):
+    # tol = 1e-2 would write the errors of the q = 0 guess
+    out = tmp_path / "out.txt"
+    assert main([command, "--variant", "variational", "--levels", "3..3",
+                 "--bounds=-0.2,0.2", "--tol", "1e-2", "--out", str(out)]) == 3
+    assert "at most 1e-8" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -40,11 +40,13 @@ from oracles import (
     clipped_polygon_mass,
     clipped_loads_on_mesh,
     clipped_square_on_mesh,
+    coo_stiffness,
     gaussian_elimination,
     polygon_clipped_integrals,
     reference_clipped_integrals,
     reference_ramp_counts,
     reference_stiffness_csr,
+    row_wise_element_stiffness,
     sparse_lu,
     triangle_quadrature_integral,
 )
@@ -593,7 +595,8 @@ def test_stiffness_cached_per_mesh_and_read_only():
 
 @pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
 def test_stiffness_matches_einsum_reference_bitwise(build):
-    # the plane-wise element matrices feed the COO assembly the same bits
+    # the rows go to sum_duplicates in the order coo_matrix(...).tocsr()
+    # leaves them, so every byte of the three arrays is a COO assembly's
     mesh = build(level=0)
     for level in range(8):
         if level:
@@ -606,18 +609,64 @@ def test_stiffness_matches_einsum_reference_bitwise(build):
 
 
 def test_stiffness_assembly_peak_memory():
-    # int32 triplets, filtered before the CSR conversion and freed with the
-    # element matrices: the assembly peaks near 300 bytes per cell, against
-    # 540 with full-length int64 triplets alive through the conversion
+    # the CSR arrays with duplicates are built in place of COO triplets,
+    # and the columns are taken after the element matrices are freed.  On
+    # a fresh level-6 disc mesh, whose cached areas and scatter bins the
+    # call builds, the peak measured 243 bytes per cell (322 with the COO
+    # triplets alive through the conversion); the bound leaves 15 %
     mesh = build_disc_mesh(level=6)
-    mesh.cell_areas(), mesh.dof_map()
     tracemalloc.start()
     try:
         fem._stiffness_csr(mesh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 400 * mesh.n_cells
+    assert peak < 280 * mesh.n_cells
+
+
+def _shuffled(mesh, order, turns):
+    """``mesh`` with its cell rows in ``order``, each turned ``turns`` slots."""
+    cells = mesh.cells[order]
+    rows = np.arange(len(cells))[:, None]
+    cells = cells[rows, (np.arange(3) + np.asarray(turns)[:, None]) % 3]
+    return Mesh(mesh.vertices, cells, mesh.boundary)
+
+
+SHUFFLED_BASES = (build_disc_mesh(level=2), build_square_mesh(level=2),
+                  split_unit_triangle_mesh(),
+                  Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
+                       np.ones(3, dtype=bool)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.integers(0, len(SHUFFLED_BASES) - 1), seed=st.integers(0, 2**32 - 1))
+def test_stiffness_matches_coo_assembly_on_shuffled_cells(base, seed):
+    # cell rows in any order, vertices turned cyclically (the orientation
+    # kept): each dof's incidences still go by cell number, as in a COO
+    # conversion, whatever the slots; the last base has no dof at all
+    mesh = SHUFFLED_BASES[base]
+    rng = np.random.default_rng(seed)
+    shuffled = _shuffled(mesh, rng.permutation(mesh.n_cells),
+                         rng.integers(0, 3, mesh.n_cells))
+    ours = fem._stiffness_csr(shuffled)
+    reference = coo_stiffness(shuffled, row_wise_element_stiffness(shuffled))
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(ours, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
+def test_planar_element_matrices_match_the_row_wise_formula(build):
+    # plane (i, j) of the (3, 3, n) element matrices is entry (i, j) of
+    # the row-wise (n, 3, 3) ones, bit for bit
+    mesh = build(level=0)
+    for level in range(6):
+        if level:
+            mesh = refine_uniform(mesh)
+        planes = fem._element_stiffness(mesh, mesh.cell_areas())
+        assert planes.shape == (3, 3, mesh.n_cells)
+        want = row_wise_element_stiffness(mesh)
+        assert np.array_equal(planes.transpose(2, 0, 1).view(np.int64), want.view(np.int64))
 
 
 def test_stiffness_zero_entries_match_einsum_reference():
@@ -845,7 +894,7 @@ def test_free_mass_matches_clipped_polygon(corners, scale, values, bounds, on_bo
     with np.errstate(all="raise", under="ignore"):
         classes = fem._classify_cells(cell, -values, lower, upper, 1.0)
         assume(classes[0][0] == fem._CROSSED)
-        mass = fem._free_mass_gram(cell, classes, np.eye(3))
+        mass = fem._free_mass_gram(cell, fem._free_set(classes), np.eye(3))
     reference = clipped_polygon_mass(vertices, values, lower, upper, rule_degree4())
     assert np.max(np.abs(mass - reference)) <= 1e-14 * area
 
@@ -872,7 +921,7 @@ def test_free_mass_gram_matches_clipped_polygon_on_a_mesh(seed, alpha, bounds, s
     fields = rng.standard_normal((3, len(interior)))
     with np.errstate(all="raise", under="ignore"):
         classes = fem._classify_cells(mesh, w, lower, upper, alpha)
-        gram = fem._free_mass_gram(mesh, classes, fields)
+        gram = fem._free_mass_gram(mesh, fem._free_set(classes), fields)
     nodal = np.zeros((3, mesh.n_vertices))
     nodal[:, interior] = fields
     reference = np.zeros((3, 3))
