@@ -2,11 +2,12 @@
 
 ``drain(fn, items)`` calls ``fn`` once on every item of a sequence.  The
 caller and one helper thread take the items from one shared iterator under
-a lock, so each item runs exactly once, in either thread.  The helper joins
-only when there are two or more items and the process may run on two or
-more CPUs: its affinity mask (``taskset``), or ``os.cpu_count()`` where the
-platform has no affinity call.  Otherwise the caller runs every item
-itself, on the same code path.
+a lock, so each item runs exactly once, in either thread; the first item
+always runs in the calling thread.  The helper joins only when there are
+two or more items and the process may run on two or more CPUs: its
+affinity mask (``taskset``), or ``os.cpu_count()`` where the platform has
+no affinity call.  Otherwise the caller runs every item itself, on the
+same code path.
 
 The work gains from the second thread only where it releases the GIL, as
 numpy ufuncs and matmuls do.  Each call must write its own part of the
@@ -21,6 +22,16 @@ from ``drain``.  A helper that has not started by the time the caller has
 run out of items is cancelled rather than waited for: a call made while the
 pool's one thread is busy, from inside that thread or from another caller,
 completes in the calling thread alone.
+
+Drains nest: a study drains its levels, finest first, and each level's
+smooth load and error quadrature drain their chunks.  The caller solves
+the finest level, its first item, while the pool's thread runs the
+helper's share of the levels.  A chunk drain of the finest level submits
+a helper that waits in the pool's queue until that thread runs out of
+levels; it then shares the remaining chunks, unless the caller has run
+them all and cancelled it.  A chunk drain inside a
+level that the pool's thread solves is run by that thread alone: the
+helper it submits cannot start before it is cancelled.
 """
 
 import contextvars
@@ -31,6 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 # one worker thread for the process, started by the first drain that uses it
 _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ptcontrol-drain")
 _END = object()
+_NEXT = object()
 
 
 def _usable_cpus():
@@ -54,20 +66,26 @@ def drain(fn, items):
     lock = threading.Lock()
     errors = []
 
-    def work():
+    def work(item=_NEXT):
         try:
             while True:
-                with lock:
-                    item = _END if errors else next(items, _END)
+                if item is _NEXT:
+                    with lock:
+                        item = _END if errors else next(items, _END)
                 if item is _END:
                     return
                 fn(item)
+                item = _NEXT
         except BaseException as exc:  # re-raised by drain below
             with lock:
                 errors.append(exc)
 
+    # taken before the helper exists: a pool thread that this call starts
+    # would often win the first item otherwise, and the drains nested in
+    # that item would find the pool's one thread busy and run on one core
+    first = next(items, _END)
     helper = _POOL.submit(contextvars.copy_context().run, work) if share else None
-    work()
+    work(first)
     # the items are exhausted or an error is recorded, so a helper that has
     # started takes no further item
     if helper is not None and not helper.cancel():

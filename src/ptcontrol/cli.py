@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import control, error, fem, oracle
+from ._parallel import drain
 from ._text import text_rows
 from .greens import ExactSolution
 from .mesh import (
@@ -307,22 +308,38 @@ def run_study(config):
     """Run the level sweep of ``config.variant`` and write the CSV.
 
     The meshes of all levels come from one refinement chain, built before
-    any level is solved; the levels are then solved in order.  On solver
-    divergence nothing is written.
+    any level is solved.  The levels are independent solves: ``drain`` hands
+    them out finest first, to this thread and its helper, and each level's
+    record, or the exception it raised, goes to the level's own slot.  So the
+    records, their orders and the CSV are those of solving the levels in
+    order, whichever thread solved which level.  If some level fails, the
+    coarsest failing level's exception is raised, a divergence prefixed with
+    its level, and nothing is written.
 
     Returns
     -------
     list of ConvergenceRecord
     """
     exact = _exact_solution(config)
-    records = []
-    for mesh in _study_meshes(config):
+    meshes = _study_meshes(config)
+    records = [None] * len(meshes)
+
+    def solve(index):
         try:
-            records.append(_level_error(config, exact, mesh))
-        except control.DivergenceError as exc:
+            records[index] = _level_error(config, exact, meshes[index])
+        except Exception as exc:  # raised below, coarsest level first
+            records[index] = exc
+
+    # the finest level first: while this thread solves it, the helper takes
+    # the coarser ones, then the chunks of the finest level's error
+    drain(solve, range(len(meshes) - 1, -1, -1))
+    for mesh, record in zip(meshes, records):
+        if isinstance(record, control.DivergenceError):
             raise control.DivergenceError(
-                f"level {mesh.level}: {exc}", exc.residual_history
-            )
+                f"level {mesh.level}: {record}", record.residual_history
+            ) from record
+        if isinstance(record, Exception):
+            raise record
     pairs = [(r.h, r.error) for r in records]
     if len(records) >= 2:
         for record, order in zip(records[1:], error.estimate_eoc(pairs)):

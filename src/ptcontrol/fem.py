@@ -27,6 +27,7 @@ backward error near machine precision, once the residual contract holds;
 see ``Factorization``.
 """
 
+import threading
 import weakref
 
 import numpy as np
@@ -163,10 +164,14 @@ class StiffnessMatrix:
         return FeFunction(self.mesh, values)
 
 
-# read-only stiffness CSR of each mesh; a weak key, so an entry lives as
-# long as its mesh, whose arrays are read-only too.  Threads that assemble
-# the same mesh at once store equal matrices.
+# read-only stiffness CSR of each mesh, and the lock its assembly holds;
+# weak keys, so an entry lives as long as its mesh, whose arrays are
+# read-only too.  A lock per mesh, taken before the cache is read: threads
+# that assemble one mesh at once wait for a single assembly, and those that
+# assemble different meshes do not wait for each other.
 _STIFFNESS = weakref.WeakKeyDictionary()
+_STIFFNESS_LOCKS = weakref.WeakKeyDictionary()
+_STIFFNESS_LOCKS_LOCK = threading.Lock()
 
 
 def assemble_stiffness(mesh):
@@ -179,18 +184,21 @@ def assemble_stiffness(mesh):
     opposite vertex i, which is the exact integral of the constant P1
     gradients.
 
-    The CSR matrix is assembled once per mesh and shared by every later
-    call, the multigrid hierarchies of finer meshes included; its arrays
-    are read-only.
+    The CSR matrix is assembled once per mesh, also when several threads
+    ask for it at once, and shared by every later call, the multigrid
+    hierarchies of finer meshes included; its arrays are read-only.
 
     Raises
     ------
     AssemblyError
         If some cell has nonpositive signed area.
     """
-    mat = _STIFFNESS.get(mesh)
-    if mat is None:
-        mat = _STIFFNESS[mesh] = _stiffness_csr(mesh)
+    with _STIFFNESS_LOCKS_LOCK:
+        lock = _STIFFNESS_LOCKS.setdefault(mesh, threading.Lock())
+    with lock:
+        mat = _STIFFNESS.get(mesh)
+        if mat is None:
+            mat = _STIFFNESS[mesh] = _stiffness_csr(mesh)
     matrix = StiffnessMatrix(mat, mesh, mesh.interior_vertices())
     matrix._assembled = True
     return matrix
@@ -731,7 +739,9 @@ def _classify_cells(mesh, w, lower, upper, alpha):
     with np.errstate(over="ignore"):
         finite = np.isfinite(np.max(np.abs(nodal)) / alpha)
     if finite:
-        v = -nodal[np.ascontiguousarray(mesh.cells.T)] / alpha
+        v = mesh._vertex_planes(nodal)
+        np.negative(v, out=v)
+        v /= alpha
     else:
         # an overflowing or non-finite field: every value nan, so the
         # integrals are nan without a warning on the way

@@ -157,9 +157,21 @@ class Mesh:
 
     def _planes(self):
         """The x and y coordinate planes: (3, n_c) arrays, row j the j-th vertex of every cell."""
-        cells = np.ascontiguousarray(self.cells.T)
-        x, y = (coordinate[cells] for coordinate in self.vertices.T)
-        return x, y
+        return tuple(self._vertex_planes(coordinate) for coordinate in self.vertices.T)
+
+    def _vertex_planes(self, values):
+        """``values[cells.T]`` for one value per vertex, as a new (3, n_c) array.
+
+        Gathered a row at a time, with no (3, n_c) copy of the cell indices.
+        """
+        if values.shape != (self.n_vertices,):
+            raise ValueError("value count must equal the vertex count")
+        planes = np.empty((3, self.n_cells), dtype=values.dtype)
+        for j in range(3):
+            # every index is in range (checked on construction), so "clip"
+            # clips none; unlike the default mode it needs no buffer
+            np.take(values, self.cells[:, j], out=planes[j], mode="clip")
+        return planes
 
     def cell_areas(self):
         """Cached signed areas of all cells; positive for counterclockwise cells.

@@ -17,7 +17,8 @@ identity, the einsum stiffness element matrices and the COO stiffness
 assembly are earlier forms of the package's kernels, kept as bit-for-bit
 references for their rewrites: the ramp identity on free cells and cells
 at a bound, where its terms stay small.  So are the row-wise (n_c, 3, 2)
-formulas for the mesh width, the cell areas and the centroids.
+formulas for the mesh width, the cell areas and the centroids, and the
+shifted cell values gathered through a whole copy of the cell array.
 """
 
 import numpy as np
@@ -347,6 +348,26 @@ def reference_ramp_counts(mesh, w, lower, upper, alpha):
         np.count_nonzero(lo - v > 0.0, axis=1),
         np.count_nonzero(v - hi > 0.0, axis=1),
     )
+
+
+def whole_gather_cell_values(mesh, w, lower, upper, alpha):
+    """``(v, shift, lo, hi)`` of the cell classes, the cells gathered at once.
+
+    The shifted vertex values of every cell as (3, n_c) planes from the
+    one-line gather through a (3, n_c) copy of the cell array: v = -w/alpha
+    at the cell vertices less s, the clamped vertex mean, with lo = lower - s
+    and hi = upper - s.  Every value is nan if some -w/alpha is not finite.
+    """
+    nodal = w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.max(np.abs(nodal)) / alpha)
+    if finite:
+        v = -nodal[np.ascontiguousarray(mesh.cells.T)] / alpha
+    else:
+        v = np.full((3, mesh.n_cells), np.nan)
+    shift = np.clip((v[0] + v[1] + v[2]) / 3.0, lower, upper)
+    v -= shift
+    return v, shift, lower - shift, upper - shift
 
 
 def reference_stiffness_csr(mesh):

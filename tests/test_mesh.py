@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +320,33 @@ def test_cell_areas_cached_read_only():
     shoelace = 0.5 * (x[:, 0] * (y[:, 1] - y[:, 2]) + x[:, 1] * (y[:, 2] - y[:, 0])
                       + x[:, 2] * (y[:, 0] - y[:, 1]))
     assert np.allclose(areas, shoelace, rtol=1e-13, atol=0.0)
+
+
+def test_vertex_planes_gather_by_rows():
+    mesh = build_disc_mesh(level=3)
+    values = np.random.default_rng(0).standard_normal(mesh.n_vertices)
+    for v in (values, np.arange(mesh.n_vertices)):
+        planes = mesh._vertex_planes(v)
+        assert planes.dtype == v.dtype and planes.flags.c_contiguous
+        assert np.array_equal(planes, v[mesh.cells.T])
+    for bad in (values[:-1], np.append(values, 0.0), values[:, None]):
+        with pytest.raises(ValueError):
+            mesh._vertex_planes(bad)
+
+
+def test_coordinate_planes_peak_memory():
+    # on a level-6 disc mesh the two planes take 1.5 MiB; the peak measured
+    # 1.88 MiB with one 0.25 MiB column of cell indices and one 0.13 MiB
+    # column of coordinates beside them, the bound with 1 % more.  A gather
+    # through a (3, n_c) copy of the cells peaked at 2.25 MiB
+    mesh = build_disc_mesh(level=6)
+    tracemalloc.start()
+    try:
+        mesh._planes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * 8 * (2 * 3 * mesh.n_cells + mesh.n_cells + mesh.n_vertices)
 
 
 @pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])

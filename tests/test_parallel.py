@@ -1,23 +1,27 @@
 """The work shared by the calling thread and one helper thread.
 
-``_parallel.drain`` hands the chunks of the error quadrature and of
-``load_smooth``, and the blocks of the text dumps, to the caller and a
-helper.  These tests check that the results keep their bits, and the dumps
-their bytes, whichever thread runs a chunk, that the caller's
-``np.errstate`` holds in the helper, that a failure stops the hand-out and
-propagates, and that ``drain`` cannot deadlock when the helper's pool is busy.
+``_parallel.drain`` hands the levels of a study, the chunks of the error
+quadrature and of ``load_smooth``, and the blocks of the text dumps, to the
+caller and a helper.  These tests check that the results keep their bits,
+and the dumps and study tables their bytes, whichever thread runs a level or
+a chunk, that a study raises the failure of its coarsest failing level, that
+the caller's ``np.errstate`` holds in the helper, that a failure stops the
+hand-out and propagates, and that ``drain`` cannot deadlock when the
+helper's pool is busy.
 """
 
+import dataclasses
 import os
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptcontrol import _parallel, _text, cli, error, fem
+from ptcontrol import _parallel, _text, cli, control, error, fem
 from ptcontrol.control import VariationalControl
 from ptcontrol.greens import ExactSolution
 from ptcontrol.mesh import build_disc_mesh, format_mesh
@@ -25,6 +29,7 @@ from ptcontrol.quadrature import rule_degree4
 
 TIMEOUT_S = 30.0
 DRAIN = _parallel.drain
+LEVEL_ERROR = cli._level_error
 EXACT = ExactSolution(lower=-0.2, upper=0.2)
 MESHES = {level: build_disc_mesh(level=level) for level in range(6)}
 
@@ -149,6 +154,107 @@ def test_dumps_keep_their_bytes_with_and_without_the_helper(tmp_path):
         assert files == first
 
 
+STUDY_BOUNDS = {"cellwise": (-1.0, 1.0), "variational": (-0.2, 0.2),
+                "postproc": (-0.2, 0.2), "greens": (-1.0, 1.0)}
+
+
+def study(tmp_path, name, variant):
+    """The CSV bytes and the record fields of a level 2..5 study."""
+    out = tmp_path / f"{name}-{variant}.csv"
+    lower, upper = STUDY_BOUNDS[variant]
+    records = cli.run_study(cli.StudyConfig(variant=variant, level_min=2, level_max=5,
+                                            lower=lower, upper=upper, out=str(out)))
+    return out.read_bytes(), [dataclasses.astuple(r) for r in records]
+
+
+def coarsest_first(fn, items):
+    """``drain`` with the items handed out in reverse order."""
+    DRAIN(fn, list(items)[::-1])
+
+
+def study_threads(patch, threads):
+    """Patch ``run_study``'s hand-out of levels for one of three thread set-ups."""
+    if threads == "helper":
+        patch.setattr(cli, "drain", helper_joins)
+    elif threads == "caller":
+        patch.setattr(_parallel, "_usable_cpus", lambda: 1)
+    else:
+        patch.setattr(cli, "drain", coarsest_first)
+
+
+@pytest.mark.parametrize("variant", sorted(STUDY_BOUNDS))
+def test_study_keeps_its_bytes_on_one_thread_and_two(tmp_path, variant):
+    # the helper solving some levels, the caller solving all of them, and
+    # the levels handed out coarsest first: the same table and records
+    runs = {}
+    for threads in ("helper", "caller", "coarsest first"):
+        with pytest.MonkeyPatch.context() as patch:
+            study_threads(patch, threads)
+            runs[threads] = study(tmp_path, threads, variant)
+    first = runs["helper"]
+    assert first[1][-1][0] == 5 and first[1][-1][-1] is not None
+    for run in runs.values():
+        assert run == first
+
+
+def failing_at(failures):
+    """``cli._level_error`` that raises ``failures[level]`` at the named levels."""
+    solved = []
+
+    def fn(config, exact, mesh):
+        solved.append(mesh.level)
+        if mesh.level in failures:
+            raise failures[mesh.level]
+        return LEVEL_ERROR(config, exact, mesh)
+
+    return fn, solved
+
+
+@pytest.mark.parametrize("threads", ["helper", "caller"])
+def test_study_raises_its_coarsest_failure(tmp_path, monkeypatch, threads):
+    # levels 3 and 5 diverge; whichever finishes first, level 3's error is
+    # raised with its level and its residual history, and nothing is written
+    study_threads(monkeypatch, threads)
+    fn, solved = failing_at({
+        3: control.DivergenceError("stalled", [1.0, 0.5, 0.25]),
+        5: control.DivergenceError("line search failed", [2.0, 1.5]),
+    })
+    monkeypatch.setattr(cli, "_level_error", fn)
+    out = tmp_path / "study.csv"
+    config = cli.StudyConfig(variant="cellwise", level_min=2, level_max=5, out=str(out))
+    with pytest.raises(control.DivergenceError) as info:
+        cli.run_study(config)
+    assert str(info.value) == "level 3: stalled"
+    assert info.value.residual_history == [1.0, 0.5, 0.25]
+    assert sorted(solved) == [2, 3, 4, 5]
+    assert list(tmp_path.iterdir()) == []
+    # any other exception propagates as raised
+    raised = ValueError("no such level")
+    fn, _ = failing_at({4: raised})
+    monkeypatch.setattr(cli, "_level_error", fn)
+    with pytest.raises(ValueError) as info:
+        cli.run_study(config)
+    assert info.value is raised
+    assert list(tmp_path.iterdir()) == []
+
+
+class Interrupt(BaseException):
+    """Not an ``Exception``, as ``KeyboardInterrupt`` is not."""
+
+
+def test_study_interrupt_stops_the_hand_out_of_levels(tmp_path, monkeypatch):
+    # on one CPU the levels go finest first: the interrupt at level 4 is not
+    # kept for later, so levels 3 and 2 never start
+    study_threads(monkeypatch, "caller")
+    fn, solved = failing_at({4: Interrupt()})
+    monkeypatch.setattr(cli, "_level_error", fn)
+    with pytest.raises(Interrupt):
+        cli.run_study(cli.StudyConfig(variant="cellwise", level_min=2, level_max=5,
+                                      out=str(tmp_path / "study.csv")))
+    assert solved == [5, 4]
+    assert list(tmp_path.iterdir()) == []
+
+
 def divides_by_zero_in(thread):
     """A field that divides by zero when the named thread evaluates it."""
     caller = threading.get_ident()
@@ -232,6 +338,41 @@ def test_drain_inside_the_pool_thread_completes():
     future = _parallel._POOL.submit(DRAIN, nested, range(10))
     future.result(timeout=TIMEOUT_S)
     assert sorted(done) == list(range(20))
+
+
+def test_first_item_runs_in_the_calling_thread(monkeypatch):
+    # also when the drain starts the pool's thread, which could otherwise
+    # take the first item while the caller waits for the thread to start
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    for _ in range(20):
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(_parallel, "_POOL", pool)
+        threads = {}
+        try:
+            DRAIN(lambda item: threads.setdefault(item, threading.get_ident()), range(3))
+        finally:
+            pool.shutdown(wait=True)
+        assert threads[0] == threading.get_ident()
+
+
+def test_study_solves_its_finest_level_in_the_calling_thread(tmp_path, monkeypatch):
+    # so that the finest level's error chunks can go to the helper
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    pool = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(_parallel, "_POOL", pool)
+    threads = {}
+
+    def fn(config, exact, mesh):
+        threads[mesh.level] = threading.get_ident()
+        return LEVEL_ERROR(config, exact, mesh)
+
+    monkeypatch.setattr(cli, "_level_error", fn)
+    try:
+        cli.run_study(cli.StudyConfig(variant="greens", level_min=2, level_max=4,
+                                      out=str(tmp_path / "study.csv")))
+    finally:
+        pool.shutdown(wait=True)
+    assert threads[4] == threading.get_ident()
 
 
 def test_helper_follows_the_affinity_mask(monkeypatch):
