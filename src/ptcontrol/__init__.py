@@ -46,7 +46,6 @@ from .fem import (
     StiffnessMatrix,
     assemble_stiffness,
     centroid_project,
-    clipped_field_l2_sq,
     evaluate,
     factorize,
     l2_norm,
@@ -103,7 +102,6 @@ __all__ = [
     "build_square_mesh",
     "centroid_project",
     "classify_cells",
-    "clipped_field_l2_sq",
     "cut_area_ratio",
     "eoc_least_squares",
     "estimate_eoc",

@@ -23,15 +23,18 @@ run out of items is cancelled rather than waited for: a call made while the
 pool's one thread is busy, from inside that thread or from another caller,
 completes in the calling thread alone.
 
-Drains nest: a study drains its levels, finest first, and each level's
-smooth load and error quadrature drain their chunks.  The caller solves
-the finest level, its first item, while the pool's thread runs the
-helper's share of the levels.  A chunk drain of the finest level submits
-a helper that waits in the pool's queue until that thread runs out of
-levels; it then shares the remaining chunks, unless the caller has run
-them all and cancelled it.  A chunk drain inside a
-level that the pool's thread solves is run by that thread alone: the
-helper it submits cannot start before it is cancelled.
+Three loops drain: a study's levels (``cli.run_study``), the chunks of the
+smooth load and the error quadrature, through one chunk loop
+(``error._over_chunks``), and the blocks of a text dump
+(``_text.text_rows``).  Drains nest: a study drains its levels, finest
+first, and each level's smooth load and error quadrature drain their
+chunks.  The caller solves the finest level, its first item, while the
+pool's thread runs the helper's share of the levels.  A chunk drain of
+the finest level submits a helper that waits in the pool's queue until
+that thread runs out of levels; it then shares the remaining chunks,
+unless the caller has run them all and cancelled it.  A chunk drain
+inside a level that the pool's thread solves is run by that thread alone:
+the helper it submits cannot start before it is cancelled.
 """
 
 import contextvars

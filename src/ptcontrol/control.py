@@ -234,10 +234,10 @@ class ReducedSystem:
             row[:] = factorization.solve(load)
         self._source_misfit = self._green @ load_source - problem.targets
         if variant == CELLWISE:
-            self._adjoint_cell_means = np.stack([
-                fem.l2_project_cells(mesh, self.matrix.field(g)).values
-                for g in self._green
-            ])
+            # filled a row at a time, so the means are held once
+            self._adjoint_cell_means = np.empty((problem.n_points, mesh.n_cells))
+            for row, g in zip(self._adjoint_cell_means, self._green):
+                row[:] = fem.l2_project_cells(mesh, self.matrix.field(g)).values
 
     def initial_guess(self):
         """Coefficients of the q = 0 state: u_f(x_i) - target_i."""
@@ -269,10 +269,11 @@ class ReducedSystem:
         load, and ``objective`` sums them.  The free set is where the
         control lies strictly within its bounds, the input of ``jacobian``:
         the mask of cells whose -mean/alpha is inside the bounds (cellwise),
-        or the ``fem._free_set`` of the classes of the adjoint that the load
-        was integrated from (variational): their labels and the crossed
-        cells' values, so holding it through a line search costs a byte a
-        cell.
+        or the free set of the adjoint that the load was integrated from
+        (variational): the cells' labels and the mass of the free fan of
+        each crossed cell, cut once for the load and the Jacobian, so
+        holding it through a line search costs a byte a cell and 72 bytes
+        a crossed cell.
         """
         c = np.asarray(c, dtype=float)
         p = self.problem
@@ -284,9 +285,10 @@ class ReducedSystem:
             squares = values**2 * self.mesh.cell_areas()
             load = fem.load_cellwise(self.mesh, values)
         else:
-            load, squares, free = fem._clipped_load_and_squares(
+            loads, squares, free = fem._clipped_integrals(
                 self.mesh, self.adjoint_of(c), p.lower, p.upper, p.alpha
             )
+            load = fem._scatter_cell_loads(self.mesh, loads)
         F = c - (self._source_misfit + self._green @ load)
         return F, squares, free
 
@@ -297,8 +299,9 @@ class ReducedSystem:
         the mass form on the free part of the control, where it lies
         strictly within the bounds: the free cells of the cellwise variant,
         J_ij = delta_ij + (1/alpha) sum_K |K| mean_K g_i mean_K g_j, or the
-        free set of the variational control, cut from each crossed cell
-        exactly (``fem._free_mass_gram``).  J is symmetric and J >= I.
+        free set of the variational control, with the exact free-fan mass
+        of each crossed cell that the evaluation cut
+        (``fem._free_mass_gram``).  J is symmetric and J >= I.
         """
         if self.variant == CELLWISE:
             means = self._adjoint_cell_means[:, free]

@@ -20,13 +20,18 @@ giving one value per cell.  The cell values of all chunks are summed with
 the cell areas in one dot product at the end, so the result does not
 depend on where the chunks split.
 
-The chunks are shared by the calling thread and, on a machine where the
-process may use two or more CPUs, one helper thread (``_parallel.drain``):
+The chunks (``_over_chunks``) are shared by the calling thread and, on a
+machine where the process may use two or more CPUs, one helper thread
+(``_parallel.drain``):
 their ufuncs and matmuls release the GIL, so the two run at once.  The
 chunk boundaries do not depend on the threads, every chunk is computed by
 the same operations whichever thread takes it and writes only its own
 cells' values, and the final dot product runs in the caller after all
 chunks.  So the result is bitwise the same with or without the helper.
+
+The same chunk loop serves ``fem.load_smooth``: chunks of about
+``CHUNK_POINTS`` nodes of the 6-point load rule, each contracted into its
+own cells' rows of the cell loads.
 """
 
 from dataclasses import dataclass
@@ -96,16 +101,27 @@ def _sample(field, bary, cells, physical):
     return values.reshape(len(cells), len(bary))
 
 
+def _over_chunks(n, q, fn):
+    """Call ``fn(part)`` on the slices of range(n) of ``CHUNK_POINTS // q`` items.
+
+    Each item has ``q`` quadrature nodes, so a slice has about
+    ``CHUNK_POINTS`` of them (one item at least).  The slices are drained
+    by the calling thread and a helper, so ``fn`` must write only the
+    slice's own part of its output.
+    """
+    size = max(1, CHUNK_POINTS // q)
+    drain(lambda start: fn(slice(start, start + size)), range(0, n, size))
+
+
 def _cell_errors(mesh, first, second, bary, weights, cells, squared, out):
     """Rule applied to |first - second|^2 (``squared``) or |first - second|.
 
     Writes the weighted sum over each of ``cells`` to ``out``; times the
     cell's area it is the integral over the cell.
     """
-    per_chunk = max(1, CHUNK_POINTS // len(bary))
 
-    def chunk_errors(start):
-        chunk = cells[start : start + per_chunk]
+    def chunk_errors(part):
+        chunk = cells[part]
         physical = _physical_points(mesh, bary, chunk)
         diff = np.subtract(_sample(first, bary, chunk, physical),
                            _sample(second, bary, chunk, physical))
@@ -115,7 +131,7 @@ def _cell_errors(mesh, first, second, bary, weights, cells, squared, out):
             np.abs(diff, out=diff)
         out[chunk] = diff @ weights
 
-    drain(chunk_errors, range(0, len(cells), per_chunk))
+    _over_chunks(len(cells), len(bary), chunk_errors)
 
 
 def l2_error_control(mesh, exact, discrete, depth=DEFAULT_DEPTH):

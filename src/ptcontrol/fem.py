@@ -27,14 +27,10 @@ backward error near machine precision, once the residual contract holds;
 see ``Factorization``.
 """
 
-import threading
-import weakref
-
 import numpy as np
 import scipy.sparse as sparse
 
 from . import error
-from ._parallel import drain
 from .mesh import PointNotFoundError, _ancestors, locate_point, cell_centroids
 from .quadrature import rule_degree4
 
@@ -164,16 +160,6 @@ class StiffnessMatrix:
         return FeFunction(self.mesh, values)
 
 
-# read-only stiffness CSR of each mesh, and the lock its assembly holds;
-# weak keys, so an entry lives as long as its mesh, whose arrays are
-# read-only too.  A lock per mesh, taken before the cache is read: threads
-# that assemble one mesh at once wait for a single assembly, and those that
-# assemble different meshes do not wait for each other.
-_STIFFNESS = weakref.WeakKeyDictionary()
-_STIFFNESS_LOCKS = weakref.WeakKeyDictionary()
-_STIFFNESS_LOCKS_LOCK = threading.Lock()
-
-
 def assemble_stiffness(mesh):
     """Assemble the P1 stiffness matrix integral of grad(phi_i).grad(phi_j).
 
@@ -185,21 +171,20 @@ def assemble_stiffness(mesh):
     gradients.
 
     The CSR matrix is assembled once per mesh, also when several threads
-    ask for it at once, and shared by every later call, the multigrid
-    hierarchies of finer meshes included; its arrays are read-only.
+    ask for it at once, and kept on the mesh for every later call, the
+    multigrid hierarchies of finer meshes included; its arrays are
+    read-only.  Each mesh has its own lock, so threads that assemble
+    different meshes do not wait for each other.
 
     Raises
     ------
     AssemblyError
         If some cell has nonpositive signed area.
     """
-    with _STIFFNESS_LOCKS_LOCK:
-        lock = _STIFFNESS_LOCKS.setdefault(mesh, threading.Lock())
-    with lock:
-        mat = _STIFFNESS.get(mesh)
-        if mat is None:
-            mat = _STIFFNESS[mesh] = _stiffness_csr(mesh)
-    matrix = StiffnessMatrix(mat, mesh, mesh.interior_vertices())
+    with mesh._stiffness_lock:
+        if mesh._stiffness is None:
+            mesh._stiffness = _stiffness_csr(mesh)
+    matrix = StiffnessMatrix(mesh._stiffness, mesh, mesh.interior_vertices())
     matrix._assembled = True
     return matrix
 
@@ -510,29 +495,26 @@ def load_smooth(mesh, f):
     f : callable
         Vectorized scalar field: maps an (m, 2) array of points to (m,)
         values.  Must be bounded at the quadrature points (all of which lie
-        strictly inside cells).  It is called on the points of slices of
-        ``error.CHUNK_POINTS // 6`` cells, built per slice and shared by the
-        calling thread and a helper as in ``error``; each slice's values go
-        to their own part of one array, so the load does not depend on the
-        threads.
+        strictly inside cells).  It is called on the points of the chunks
+        of the error quadrature's loop (``error._over_chunks``), shared by
+        the calling thread and a helper.  Each chunk contracts its values
+        with the weights, the rule's barycentric rows and the cell areas
+        into its own rows of the (n_cells, 3) cell loads, so the load does
+        not depend on the threads and no array of every node's value is
+        formed.
     """
     bary, weights = rule_degree4()
-    q = len(weights)
-    fvals = np.empty(mesh.n_cells * q)
-    step = max(1, error.CHUNK_POINTS // q)
+    areas = mesh.cell_areas()
+    contrib = np.empty((mesh.n_cells, 3))
 
-    def sample(start):
-        points = np.matmul(bary, mesh.vertices[mesh.cells[start : start + step]])
-        fvals[q * start : q * (start + step)] = f(points.reshape(-1, 2))
+    def contract(part):
+        points = np.matmul(bary, mesh.vertices[mesh.cells[part]])
+        fvals = np.multiply(np.reshape(f(points.reshape(-1, 2)), (-1, len(weights))),
+                            weights)
+        np.matmul(fvals, bary, out=contrib[part])
+        contrib[part] *= areas[part, None]
 
-    drain(sample, range(0, mesh.n_cells, step))
-    # the weights and areas in place, so the values and the contributions
-    # are the only whole-mesh arrays
-    fvals = fvals.reshape(mesh.n_cells, q)
-    fvals *= weights
-    contrib = fvals @ bary
-    del fvals
-    contrib *= mesh.cell_areas()[:, None]
+    error._over_chunks(mesh.n_cells, len(weights), contract)
     return _scatter_cell_loads(mesh, contrib)
 
 
@@ -653,16 +635,21 @@ def l2_norm(u):
 #
 # The load's derivative in w is minus 1/alpha times the P1 mass form on the
 # free part of each cell, where a <= v <= b: the whole of a free cell,
-# nothing of a cell at a bound, and the free fan of a crossed cell.
+# nothing of a cell at a bound, and the free fan of a crossed cell.  The
+# cut that integrates the load also gives that fan's mass, so each crossed
+# cell is cut once per evaluation: ``_clipped_integrals`` returns the fan
+# masses in its free set, and ``_free_mass_gram`` reads them.
 
 _FREE, _AT_LOWER, _AT_UPPER, _CROSSED = range(4)
 
 
 def _mass_loads(u, areas):
-    """Per-cell integrals of an affine u times each hat, u (n, 3) vertex values."""
-    # the vertex sum added left to right, as u.sum(axis=1) does, at half
+    """Per-cell integrals of an affine u times each hat, u (3, n) vertex planes."""
+    # the vertex sum added left to right, as u.sum(axis=0) does, at half
     # its cost
-    return areas[:, None] / 12.0 * (u + (u[:, 0] + u[:, 1] + u[:, 2])[:, None])
+    loads = u + (u[0] + u[1] + u[2])
+    loads *= areas / 12.0
+    return loads
 
 
 # The nine corners of the cut geometry, P0, B, Y(lo), X(lo), M, Y(hi),
@@ -762,42 +749,50 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
     """Per-cell exact integrals of g = clamp(-w/alpha, lower, upper).
 
     Returns the loads (n_cells, 3), int g * lambda_j, the squares
-    (n_cells,), int g^2, and the ``_free_set`` of the ``_classify_cells``
-    result they were integrated from.
+    (n_cells,), int g^2, and the free set ``(labels, crossed, mass)`` of
+    ``_free_mass_gram``: the ``_classify_cells`` labels of all cells, the
+    indices of the crossed cells and the (crossed, 3, 3) P1 mass of the
+    free fan of each, in the cell's vertex slots.  A free set held through
+    a line search costs one byte a cell and 72 a crossed cell.
     """
     if not lower < upper:
         raise ValueError("bounds must satisfy lower < upper")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    classes = _classify_cells(mesh, w, lower, upper, alpha)
-    labels, v, shift, lo, hi = classes
+    labels, v, shift, lo, hi = _classify_cells(mesh, w, lower, upper, alpha)
     areas = mesh.cell_areas()
     # the mass loads of v' and int v'^2, the integrals of a free cell; the
     # products are summed in the order of einsum("ni,ni->n").  In-place
     # steps keep the operands of every rounding as they are.  The values
     # of a cell past a bound, which may overflow here, are replaced below.
     with np.errstate(over="ignore", invalid="ignore"):
-        loads = v + (v[0] + v[1] + v[2])
-        loads *= areas / 12.0
+        loads = _mass_loads(v, areas)
         square = v[0] * loads[0] + v[2] * loads[2]
         square += v[1] * loads[1]
     # on a cell at a bound, s is that bound and g - s = 0
     bound = (labels == _AT_LOWER) | (labels == _AT_UPPER)
     np.copyto(loads, 0.0, where=bound)
     np.copyto(square, 0.0, where=bound)
-    free = _free_set(classes)
-    crossed = free[1]
-    if crossed.size:
-        # on a fan triangle T with corner values g_p of g - s,
-        # int (g - s) lambda_j = sum_p w_p lambda_j(p) and
-        # int (g - s)^2 = sum_p w_p g_p with w_p = |T| / 12 (g_p + sum_q g_q)
-        corners, values, fractions, slots = _cut_cells(*free[2:])
-        weights = values + values.sum(axis=2, keepdims=True)
-        weights *= (fractions * (areas[crossed, None] / 12.0))[..., None]
-        weights = weights.reshape(len(crossed), 1, _FANS.size)
-        row_loads = weights @ corners.reshape(len(crossed), _FANS.size, 3) @ slots
-        loads[:, crossed] = row_loads[:, 0].T
-        square[crossed] = (weights @ values.reshape(len(crossed), _FANS.size, 1))[:, 0, 0]
+    crossed = np.flatnonzero(labels == _CROSSED)
+    # on a fan triangle T with corner values g_p of g - s,
+    # int (g - s) lambda_j = sum_p w_p lambda_j(p) and
+    # int (g - s)^2 = sum_p w_p g_p with w_p = |T| / 12 (g_p + sum_q g_q)
+    corners, values, fractions, slots = _cut_cells(v[:, crossed].T, lo[crossed], hi[crossed])
+    scale = fractions * (areas[crossed, None] / 12.0)
+    weights = values + values.sum(axis=2, keepdims=True)
+    weights *= scale[..., None]
+    weights = weights.reshape(len(crossed), 1, _FANS.size)
+    row_loads = weights @ corners.reshape(len(crossed), _FANS.size, 3) @ slots
+    loads[:, crossed] = row_loads[:, 0].T
+    square[crossed] = (weights @ values.reshape(len(crossed), _FANS.size, 1))[:, 0, 0]
+    # |T| / 12 (L^T L + s^T s) on a free triangle T, L the barycentric rows
+    # of its corners and s their sum: the four rows of each of the three
+    # triangles stacked
+    free = corners[:, _FREE_FAN]
+    rows = np.concatenate([free, free.sum(axis=2, keepdims=True)], axis=2)
+    rows = rows.reshape(len(crossed), 12, 3) @ slots
+    rows_scale = np.repeat(scale[:, _FREE_FAN], 4, axis=1)
+    mass = np.swapaxes(rows * rows_scale[..., None], 1, 2) @ rows
     # the shift terms: square += s (2 sum_j L_j + s |K|), L_j += s |K| / 3
     weight = shift * areas
     term = loads[0] + loads[1] + loads[2]
@@ -807,7 +802,7 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
     square += term
     weight /= 3.0
     loads += weight
-    return loads.T, square, free
+    return loads.T, square, (labels, crossed, mass)
 
 
 def load_clipped_linear(mesh, w, lower, upper, alpha):
@@ -828,69 +823,34 @@ def load_clipped_linear(mesh, w, lower, upper, alpha):
     alpha : float
         Positive scaling of the argument -w/alpha.
     """
-    return _clipped_load_and_squares(mesh, w, lower, upper, alpha)[0]
-
-
-def _clipped_load_and_squares(mesh, w, lower, upper, alpha):
-    """Load vector of ``load_clipped_linear``, the per-cell squares and the
-    free set, one pass.
-
-    ``float(np.sum(squares))`` is ``clipped_field_l2_sq`` bit for bit, and
-    the free set is ``_free_set`` of ``_classify_cells`` of the same
-    arguments, the input of ``_free_mass_gram``.
-    """
-    loads, squares, free = _clipped_integrals(mesh, w, lower, upper, alpha)
-    return _scatter_cell_loads(mesh, loads), squares, free
-
-
-def _free_set(classes):
-    """What ``_free_mass_gram`` reads of a ``_classify_cells`` result.
-
-    Returns ``(labels, crossed, rows, lo, hi)``: the labels of all cells,
-    the indices of the crossed cells, and their shifted vertex values
-    (crossed, 3) and shifted bounds, the input of ``_cut_cells``.  The
-    planes of every cell are not kept, so a free set held through a line
-    search costs one byte a cell.
-    """
-    labels, v, _, lo, hi = classes
-    crossed = np.flatnonzero(labels == _CROSSED)
-    return labels, crossed, v[:, crossed].T, lo[crossed], hi[crossed]
+    loads, _, _ = _clipped_integrals(mesh, w, lower, upper, alpha)
+    return _scatter_cell_loads(mesh, loads)
 
 
 def _free_mass_gram(mesh, free_set, fields):
     """Gram matrix int_free f_i f_j of dof fields (rows of ``fields``).
 
-    ``free_set`` is the ``_free_set`` of the ``_classify_cells`` result for
+    ``free_set`` is the free set that ``_clipped_integrals`` returns for
     some w, lower, upper and alpha; the free set is where
     lower <= -w/alpha <= upper.  The fields are interior dof vectors, zero
     on the boundary.  With w = sum_j c_j f_j, column j is minus alpha times
     the derivative in c_j of the ``load_clipped_linear`` load tested with
     each f_i.  A free cell takes the P1 mass form, a cell at a bound
-    nothing, and a crossed cell the mass of the fan of its free part
-    (``_cut_cells``).  One column at a time, so no (fields, vertices) array
-    is formed.
+    nothing, and a crossed cell the free-fan mass that the free set holds,
+    so no cell is cut again.  One column at a time, so no (fields,
+    vertices) array is formed.
     """
-    labels, crossed, *cut = free_set
-    areas = mesh.cell_areas()
-    free_areas = np.where(labels == _FREE, areas, 0.0)
-    corners, _, fractions, slots = _cut_cells(*cut)
-    # |T| / 12 (L^T L + s^T s) on a free triangle T, L the barycentric rows
-    # of its corners and s their sum: the four rows of each of the three
-    # triangles stacked
-    free = corners[:, _FREE_FAN]
-    rows = np.concatenate([free, free.sum(axis=2, keepdims=True)], axis=2)
-    rows = rows.reshape(len(crossed), 12, 3) @ slots
-    scale = np.repeat(fractions[:, _FREE_FAN] * (areas[crossed, None] / 12.0), 4, axis=1)
-    mass = np.swapaxes(rows * scale[..., None], 1, 2) @ rows
+    labels, crossed, mass = free_set
+    free_areas = np.where(labels == _FREE, mesh.cell_areas(), 0.0)
+    crossed_cells = mesh.cells[crossed]
     interior = mesh.interior_vertices()
     values = np.zeros(mesh.n_vertices)
     gram = np.empty((len(fields), len(fields)))
     for j, field in enumerate(fields):
         values[interior] = field
-        nodal = values[mesh.cells]
-        loads = _mass_loads(nodal, free_areas)
-        loads[crossed] = np.einsum("nab,nb->na", mass, nodal[crossed])
-        gram[:, j] = fields @ _scatter_cell_loads(mesh, loads)
+        loads = _mass_loads(mesh._vertex_planes(values), free_areas)
+        loads[:, crossed] = np.einsum("nab,nb->na", mass, values[crossed_cells]).T
+        gram[:, j] = fields @ _scatter_cell_loads(mesh, loads.T)
     return gram
 
 

@@ -13,6 +13,8 @@ float array, cells as an (n_c, 3) int array of vertex indices in
 counterclockwise order, and boundary vertices as a boolean mask.
 """
 
+import threading
+
 import numpy as np
 
 from ._text import text_rows
@@ -128,6 +130,10 @@ class Mesh:
         self._dof = None
         self._bins = None
         self._areas = None
+        # the stiffness CSR, assembled once under its lock by
+        # fem.assemble_stiffness
+        self._stiffness = None
+        self._stiffness_lock = threading.Lock()
         # set by refine_uniform: the coarser mesh and its unique edges,
         # whose midpoints are vertices parent.n_vertices onward
         self._parent = None

@@ -19,6 +19,11 @@ references for their rewrites: the ramp identity on free cells and cells
 at a bound, where its terms stay small.  So are the row-wise (n_c, 3, 2)
 formulas for the mesh width, the cell areas and the centroids, and the
 shifted cell values gathered through a whole copy of the cell array.
+Two earlier forms of the solve path's passes are kept the same way, and
+call the package's kernels that other oracles certify: the clipped
+integrals with a Jacobian Gram matrix that cuts every crossed cell again
+(``recut_integrals_and_gram``), and the smooth load that samples every
+node into one array before it contracts them (``sliced_load_smooth``).
 """
 
 import numpy as np
@@ -368,6 +373,92 @@ def whole_gather_cell_values(mesh, w, lower, upper, alpha):
     shift = np.clip((v[0] + v[1] + v[2]) / 3.0, lower, upper)
     v -= shift
     return v, shift, lower - shift, upper - shift
+
+
+def recut_integrals_and_gram(mesh, w, lower, upper, alpha, fields):
+    """Per-cell loads (n, 3) and squares of clamp(-w/alpha, lower, upper), and
+    the Gram matrix int_free f_i f_j of the dof fields, rows of ``fields``.
+
+    The integrals of the cells' classes (``fem._classify_cells``): the
+    plane kernel on free cells, zero past a bound, the fans of
+    ``fem._cut_cells`` on crossed cells, only where some cell is crossed,
+    and the shift terms.  The Gram matrix cuts the crossed cells again from
+    their shifted values and builds each fan's mass there, then applies
+    the (n, 3) row form of the mass loads one field at a time.
+    """
+    from ptcontrol import fem
+
+    labels, v, shift, lo, hi = fem._classify_cells(mesh, w, lower, upper, alpha)
+    areas = mesh.cell_areas()
+    with np.errstate(over="ignore", invalid="ignore"):
+        loads = v + (v[0] + v[1] + v[2])
+        loads *= areas / 12.0
+        square = v[0] * loads[0] + v[2] * loads[2]
+        square += v[1] * loads[1]
+    bound = (labels == fem._AT_LOWER) | (labels == fem._AT_UPPER)
+    np.copyto(loads, 0.0, where=bound)
+    np.copyto(square, 0.0, where=bound)
+    crossed = np.flatnonzero(labels == fem._CROSSED)
+    cut = v[:, crossed].T, lo[crossed], hi[crossed]
+    n, fans = len(crossed), fem._FANS.size
+    if crossed.size:
+        corners, values, fractions, slots = fem._cut_cells(*cut)
+        weights = values + values.sum(axis=2, keepdims=True)
+        weights *= (fractions * (areas[crossed, None] / 12.0))[..., None]
+        weights = weights.reshape(n, 1, fans)
+        loads[:, crossed] = (weights @ corners.reshape(n, fans, 3) @ slots)[:, 0].T
+        square[crossed] = (weights @ values.reshape(n, fans, 1))[:, 0, 0]
+    weight = shift * areas
+    term = loads[0] + loads[1] + loads[2]
+    term *= 2.0
+    term += weight
+    term *= shift
+    square += term
+    weight /= 3.0
+    loads += weight
+    # the Gram matrix, from a second cut
+    free_areas = np.where(labels == fem._FREE, areas, 0.0)
+    corners, _, fractions, slots = fem._cut_cells(*cut)
+    free = corners[:, fem._FREE_FAN]
+    rows = np.concatenate([free, free.sum(axis=2, keepdims=True)], axis=2)
+    rows = rows.reshape(n, 12, 3) @ slots
+    scale = np.repeat(fractions[:, fem._FREE_FAN] * (areas[crossed, None] / 12.0), 4, axis=1)
+    mass = np.swapaxes(rows * scale[..., None], 1, 2) @ rows
+    values = np.zeros(mesh.n_vertices)
+    gram = np.empty((len(fields), len(fields)))
+    for j, field in enumerate(fields):
+        values[mesh.interior_vertices()] = field
+        nodal = values[mesh.cells]
+        cell_loads = free_areas[:, None] / 12.0 * (
+            nodal + (nodal[:, 0] + nodal[:, 1] + nodal[:, 2])[:, None])
+        cell_loads[crossed] = np.einsum("nab,nb->na", mass, nodal[crossed])
+        gram[:, j] = fields @ fem._scatter_cell_loads(mesh, cell_loads)
+    return loads.T, square, gram
+
+
+def sliced_load_smooth(mesh, f):
+    """Load vector (f, phi_i) by the 6-point degree-4 rule, from one values array.
+
+    The field is sampled on slices of ``error.CHUNK_POINTS // 6`` cells into
+    one array of every node's value, which is then weighted, contracted
+    with the rule's barycentric rows and scaled by the cell areas as a
+    whole, before ``fem._scatter_cell_loads`` sums the cell loads.
+    """
+    from ptcontrol import error, fem
+    from ptcontrol.quadrature import rule_degree4
+
+    bary, weights = rule_degree4()
+    q = len(weights)
+    step = max(1, error.CHUNK_POINTS // q)
+    fvals = np.empty(mesh.n_cells * q)
+    for start in range(0, mesh.n_cells, step):
+        points = np.matmul(bary, mesh.vertices[mesh.cells[start : start + step]])
+        fvals[q * start : q * (start + step)] = f(points.reshape(-1, 2))
+    fvals = fvals.reshape(mesh.n_cells, q)
+    fvals *= weights
+    contrib = fvals @ bary
+    contrib *= mesh.cell_areas()[:, None]
+    return fem._scatter_cell_loads(mesh, contrib)
 
 
 def reference_stiffness_csr(mesh):

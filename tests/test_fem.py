@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from ptcontrol import fem
+from ptcontrol import _parallel, fem
 from ptcontrol.control import VARIATIONAL, benchmark_problem, solve_discrete
 from ptcontrol.fem import (
     CellwiseFunction,
@@ -431,6 +431,24 @@ def test_load_smooth_constant_gives_star_areas():
                 expected[dof[v]] += areas[k] / 3.0
     assert load.shape == (matrix_size,)
     assert np.max(np.abs(load - expected)) <= 1e-15
+
+
+def test_load_smooth_peak_memory_on_one_cpu(monkeypatch):
+    # each chunk contracts its values into the cell loads, so no array of
+    # every node's value is formed.  On a level-7 disc mesh, its areas and
+    # bins cached, the load peaked at 65 bytes a cell on one CPU (89 with
+    # that array); the bound leaves 15 % over it
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
+    mesh = build_disc_mesh(level=7)
+    source = ExactSolution().source
+    load_smooth(mesh, source)
+    tracemalloc.start()
+    try:
+        load_smooth(mesh, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 75 * mesh.n_cells
 
 
 def test_load_smooth_exact_for_affine():
@@ -970,9 +988,9 @@ def test_free_mass_matches_clipped_polygon(corners, scale, values, bounds, on_bo
     lower, upper = bounds
     cell = Mesh(vertices, np.array([[0, 1, 2]]), np.zeros(3, dtype=bool))
     with np.errstate(all="raise", under="ignore"):
-        classes = fem._classify_cells(cell, -values, lower, upper, 1.0)
-        assume(classes[0][0] == fem._CROSSED)
-        mass = fem._free_mass_gram(cell, fem._free_set(classes), np.eye(3))
+        free = fem._clipped_integrals(cell, -values, lower, upper, 1.0)[2]
+        assume(free[0][0] == fem._CROSSED)
+        mass = fem._free_mass_gram(cell, free, np.eye(3))
     reference = clipped_polygon_mass(vertices, values, lower, upper, rule_degree4())
     assert np.max(np.abs(mass - reference)) <= 1e-14 * area
 
@@ -1055,8 +1073,8 @@ def test_free_mass_gram_matches_clipped_polygon_on_a_mesh(seed, alpha, bounds, s
     interior = mesh.interior_vertices()
     fields = rng.standard_normal((3, len(interior)))
     with np.errstate(all="raise", under="ignore"):
-        classes = fem._classify_cells(mesh, w, lower, upper, alpha)
-        gram = fem._free_mass_gram(mesh, fem._free_set(classes), fields)
+        free = fem._clipped_integrals(mesh, w, lower, upper, alpha)[2]
+        gram = fem._free_mass_gram(mesh, free, fields)
     nodal = np.zeros((3, mesh.n_vertices))
     nodal[:, interior] = fields
     reference = np.zeros((3, 3))

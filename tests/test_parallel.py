@@ -24,8 +24,10 @@ from hypothesis import given, settings, strategies as st
 from ptcontrol import _parallel, _text, cli, control, error, fem
 from ptcontrol.control import VariationalControl
 from ptcontrol.greens import ExactSolution
-from ptcontrol.mesh import build_disc_mesh, format_mesh
+from ptcontrol.mesh import build_disc_mesh, build_square_mesh, format_mesh, refine_uniform
 from ptcontrol.quadrature import rule_degree4
+
+from oracles import sliced_load_smooth
 
 TIMEOUT_S = 30.0
 DRAIN = _parallel.drain
@@ -60,7 +62,6 @@ def helper_joins(fn, items):
 @pytest.fixture
 def with_helper(monkeypatch):
     monkeypatch.setattr(error, "drain", helper_joins)
-    monkeypatch.setattr(fem, "drain", helper_joins)
 
 
 def quadratic(c):
@@ -100,7 +101,6 @@ def test_helper_keeps_every_bit(level, kind, closed_form, c, seed, budget):
             patch.setattr(error, "CHUNK_POINTS", budget)
             if helper:
                 patch.setattr(error, "drain", helper_joins)
-                patch.setattr(fem, "drain", helper_joins)
             else:
                 patch.setattr(_parallel, "_usable_cpus", lambda: 1)
             runs.append(results(mesh, exact, discrete, source))
@@ -122,6 +122,30 @@ def test_load_smooth_keeps_the_bits_of_one_call():
         mesh, ((fvals * weights) @ bary) * mesh.cell_areas()[:, None])
     got = fem.load_smooth(mesh, EXACT.source)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+SMOOTH_FIELDS = (EXACT.source, quadratic([0.3, -1.2, 0.7, 2.0, -0.4, 1.1]),
+                 lambda p: np.sin(7.0 * p[:, 0]) * np.exp(p[:, 1]))
+
+
+@pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
+@pytest.mark.parametrize("threads", ["helper", "caller"])
+def test_load_smooth_keeps_the_bits_of_the_sliced_formula(monkeypatch, build, threads):
+    # each chunk contracts its own values: the load is the one formed from
+    # a single array of every node's value, bit for bit, on levels 0-7,
+    # with the helper taking chunks and on one CPU
+    if threads == "helper":
+        monkeypatch.setattr(error, "drain", helper_joins)
+    else:
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
+    mesh = build(level=0)
+    for level in range(8):
+        if level:
+            mesh = refine_uniform(mesh)
+        for field in SMOOTH_FIELDS:
+            got = fem.load_smooth(mesh, field)
+            want = sliced_load_smooth(mesh, field)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def dumps(tmp_path, name):
