@@ -5,7 +5,8 @@ Closed-form benchmark
 The convergence studies need a problem whose exact optimal control is
 known.  On the disc, the adjoint of a single-point tracking problem is a
 multiple of the Green's function ln(R/r)/(2 pi), so choosing the state
-cos(pi r) and target 0 makes everything explicit: the optimal control is
+cos(k r) with k = pi/(2R), zero on the rim, and target 0 makes everything
+explicit (on the default disc, R = 1/2 and k = pi): the optimal control is
 the clamped, scaled Green's function, its active set is the disc where
 the adjoint exceeds -lower * alpha, and the matching source term follows
 from the Laplacian.  This script evaluates the formulas and then verifies

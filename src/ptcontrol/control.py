@@ -232,7 +232,10 @@ class ReducedSystem:
             except Exception as exc:
                 raise ValueError(f"tracking point {tuple(x.tolist())} is not usable: {exc}")
             row[:] = factorization.solve(load)
-        self._source_misfit = self._green @ load_source - problem.targets
+        # G b by einsum, here and in evaluate: einsum never calls BLAS, and
+        # OpenBLAS splits a long dot product across its threads, so its last
+        # bits would move with the thread count
+        self._source_misfit = np.einsum("ij,j->i", self._green, load_source) - problem.targets
         if variant == CELLWISE:
             # filled a row at a time, so the means are held once
             self._adjoint_cell_means = np.empty((problem.n_points, mesh.n_cells))
@@ -289,7 +292,7 @@ class ReducedSystem:
                 self.mesh, self.adjoint_of(c), p.lower, p.upper, p.alpha
             )
             load = fem._scatter_cell_loads(self.mesh, loads)
-        F = c - (self._source_misfit + self._green @ load)
+        F = c - (self._source_misfit + np.einsum("ij,j->i", self._green, load))
         return F, squares, free
 
     def jacobian(self, free):

@@ -18,7 +18,9 @@ coordinate columns.  It samples both fields there and reduces the squared
 (L2) or absolute (L1) differences with one matmul against the weights,
 giving one value per cell.  The cell values of all chunks are summed with
 the cell areas in one dot product at the end, so the result does not
-depend on where the chunks split.
+depend on where the chunks split.  That dot product is an ``np.einsum``,
+which never calls BLAS: OpenBLAS splits a long dot product across its
+threads, and the split would move the last bits with the thread count.
 
 The chunks (``_over_chunks``) are shared by the calling thread and, on a
 machine where the process may use two or more CPUs, one helper thread
@@ -156,7 +158,7 @@ def l2_error_control(mesh, exact, discrete, depth=DEFAULT_DEPTH):
     cellwise = np.empty(mesh.n_cells)
     _cell_errors(mesh, exact, discrete, bary, weights, np.arange(mesh.n_cells), True,
                  cellwise)
-    return float(np.sqrt(cellwise @ mesh.cell_areas()))
+    return float(np.sqrt(np.einsum("i,i->", cellwise, mesh.cell_areas())))
 
 
 def l1_error_fe(mesh, exact, fe, singular_point=None, depth=DEFAULT_DEPTH,
@@ -182,7 +184,7 @@ def l1_error_fe(mesh, exact, fe, singular_point=None, depth=DEFAULT_DEPTH,
         fine_bary, fine_weights = subdivided_rule(depth + extra_depth)
         _cell_errors(mesh, exact, fe, fine_bary, fine_weights,
                      np.flatnonzero(singular_cells), False, cellwise)
-    return float(cellwise @ mesh.cell_areas())
+    return float(np.einsum("i,i->", cellwise, mesh.cell_areas()))
 
 
 def classify_cells(mesh, control, lower, upper):

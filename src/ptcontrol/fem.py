@@ -409,11 +409,14 @@ class Factorization:
         count = 1
         while count < self.MAX_ITERATIONS and not self._converged(b, x, residual):
             z = self._precondition(recursive)
-            rz = recursive @ z
+            # the dot products by einsum, which never calls BLAS: OpenBLAS
+            # splits a long dot product across its threads, and the split
+            # moves the last bits with the thread count
+            rz = np.einsum("i,i->", recursive, z)
             direction = z + (rz / rz_old) * direction
             rz_old = rz
             a_direction = self.mat @ direction
-            curvature = direction @ a_direction
+            curvature = np.einsum("i,i->", direction, a_direction)
             if not curvature > 0.0:
                 raise FactorizationError("matrix is not positive definite")
             step = rz / curvature
@@ -606,32 +609,29 @@ def l2_norm(u):
 # Clipped-linear loads.
 #
 # The field is g = clamp(v, a, b) with v = -w/alpha affine on each cell and
-# a < b.  Every cell is integrated shifted by a cell constant s, the clamped
-# mean of its vertex values: g = s + clamp(v', lo, hi) with v' = v - s,
-# lo = a - s and hi = b - s.  The shifted values class each cell exactly
-# (``_classify_cells``): on a free cell no vertex value lies past a bound
-# and g - s = v', integrated by the P1 mass form; on a cell at a bound all
-# three lie past it, their computed mean does too, s is the bound and
-# g - s = 0.  These kernels work on three contiguous vertex planes, one
-# array per vertex slot.
+# a < b.  Each cell is classed by its three vertex values against the
+# bounds (``_classify_cells``): on a free cell no value lies past a bound
+# and g = v, integrated by the P1 mass form; on a cell at a bound all three
+# lie past it and g is that bound.  These kernels work on three contiguous
+# vertex planes, one array per vertex slot.
 #
 # Only a crossed cell, which a level line cuts, takes its cut geometry
 # (``_cut_cells``).  With its values sorted, u0 <= u1 <= u2 at the vertices
 # P0, P1, P2, the line of a level c meets the long edge P0 P2 at X(c) and
-# the path P0 P1 P2 at Y(c).  The lines of lo and hi cut the cell into
-# three convex parts:
+# the path P0 P1 P2 at Y(c).  The lines of a and b cut the cell into three
+# convex parts:
 #
-#     below lo   P0, B, Y(lo), X(lo)                 g - s = lo
-#     free       X(lo), Y(lo), M, Y(hi), X(hi)       g - s = v'
-#     above hi   X(hi), Y(hi), A, P2                 g - s = hi
+#     below a    P0, B, Y(a), X(a)                   g = a
+#     free       X(a), Y(a), M, Y(b), X(b)           g = v
+#     above b    X(b), Y(b), A, P2                   g = b
 #
-# B is P1 when u1 < lo and Y(lo) otherwise, A is P1 when u1 > hi and Y(hi)
-# otherwise, and M is P1 when lo <= u1 <= hi, else Y(lo) or Y(hi).  With lo
-# and hi clamped to [u0, u2], a part that its level line misses collapses
-# onto repeated corners, and an infinite bound leaves its part empty.  On
-# each triangle of a part's fan, g is affine with values in [lo, hi] at its
-# corners, so P1 integrals are exact on it and no term grows with the range
-# of v', which grows like 1/alpha.
+# B is P1 when u1 < a and Y(a) otherwise, A is P1 when u1 > b and Y(b)
+# otherwise, and M is P1 when a <= u1 <= b, else Y(a) or Y(b).  With a and
+# b clamped to [u0, u2] on each cell, a part that its level line misses
+# collapses onto repeated corners, and an infinite bound leaves its part
+# empty.  On each triangle of a part's fan, g is affine with values in
+# [a, b] at its corners, so P1 integrals are exact on it and no term grows
+# with the range of v, which grows like 1/alpha.
 #
 # The load's derivative in w is minus 1/alpha times the P1 mass form on the
 # free part of each cell, where a <= v <= b: the whole of a free cell,
@@ -652,40 +652,41 @@ def _mass_loads(u, areas):
     return loads
 
 
-# The nine corners of the cut geometry, P0, B, Y(lo), X(lo), M, Y(hi),
-# X(hi), A and P2, and the seven fan triangles of the three parts, two
-# below lo, three free and two above hi, each as three corner indices.
+# The nine corners of the cut geometry, P0, B, Y(a), X(a), M, Y(b), X(b), A
+# and P2, and the seven fan triangles of the three parts, two below a, three
+# free and two above b, each as three corner indices.
 _FANS = np.array([[0, 1, 2], [0, 2, 3], [3, 2, 4], [3, 4, 5], [3, 5, 6],
                   [6, 5, 7], [6, 7, 8]])
 _FREE_FAN = slice(2, 5)
 
 
-def _cut_cells(rows, lo, hi):
-    """The fans of the parts of crossed cells below lo, free and above hi.
+def _cut_cells(rows, lower, upper):
+    """The fans of the parts of crossed cells below lower, free and above upper.
 
-    ``rows`` (n, 3) holds the shifted vertex values of each cell, and lo
-    and hi (n,) the shifted bounds.  Returns ``(corners, values, areas,
-    slots)`` for the seven fan triangles of each cell (``_FANS``):
-    ``corners`` (n, 7, 3, 3), the barycentric coordinates of each
-    triangle's corners with respect to P0, P1 and P2; ``values`` (n, 7, 3),
-    the clamped field at them; ``areas`` (n, 7), each triangle's area over
-    the cell's; and ``slots`` (n, 3, 3), whose row j is the unit vector of
-    the vertex slot that holds Pj, so that ``x @ slots`` takes a row x of
-    per-vertex quantities from P0, P1, P2 to the cell's own slots, exactly.
+    ``rows`` (n, 3) holds the vertex values v of each cell, and lower and
+    upper are the bounds.  Returns ``(corners, values, areas, slots)`` for
+    the seven fan triangles of each cell (``_FANS``): ``corners`` (n, 7, 3,
+    3), the barycentric coordinates of each triangle's corners with respect
+    to P0, P1 and P2; ``values`` (n, 7, 3), the clamped field at them;
+    ``areas`` (n, 7), each triangle's area over the cell's; and ``slots``
+    (n, 3, 3), whose row j is the unit vector of the vertex slot that holds
+    Pj, so that ``x @ slots`` takes a row x of per-vertex quantities from
+    P0, P1, P2 to the cell's own slots, exactly.
 
     Each corner is a point of the path P0 P1 P2 at the fractions (t01, t12)
     of its two edges, barycentric (1 - t01, t01 - t12, t12); a point of the
     long edge at fraction t is the path point (t, t).  A level line meets
     the edge from value a to value b at (c - a) / (b - a), or at 0 or 1
     where it misses.  On an edge of one value that the level equals, the
-    fraction is 0 for the first point of the path at or above lo, and 1
-    for the last point at or below hi.  The map (t01, t12) -> (lambda_1,
-    lambda_2) has determinant 1, so the fractions give the areas directly.
+    fraction is 0 for the first point of the path at or above the lower
+    bound, and 1 for the last point at or below the upper one.  The map
+    (t01, t12) -> (lambda_1, lambda_2) has determinant 1, so the fractions
+    give the areas directly.
     """
     order = np.argsort(rows, axis=1)
     u0, u1, u2 = np.take_along_axis(rows, order, axis=1).T
-    lo = np.clip(lo, u0, u2)
-    hi = np.clip(hi, u0, u2)
+    lo = np.clip(lower, u0, u2)
+    hi = np.clip(upper, u0, u2)
     mid = np.clip(u1, lo, hi)
     # f01, f12, f02 of lo and f12 of mid, then l01, l12, l02 of hi and l01
     # of mid: first points read 0 on a tie, last points 1
@@ -709,16 +710,13 @@ def _cut_cells(rows, lo, hi):
 def _classify_cells(mesh, w, lower, upper, alpha):
     """Exact class of every cell for g = clamp(-w/alpha, lower, upper).
 
-    Returns ``(labels, v, shift, lo, hi)``.  ``v`` holds the shifted values
-    v' = v - s as three planes, a (3, n_cells) array whose row j is the
-    value at the j-th vertex of every cell; s is the clamped vertex mean of
-    v on each cell, lo = lower - s and hi = upper - s.  ``labels`` is
-    ``_FREE`` where no vertex value lies past a bound (lo > v' or v' > hi),
-    ``_AT_LOWER`` or ``_AT_UPPER`` where all three lie past one, and
-    ``_CROSSED`` otherwise.  These are the values that the kernels
-    integrate; the raw v against a bound can disagree within an ulp of it.
-    No value lies past an infinite bound.  If some -w/alpha is not finite,
-    every value of v is nan and every cell free.
+    Returns ``(labels, v)``.  ``v`` holds v = -w/alpha as three planes, a
+    (3, n_cells) array whose row j is the value at the j-th vertex of every
+    cell.  ``labels`` is ``_FREE`` where no vertex value lies past a bound
+    (v < lower or v > upper), ``_AT_LOWER`` or ``_AT_UPPER`` where all
+    three lie past one, and ``_CROSSED`` otherwise.  No value lies past an
+    infinite bound.  If some -w/alpha is not finite, every value of v is
+    nan and every cell free.
     """
     nodal = w.values if isinstance(w, FeFunction) else np.asarray(w, dtype=float)
     # |w| / alpha rounds up with |w|, so its largest value is finite
@@ -733,16 +731,13 @@ def _classify_cells(mesh, w, lower, upper, alpha):
         # an overflowing or non-finite field: every value nan, so the
         # integrals are nan without a warning on the way
         v = np.full((3, mesh.n_cells), np.nan)
-    shift = np.clip((v[0] + v[1] + v[2]) / 3.0, lower, upper)
-    v -= shift
-    lo, hi = lower - shift, upper - shift
-    below = lo > v
-    above = v > hi
-    labels = np.full(len(shift), _CROSSED, dtype=np.int8)
+    below = v < lower
+    above = v > upper
+    labels = np.full(mesh.n_cells, _CROSSED, dtype=np.int8)
     labels[~(below.any(axis=0) | above.any(axis=0))] = _FREE
     labels[below.all(axis=0)] = _AT_LOWER
     labels[above.all(axis=0)] = _AT_UPPER
-    return labels, v, shift, lo, hi
+    return labels, v
 
 
 def _clipped_integrals(mesh, w, lower, upper, alpha):
@@ -759,25 +754,28 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
         raise ValueError("bounds must satisfy lower < upper")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    labels, v, shift, lo, hi = _classify_cells(mesh, w, lower, upper, alpha)
+    labels, v = _classify_cells(mesh, w, lower, upper, alpha)
     areas = mesh.cell_areas()
-    # the mass loads of v' and int v'^2, the integrals of a free cell; the
+    # the mass loads of v and int v^2, the integrals of a free cell; the
     # products are summed in the order of einsum("ni,ni->n").  In-place
     # steps keep the operands of every rounding as they are.  The values
-    # of a cell past a bound, which may overflow here, are replaced below.
+    # of the other cells, which may overflow here, are replaced below.
     with np.errstate(over="ignore", invalid="ignore"):
         loads = _mass_loads(v, areas)
         square = v[0] * loads[0] + v[2] * loads[2]
         square += v[1] * loads[1]
-    # on a cell at a bound, s is that bound and g - s = 0
-    bound = (labels == _AT_LOWER) | (labels == _AT_UPPER)
-    np.copyto(loads, 0.0, where=bound)
-    np.copyto(square, 0.0, where=bound)
+    # on a cell at a bound, g is that bound: int g lambda_j = g |K| / 3 and
+    # int g^2 = g (g |K|)
+    for label, bound in ((_AT_LOWER, lower), (_AT_UPPER, upper)):
+        at = np.flatnonzero(labels == label)
+        weight = bound * areas[at]
+        loads[:, at] = weight / 3.0
+        square[at] = bound * weight
     crossed = np.flatnonzero(labels == _CROSSED)
-    # on a fan triangle T with corner values g_p of g - s,
-    # int (g - s) lambda_j = sum_p w_p lambda_j(p) and
-    # int (g - s)^2 = sum_p w_p g_p with w_p = |T| / 12 (g_p + sum_q g_q)
-    corners, values, fractions, slots = _cut_cells(v[:, crossed].T, lo[crossed], hi[crossed])
+    # on a fan triangle T with corner values g_p of g,
+    # int g lambda_j = sum_p w_p lambda_j(p) and
+    # int g^2 = sum_p w_p g_p with w_p = |T| / 12 (g_p + sum_q g_q)
+    corners, values, fractions, slots = _cut_cells(v[:, crossed].T, lower, upper)
     scale = fractions * (areas[crossed, None] / 12.0)
     weights = values + values.sum(axis=2, keepdims=True)
     weights *= scale[..., None]
@@ -793,15 +791,6 @@ def _clipped_integrals(mesh, w, lower, upper, alpha):
     rows = rows.reshape(len(crossed), 12, 3) @ slots
     rows_scale = np.repeat(scale[:, _FREE_FAN], 4, axis=1)
     mass = np.swapaxes(rows * rows_scale[..., None], 1, 2) @ rows
-    # the shift terms: square += s (2 sum_j L_j + s |K|), L_j += s |K| / 3
-    weight = shift * areas
-    term = loads[0] + loads[1] + loads[2]
-    term *= 2.0
-    term += weight
-    term *= shift
-    square += term
-    weight /= 3.0
-    loads += weight
     return loads.T, square, (labels, crossed, mass)
 
 
@@ -850,7 +839,8 @@ def _free_mass_gram(mesh, free_set, fields):
         values[interior] = field
         loads = _mass_loads(mesh._vertex_planes(values), free_areas)
         loads[:, crossed] = np.einsum("nab,nb->na", mass, values[crossed_cells]).T
-        gram[:, j] = fields @ _scatter_cell_loads(mesh, loads.T)
+        # by einsum, with no BLAS thread split (see Factorization.solve)
+        gram[:, j] = np.einsum("ij,j->i", fields, _scatter_cell_loads(mesh, loads.T))
     return gram
 
 

@@ -7,12 +7,14 @@ function at the center,
 
     z(r) = ln(R/r) / (2 pi),
 
-the optimal state is chosen as cos(pi r) with r the distance to the center,
-the optimal control follows from the projection formula
+the optimal state is chosen as cos(k r) with r the distance to the center
+and k = pi / (2 R), so that it vanishes on the circle r = R for every
+radius, the optimal control follows from the projection formula
 q(x) = clamp(-z(x)/alpha, a, b), and the source term f is manufactured so
 that the optimality system holds exactly for the state equation
--Laplace(u) = f + q.  With R = 1/2 the target is state(center) - 1 = 0, so
-the adjoint coefficient (tracking misfit at the center) equals 1.
+-Laplace(u) = f + q.  The target is state(center) - 1 = 0, so the adjoint
+coefficient (tracking misfit at the center) equals 1.  At R = 1/2, k is
+pi exactly.
 """
 
 import numpy as np
@@ -58,6 +60,8 @@ class ExactSolution:
         self.alpha = float(alpha)
         self.lower = float(lower)
         self.upper = float(upper)
+        # the state's wave number: cos(k R) = 0 on the rim
+        self._wave_number = np.pi / (2.0 * self.radius)
 
     def _radius_of(self, x):
         """Distance of x to the center, a new float array (0-d for one point)."""
@@ -88,8 +92,8 @@ class ExactSolution:
         return _value(self._greens_over(self._radius_of(x)))
 
     def state(self, x):
-        """Optimal state cos(pi r)."""
-        return _value(np.cos(np.pi * self._radius_of(x)))
+        """Optimal state cos(k r), k = pi / (2 R); zero on the rim r = R."""
+        return _value(np.cos(self._wave_number * self._radius_of(x)))
 
     def target(self):
         """Tracking target: state(center) - 1 (zero, so the misfit coefficient is 1)."""
@@ -117,10 +121,10 @@ class ExactSolution:
     def source_radial(self, r):
         """Manufactured source at distance r from the center.
 
-        f = -Laplace(state) - control with the radial Laplacian of cos(pi r):
-        f = pi^2 cos(pi r) + (pi/r) sin(pi r) - control(r).  The middle
-        term is continued by its series limit pi^2 for r < 1e-8, so
-        f(center) = 2 pi^2 - lower.
+        f = -Laplace(state) - control with the radial Laplacian of cos(k r),
+        k = pi / (2 R): f = k^2 cos(k r) + (k/r) sin(k r) - control(r).  The
+        middle term is continued by its series limit k^2 for r < 1e-8, so
+        f(center) = 2 k^2 - lower.
         """
         return _value(self._source_over(np.array(r, dtype=float)))
 
@@ -148,14 +152,15 @@ class ExactSolution:
         return np.clip(out, self.lower, self.upper, out=out)
 
     def _source_over(self, r):
-        angle = np.multiply(np.pi, r, out=np.empty_like(r))
+        k = self._wave_number
+        angle = np.multiply(k, r, out=np.empty_like(r))
         radial = np.sin(angle, out=np.empty_like(r))
-        radial *= np.pi
+        radial *= k
         with np.errstate(divide="ignore", invalid="ignore"):
             radial /= r
-        np.copyto(radial, np.pi**2, where=r < 1e-8)
+        np.copyto(radial, k**2, where=r < 1e-8)
         out = np.cos(angle, out=angle)
-        out *= np.pi**2
+        out *= k**2
         out += radial
         out -= self._control_over(r)
         return out

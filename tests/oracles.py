@@ -18,7 +18,7 @@ assembly are earlier forms of the package's kernels, kept as bit-for-bit
 references for their rewrites: the ramp identity on free cells and cells
 at a bound, where its terms stay small.  So are the row-wise (n_c, 3, 2)
 formulas for the mesh width, the cell areas and the centroids, and the
-shifted cell values gathered through a whole copy of the cell array.
+cell values gathered through a whole copy of the cell array.
 Two earlier forms of the solve path's passes are kept the same way, and
 call the package's kernels that other oracles certify: the clipped
 integrals with a Jacobian Gram matrix that cuts every crossed cell again
@@ -310,20 +310,21 @@ def _reference_ramp_loads(u, areas):
 def reference_clipped_integrals(mesh, w, lower, upper, alpha):
     """Per-cell (loads (n, 3), squares (n,)) of clamp(-w/alpha, lower, upper).
 
-    The ramp identity on (n, 3) rows of vertex values, every cell shifted
-    by its clamped vertex mean: with r(x) = max(x, 0),
-    g = v + r(a - v) - r(v - b) and g^2 = v^2 + (a + v) r(a - v)
-    - (b + v) r(v - b), and a ramp positive at one vertex lives on the
-    corner triangle that the zero line cuts off.  On free cells and cells
-    at a bound it is the package's plane kernel, bit for bit; on crossed
-    cells its subtractions lose about eps |v| |K|, which grows like
-    1/alpha, so there it is no reference.
+    On (n, 3) rows of vertex values of v = -w/alpha: the P1 mass form of v
+    on free cells, where no value lies past a bound, and elsewhere the ramp
+    identity, every cell shifted by its clamped vertex mean: with
+    r(x) = max(x, 0), g = v + r(a - v) - r(v - b) and g^2 = v^2
+    + (a + v) r(a - v) - (b + v) r(v - b), and a ramp positive at one
+    vertex lives on the corner triangle that the zero line cuts off.  On
+    free cells and cells at a bound it is the package's plane kernel, bit
+    for bit; on crossed cells its subtractions lose about eps |v| |K|,
+    which grows like 1/alpha, so there it is no reference.
     """
     nodal = w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
-    v = -nodal[mesh.cells] / alpha
+    raw = -nodal[mesh.cells] / alpha
     areas = mesh.cell_areas()
-    shift = np.clip(v.mean(axis=1), lower, upper)[:, None]
-    v, lo, hi = v - shift, lower - shift, upper - shift
+    shift = np.clip(raw.mean(axis=1), lower, upper)[:, None]
+    v, lo, hi = raw - shift, lower - shift, upper - shift
     loads = _reference_mass_loads(v, areas)
     square = np.einsum("ni,ni->n", v, loads)
     if np.isfinite(lower):
@@ -336,6 +337,9 @@ def reference_clipped_integrals(mesh, w, lower, upper, alpha):
         square -= np.einsum("ni,ni->n", hi + v, ramp)
     square += shift[:, 0] * (2.0 * loads.sum(axis=1) + shift[:, 0] * areas)
     loads += shift * areas[:, None] / 3.0
+    free = ~np.any((raw < lower) | (raw > upper), axis=1)
+    loads[free] = _reference_mass_loads(raw[free], areas[free])
+    square[free] = np.einsum("ni,ni->n", raw[free], loads[free])
     return loads, square
 
 
@@ -343,25 +347,22 @@ def reference_ramp_counts(mesh, w, lower, upper, alpha):
     """Vertices per cell where the lower and the upper ramp are positive.
 
     The counts are those of the row-wise kernel: the positive entries of
-    lo - v' and v' - hi, with the field shifted by its clamped cell mean.
+    a - v and v - b, with v = -w/alpha at the cell's vertices.
     """
     nodal = w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
     v = -nodal[mesh.cells] / alpha
-    shift = np.clip(v.mean(axis=1), lower, upper)[:, None]
-    v, lo, hi = v - shift, lower - shift, upper - shift
     return (
-        np.count_nonzero(lo - v > 0.0, axis=1),
-        np.count_nonzero(v - hi > 0.0, axis=1),
+        np.count_nonzero(lower - v > 0.0, axis=1),
+        np.count_nonzero(v - upper > 0.0, axis=1),
     )
 
 
-def whole_gather_cell_values(mesh, w, lower, upper, alpha):
-    """``(v, shift, lo, hi)`` of the cell classes, the cells gathered at once.
+def whole_gather_cell_values(mesh, w, alpha):
+    """The values v of the cell classes, the cells gathered at once.
 
-    The shifted vertex values of every cell as (3, n_c) planes from the
-    one-line gather through a (3, n_c) copy of the cell array: v = -w/alpha
-    at the cell vertices less s, the clamped vertex mean, with lo = lower - s
-    and hi = upper - s.  Every value is nan if some -w/alpha is not finite.
+    The vertex values of every cell as (3, n_c) planes from the one-line
+    gather through a (3, n_c) copy of the cell array: v = -w/alpha at the
+    cell vertices.  Every value is nan if some -w/alpha is not finite.
     """
     nodal = w.values if hasattr(w, "values") else np.asarray(w, dtype=float)
     with np.errstate(over="ignore"):
@@ -370,9 +371,7 @@ def whole_gather_cell_values(mesh, w, lower, upper, alpha):
         v = -nodal[np.ascontiguousarray(mesh.cells.T)] / alpha
     else:
         v = np.full((3, mesh.n_cells), np.nan)
-    shift = np.clip((v[0] + v[1] + v[2]) / 3.0, lower, upper)
-    v -= shift
-    return v, shift, lower - shift, upper - shift
+    return v
 
 
 def recut_integrals_and_gram(mesh, w, lower, upper, alpha, fields):
@@ -380,26 +379,27 @@ def recut_integrals_and_gram(mesh, w, lower, upper, alpha, fields):
     the Gram matrix int_free f_i f_j of the dof fields, rows of ``fields``.
 
     The integrals of the cells' classes (``fem._classify_cells``): the
-    plane kernel on free cells, zero past a bound, the fans of
-    ``fem._cut_cells`` on crossed cells, only where some cell is crossed,
-    and the shift terms.  The Gram matrix cuts the crossed cells again from
-    their shifted values and builds each fan's mass there, then applies
-    the (n, 3) row form of the mass loads one field at a time.
+    plane kernel on free cells, the bound's integrals past a bound and the
+    fans of ``fem._cut_cells`` on crossed cells, only where some cell is
+    crossed.  The Gram matrix cuts the crossed cells again and builds each
+    fan's mass there, then applies the (n, 3) row form of the mass loads
+    one field at a time.
     """
     from ptcontrol import fem
 
-    labels, v, shift, lo, hi = fem._classify_cells(mesh, w, lower, upper, alpha)
+    labels, v = fem._classify_cells(mesh, w, lower, upper, alpha)
     areas = mesh.cell_areas()
     with np.errstate(over="ignore", invalid="ignore"):
         loads = v + (v[0] + v[1] + v[2])
         loads *= areas / 12.0
         square = v[0] * loads[0] + v[2] * loads[2]
         square += v[1] * loads[1]
-    bound = (labels == fem._AT_LOWER) | (labels == fem._AT_UPPER)
-    np.copyto(loads, 0.0, where=bound)
-    np.copyto(square, 0.0, where=bound)
+    for label, bound in ((fem._AT_LOWER, lower), (fem._AT_UPPER, upper)):
+        at = labels == label
+        loads[:, at] = bound * areas[at] / 3.0
+        square[at] = bound * (bound * areas[at])
     crossed = np.flatnonzero(labels == fem._CROSSED)
-    cut = v[:, crossed].T, lo[crossed], hi[crossed]
+    cut = v[:, crossed].T, lower, upper
     n, fans = len(crossed), fem._FANS.size
     if crossed.size:
         corners, values, fractions, slots = fem._cut_cells(*cut)
@@ -408,14 +408,6 @@ def recut_integrals_and_gram(mesh, w, lower, upper, alpha, fields):
         weights = weights.reshape(n, 1, fans)
         loads[:, crossed] = (weights @ corners.reshape(n, fans, 3) @ slots)[:, 0].T
         square[crossed] = (weights @ values.reshape(n, fans, 1))[:, 0, 0]
-    weight = shift * areas
-    term = loads[0] + loads[1] + loads[2]
-    term *= 2.0
-    term += weight
-    term *= shift
-    square += term
-    weight /= 3.0
-    loads += weight
     # the Gram matrix, from a second cut
     free_areas = np.where(labels == fem._FREE, areas, 0.0)
     corners, _, fractions, slots = fem._cut_cells(*cut)
@@ -432,7 +424,7 @@ def recut_integrals_and_gram(mesh, w, lower, upper, alpha, fields):
         cell_loads = free_areas[:, None] / 12.0 * (
             nodal + (nodal[:, 0] + nodal[:, 1] + nodal[:, 2])[:, None])
         cell_loads[crossed] = np.einsum("nab,nb->na", mass, nodal[crossed])
-        gram[:, j] = fields @ fem._scatter_cell_loads(mesh, cell_loads)
+        gram[:, j] = np.einsum("ij,j->i", fields, fem._scatter_cell_loads(mesh, cell_loads))
     return loads.T, square, gram
 
 

@@ -496,6 +496,39 @@ def test_tiny_alpha_study_raises_no_warning(tmp_path, variant, alpha, code):
     assert out.exists() == (code == 0)
 
 
+# a level-6 solve dump and three acceptance studies, each past the 10 000
+# entries from which OpenBLAS splits a dot product across its threads
+THREAD_OUTPUTS = (
+    ("solve", "variational", "6..6", "-0.2,0.2", "solve-6.txt"),
+    ("study", "cellwise", "2..7", "-1,1", "cellwise.csv"),
+    ("study", "variational", "2..6", "-0.2,0.2", "variational.csv"),
+    ("study", "greens", "2..6", "-1,1", "greens.csv"),
+)
+
+
+def test_outputs_keep_their_bytes_at_any_blas_thread_count(tmp_path):
+    # one process per BLAS thread count, which OpenBLAS reads once, as it
+    # loads; with two threads, the long reductions that reach BLAS split
+    # and move the last bits of every output
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        "from ptcontrol.cli import main\n"
+        f"for command, variant, levels, bounds, name in {THREAD_OUTPUTS!r}:\n"
+        "    args = [command, '--variant', variant, '--levels', levels, '--bounds=' + bounds]\n"
+        "    assert main(args + ['--out', sys.argv[1] + '/' + name]) == 0\n"
+    )
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        (tmp_path / threads).mkdir()
+        result = subprocess.run([sys.executable, "-c", code, str(tmp_path / threads)],
+                                env=env, capture_output=True, text=True, timeout=600)
+        assert result.returncode == 0, result.stderr
+    for *_, name in THREAD_OUTPUTS:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_missing_config_file_exit_code():
     assert main(["study", "--config", "/nonexistent/path.cfg"]) == 3
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ptcontrol import fem
+from ptcontrol.cli import StudyConfig, run_study
+from ptcontrol.error import eoc_least_squares
 from ptcontrol.greens import ExactSolution
 from ptcontrol.mesh import build_disc_mesh
 
@@ -131,6 +133,47 @@ def test_fields_match_norm_based_values_bitwise(bounds):
         assert exact.greens(points[k]) == greens[k]
         assert exact.control(points[k]) == control[k]
         assert exact.source(points[k]) == source[k]
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.5, 0.8, 2.0])
+def test_state_vanishes_on_the_rim_of_any_disc(radius):
+    exact = ExactSolution(center=(0.5, 0.5), radius=radius, alpha=0.7)
+    angles = np.linspace(0.0, 2 * np.pi, 17)
+    rim = 0.5 + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    assert np.max(np.abs(exact.state(rim))) <= 1e-15
+    assert exact.state(exact.center) == 1.0 and exact.target() == 0.0
+
+
+@pytest.mark.parametrize("radius", [0.3, 0.5, 0.8, 2.0])
+@pytest.mark.parametrize("bounds", [(-0.2, 0.2), (-np.inf, np.inf)])
+def test_state_equation_holds_on_the_radial_closed_form(radius, bounds):
+    # -Laplace(u) = f + q, with the radial Laplacian u'' + u'/r of the
+    # state taken by central differences along a ray, a check independent
+    # of the closed form of the source; the differences are off by
+    # O(h^2) k^4 with k = pi / (2 R)
+    lower, upper = bounds
+    exact = ExactSolution(center=(0.5, 0.5), radius=radius, alpha=0.7,
+                          lower=lower, upper=upper)
+    r = radius * np.linspace(0.05, 0.95, 19)
+    h = 1e-4 * radius
+
+    def along(field, t):
+        return field(np.column_stack([0.5 + t, np.full_like(t, 0.5)]))
+
+    u_minus, u, u_plus = (along(exact.state, r + d) for d in (-h, 0.0, h))
+    laplacian = (u_plus - 2.0 * u + u_minus) / h**2 + (u_plus - u_minus) / (2.0 * h * r)
+    rhs = along(exact.source, r) + along(exact.control, r)
+    scale = (np.pi / (2.0 * radius)) ** 2
+    assert np.max(np.abs(-laplacian - rhs)) <= 1e-5 * scale
+
+
+def test_variational_study_on_a_smaller_disc_converges_at_second_order():
+    # the A2 band on a disc of radius 0.3: with a state that did not vanish
+    # on its rim the errors stalled at 0.027 with EOCs near zero
+    records = run_study(StudyConfig(variant="variational", level_min=2, level_max=6,
+                                    radius=0.3, lower=-0.2, upper=0.2))
+    assert records[-1].error < 1e-5
+    assert 1.70 <= eoc_least_squares([(r.h, r.error) for r in records]) <= 2.35
 
 
 def test_fem_self_check_reproduces_state(narrow):
