@@ -28,10 +28,10 @@ from ._text import text_rows
 from .greens import ExactSolution
 from .mesh import (
     _ancestors,
+    _mesh_text,
     build_disc_mesh,
     build_square_mesh,
     cell_centroids,
-    format_mesh,
 )
 
 __all__ = [
@@ -472,7 +472,8 @@ def run_mesh_dump(config):
     if config.out is None:
         raise ConfigError("mesh-dump requires an output path")
     mesh = _build_mesh(config, config.level_min)
-    _write_text(config.out, format_mesh(mesh).encode())
+    # streamed a block at a time, as run_solve streams its dump
+    _write_text(config.out, _mesh_text(mesh))
     return mesh
 
 

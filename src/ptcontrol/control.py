@@ -415,9 +415,12 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
         res = float(np.max(np.abs(F)))
         residual_history.append(res)
         objective_history.append(system.objective(c, F, squares))
+    control = system.control_of(c)
+    # a variational control holds its adjoint, built once
+    adjoint = control.adjoint if system.variant == VARIATIONAL else system.adjoint_of(c)
     return DiscreteSolution(
-        control=system.control_of(c),
-        adjoint=system.adjoint_of(c),
+        control=control,
+        adjoint=adjoint,
         coefficients=c,
         iterations=iterations,
         residual=res,

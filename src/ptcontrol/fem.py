@@ -21,7 +21,7 @@ V-cycle over the mesh's uniform-refinement chain: damped Jacobi smoothing
 restriction by the transpose of the midpoint interpolation, the stiffness
 matrix of each parent mesh as coarse operator and, on level 2, the inverse
 of a dense Cholesky factor.  A matrix without such a chain (a coarse or
-free-standing mesh, a hand-built or plain scipy matrix) gets that dense
+free-standing mesh, any matrix but the mesh's own) gets that dense
 solve alone, up to ``DENSE_LIMIT`` dofs.  Iteration stops at a normwise
 backward error near machine precision, once the residual contract holds;
 see ``Factorization``.
@@ -146,8 +146,6 @@ class StiffnessMatrix:
         self.mat = mat
         self.mesh = mesh
         self.interior = interior
-        # set by assemble_stiffness, whose matrices are SPD by construction
-        self._assembled = False
 
     @property
     def n(self):
@@ -164,7 +162,8 @@ def assemble_stiffness(mesh):
     """Assemble the P1 stiffness matrix integral of grad(phi_i).grad(phi_j).
 
     Boundary rows and columns are eliminated, so the result is symmetric
-    positive definite on the interior vertices.
+    positive definite on the interior vertices by construction once every
+    cell area is positive and every entry finite, both checked here.
 
     The element matrix is K_ij = (e_i . e_j) / (4 |K|) with e_i the edge
     opposite vertex i, which is the exact integral of the constant P1
@@ -179,14 +178,12 @@ def assemble_stiffness(mesh):
     Raises
     ------
     AssemblyError
-        If some cell has nonpositive signed area.
+        If some cell's signed area is not positive, or an entry not finite.
     """
     with mesh._stiffness_lock:
         if mesh._stiffness is None:
             mesh._stiffness = _stiffness_csr(mesh)
-    matrix = StiffnessMatrix(mesh._stiffness, mesh, mesh.interior_vertices())
-    matrix._assembled = True
-    return matrix
+    return StiffnessMatrix(mesh._stiffness, mesh, mesh.interior_vertices())
 
 
 def _stiffness_csr(mesh):
@@ -199,9 +196,13 @@ def _stiffness_csr(mesh):
     ``sum_duplicates`` and ``sort_indices`` then see the rows that
     ``coo_matrix(...).tocsr()`` would give them and sum each in the same
     order, bit for bit, with no COO triplets alive beside the CSR arrays.
+    On a conforming mesh an entry off the diagonal sums the element entries
+    of the one or two cells that share its edge, equal in either order, so
+    the matrix is exactly symmetric.
     """
     areas = mesh.cell_areas()
-    if np.any(areas <= 0.0):
+    # not all positive, rather than any nonpositive, so that nan raises too
+    if not np.all(areas > 0.0):
         raise AssemblyError("degenerate or inverted cell (nonpositive area)")
     n = len(mesh.interior_vertices())
     bins = mesh._scatter_bins().astype(np.int32)
@@ -234,6 +235,8 @@ def _stiffness_csr(mesh):
     mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     mat.sum_duplicates()
     mat.sort_indices()
+    if not np.all(np.isfinite(mat.data)):
+        raise AssemblyError("stiffness matrix has a non-finite entry")
     for array in (mat.data, mat.indices, mat.indptr):
         array.setflags(write=False)
     return mat
@@ -306,13 +309,12 @@ class Factorization:
     meshes the load b shrinks like h^2 while |A||x| does not, so there the
     contract is the tighter rule.
 
-    SPD scope: the Cholesky test covers the bottom operator only.  A
-    hierarchy is built only for a ``StiffnessMatrix`` returned by
-    ``assemble_stiffness`` on a refined mesh, which is SPD by construction:
-    a sum of positive-area Gram element matrices with the Dirichlet rows
-    eliminated.  A hand-built ``StiffnessMatrix`` and any scipy matrix are
-    their own bottom level and keep the Cholesky test.  A CG curvature
-    p.Ap <= 0 raises as well.
+    SPD scope: the mesh's own stiffness, the CSR that ``assemble_stiffness``
+    checks once and caches on the mesh, is trusted by identity (``mat is
+    mesh._stiffness``) and gets the hierarchy.  Any other matrix, scipy or a
+    hand-built ``StiffnessMatrix``, is its own bottom level and is checked
+    here: finite, symmetric to 1e-12 relative, with a positive diagonal and
+    a Cholesky factor.  A CG curvature p.Ap <= 0 raises as well.
     """
 
     RESIDUAL_CONTRACT = 1e-10
@@ -322,27 +324,23 @@ class Factorization:
     SMOOTHING_SWEEPS = 2
 
     def __init__(self, matrix):
-        if isinstance(matrix, StiffnessMatrix):
-            # only assemble_stiffness output gets a hierarchy: it is SPD by
-            # construction, so its finer levels need no Cholesky test
-            mat = matrix.mat
-            chain = _ancestors(matrix.mesh, COARSE_LEVEL) if matrix._assembled else []
-        else:
-            mat, chain = matrix, []
+        mat = matrix.mat if isinstance(matrix, StiffnessMatrix) else matrix
+        # the mesh's own stiffness, checked at assembly (see the SPD scope)
+        assembled = isinstance(matrix, StiffnessMatrix) and mat is matrix.mesh._stiffness
+        chain = _ancestors(matrix.mesh, COARSE_LEVEL) if assembled else []
         self.iterations = []
         bottom = len(chain[-1].interior_vertices()) if chain else mat.shape[0]
         if bottom > DENSE_LIMIT:
             raise FactorizationError(f"bottom of {bottom} dofs exceeds DENSE_LIMIT")
         self.mat = mat = mat.tocsr()
-        if not np.all(np.isfinite(mat.data)):
-            raise FactorizationError("matrix has a non-finite entry")
-        asym = _relative_asymmetry(mat)
-        if asym > 1e-12:
-            raise FactorizationError(
-                f"matrix is not symmetric (relative asymmetry {asym:.2e})"
-            )
-        if np.any(mat.diagonal() <= 0.0):
-            raise FactorizationError("matrix has a nonpositive diagonal entry")
+        if not assembled:
+            if not np.all(np.isfinite(mat.data)):
+                raise FactorizationError("matrix has a non-finite entry")
+            asym = _relative_asymmetry(mat)
+            if asym > 1e-12:
+                raise FactorizationError(f"matrix is not symmetric ({asym:.2e} relative)")
+            if np.any(mat.diagonal() <= 0.0):
+                raise FactorizationError("matrix has a nonpositive diagonal entry")
         operators = [mat] + [assemble_stiffness(coarse).mat for coarse in chain[1:]]
         self._levels = [
             (a, self.SMOOTHING_WEIGHT / a.diagonal(), p, p.T.tocsr())
@@ -460,10 +458,10 @@ def _prolongation(fine, coarse):
 def factorize(matrix):
     """Set up the solve handle of an SPD matrix (StiffnessMatrix or scipy sparse).
 
-    A ``StiffnessMatrix`` from ``assemble_stiffness`` on a mesh refined past
-    level 2 gets multigrid-preconditioned CG with a dense Cholesky solve on
-    level 2; every other matrix gets that dense solve alone, with its
-    definiteness test, and must have at most ``DENSE_LIMIT`` (512) dofs.
+    The mesh's own stiffness (``assemble_stiffness``) gets multigrid CG
+    with a dense Cholesky solve on level 2, unchecked beyond that factor;
+    any other matrix is checked and solved densely alone, with at most
+    ``DENSE_LIMIT`` (512) dofs.  See the SPD scope of ``Factorization``.
 
     Returns
     -------
@@ -646,8 +644,8 @@ _FREE, _AT_LOWER, _AT_UPPER, _CROSSED = range(4)
 def _mass_loads(u, areas):
     """Per-cell integrals of an affine u times each hat, u (3, n) vertex planes."""
     # the vertex sum added left to right, as u.sum(axis=0) does, at half
-    # its cost
-    loads = u + (u[0] + u[1] + u[2])
+    # its cost, into the planes of an (n, 3) array that scatters as it is
+    loads = np.add(u, u[0] + u[1] + u[2], out=np.empty((u.shape[1], 3)).T)
     loads *= areas / 12.0
     return loads
 

@@ -102,8 +102,9 @@ class Mesh:
     Raises
     ------
     MeshError
-        If an array has the wrong shape, the cell array is empty, or a
-        cell names a vertex index outside 0 .. n_v - 1.
+        If an array has the wrong shape, a vertex coordinate is not
+        finite, the cell array is empty, or a cell names a vertex index
+        outside 0 .. n_v - 1.
     """
 
     def __init__(self, vertices, cells, boundary, domain=None, level=0):
@@ -114,6 +115,8 @@ class Mesh:
         self.level = int(level)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must have shape (n_v, 2)")
+        if not np.all(np.isfinite(self.vertices)):
+            raise MeshError("vertex coordinates must be finite")
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise MeshError("cells must have shape (n_c, 3)")
         if self.boundary.shape != (len(self.vertices),):
@@ -516,8 +519,12 @@ def format_mesh(mesh):
     Line 1 is "nv nc"; then nv lines "x y flag" (flag 1 on the boundary)
     and nc lines "i j k".  Coordinates print as ``format(x, ".17g")``.
     """
-    chunks = [f"{mesh.n_vertices} {mesh.n_cells}\n".encode()]
-    chunks += text_rows(*mesh.vertices.T, mesh.boundary)
-    chunks += text_rows(*mesh.cells.T)
-    return b"".join(chunks).decode("ascii")
+    return b"".join(_mesh_text(mesh)).decode("ascii")
+
+
+def _mesh_text(mesh):
+    """The bytes of ``format_mesh`` as chunks, yielded as ``text_rows`` formats them."""
+    yield f"{mesh.n_vertices} {mesh.n_cells}\n".encode()
+    yield from text_rows(*mesh.vertices.T, mesh.boundary)
+    yield from text_rows(*mesh.cells.T)
 

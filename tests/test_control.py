@@ -436,6 +436,13 @@ def test_adjoint_is_point_field_combination(narrow_problem):
     assert np.max(np.abs(solution.adjoint.values - combo)) <= 1e-12
 
 
+def test_variational_solution_builds_its_adjoint_once(narrow_problem):
+    # the control holds the adjoint that the solution hands out, not a
+    # second N x n_dofs product of the same coefficients
+    solution = solve_discrete(narrow_problem, build_disc_mesh(level=2), VARIATIONAL)
+    assert solution.control.adjoint is solution.adjoint
+
+
 def test_divergence_error_carries_history(wide_problem):
     mesh = build_disc_mesh(level=1)
     with pytest.raises(DivergenceError) as info:

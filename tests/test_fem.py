@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from ptcontrol import _parallel, fem
-from ptcontrol.control import VARIATIONAL, benchmark_problem, solve_discrete
+from ptcontrol.control import VARIATIONAL, ReducedSystem, benchmark_problem, solve_discrete
 from ptcontrol.fem import (
     CellwiseFunction,
     FactorizationError,
@@ -419,6 +419,51 @@ def test_hierarchy_on_a_large_hand_built_root_raises():
     assert len(factorize(assemble_stiffness(level4))._levels) == 4 - fem.COARSE_LEVEL
 
 
+def test_the_mesh_own_stiffness_is_trusted_by_identity(monkeypatch):
+    # a StiffnessMatrix wrapped by hand around the mesh's own CSR gets the
+    # hierarchy and no check; a copy of that CSR is a foreign matrix, its
+    # own bottom level, and is checked
+    checked = []
+    asymmetry = fem._relative_asymmetry
+    monkeypatch.setattr(fem, "_relative_asymmetry",
+                        lambda mat: checked.append(mat) or asymmetry(mat))
+    for level in (3, 4):
+        own = assemble_stiffness(build_disc_mesh(level=level))
+        wrapped = StiffnessMatrix(own.mat, own.mesh, own.interior)
+        assert len(factorize(wrapped)._levels) == level - fem.COARSE_LEVEL
+    assert checked == []
+    copy = StiffnessMatrix(own.mat.copy(), own.mesh, own.interior)
+    with pytest.raises(FactorizationError, match="DENSE_LIMIT"):
+        factorize(copy)
+    level3 = assemble_stiffness(build_disc_mesh(level=3)).mat.copy()
+    assert factorize(level3)._levels == []
+    assert len(checked) == 1 and checked[0] is level3
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "non-finite"),
+    ("asymmetric", "not symmetric"),
+    ("diagonal", "nonpositive diagonal"),
+])
+@pytest.mark.parametrize("wrapped", [False, True], ids=["scipy", "hand-built"])
+def test_foreign_matrices_keep_their_checks(defect, message, wrapped):
+    # each defect of a foreign matrix raises its own error before the
+    # Cholesky test, also wrapped by hand with the mesh it came from
+    stiffness = assemble_stiffness(build_disc_mesh(level=3))
+    dense = stiffness.mat.toarray()
+    if defect == "nan":
+        dense[0, 0] = np.nan
+    elif defect == "asymmetric":
+        dense[0, 1] += 1e-6 * dense[0, 0]
+    else:
+        dense[1, 1] = 0.0
+    matrix = sp.csr_matrix(dense)
+    if wrapped:
+        matrix = StiffnessMatrix(matrix, stiffness.mesh, stiffness.interior)
+    with pytest.raises(FactorizationError, match=message):
+        factorize(matrix)
+
+
 def test_load_smooth_constant_gives_star_areas():
     mesh = build_disc_mesh(level=1)
     load = load_smooth(mesh, lambda p: np.ones(len(p)))
@@ -718,6 +763,64 @@ def test_stiffness_assembly_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 280 * mesh.n_cells
+
+
+def _split_triangle_mesh(vertex, cells):
+    """The unit triangle split into three cells at ``vertex``, an interior dof."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], vertex])
+    return Mesh(vertices, cells, np.array([True, True, True, False]))
+
+
+@pytest.mark.parametrize("vertex, cells", [
+    ((0.5, 0.0), [[0, 1, 3], [1, 2, 3], [2, 0, 3]]),
+    ((0.2, 0.3), [[0, 1, 3], [1, 2, 3], [0, 2, 3]]),
+], ids=["zero-area", "clockwise"])
+def test_assembly_rejects_a_cell_without_positive_area(vertex, cells):
+    # the assembly is where the stiffness's SPD guarantee is checked; a
+    # failed check caches no matrix
+    mesh = _split_triangle_mesh(vertex, cells)
+    with pytest.raises(fem.AssemblyError, match="nonpositive area"):
+        assemble_stiffness(mesh)
+    assert mesh._stiffness is None
+
+
+def test_assembly_rejects_a_non_finite_entry():
+    # a sliver of positive area 5e-321 whose entries overflow
+    mesh = _split_triangle_mesh((0.5, 1e-320), [[0, 1, 3], [1, 2, 3], [2, 0, 3]])
+    assert np.all(mesh.cell_areas() > 0.0)
+    with np.errstate(over="ignore"), pytest.raises(fem.AssemblyError, match="non-finite"):
+        assemble_stiffness(mesh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    build=st.sampled_from([build_disc_mesh, build_square_mesh]),
+    level=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    refined=st.booleans(),
+)
+def test_assembled_stiffness_is_exactly_symmetric_finite_and_positive_on_the_diagonal(
+    build, level, seed, refined
+):
+    # what factorize trusts the mesh's own stiffness for, checked to the
+    # bit on hand-built meshes whose interior vertices moved by up to
+    # 0.3 h, and on their refinements
+    base = build(level=level)
+    rng = np.random.default_rng(seed)
+    vertices = base.vertices.copy()
+    inner = ~base.boundary
+    angle = rng.uniform(0.0, 2.0 * np.pi, inner.sum())
+    radius = rng.uniform(0.0, 0.3 * base.h, inner.sum())
+    vertices[inner] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    mesh = Mesh(vertices, base.cells, base.boundary)
+    assume(np.all(mesh.cell_areas() > 0.0))
+    if refined:
+        mesh = refine_uniform(mesh)
+    matrix = assemble_stiffness(mesh).mat
+    assert (matrix != matrix.T).nnz == 0
+    assert fem._relative_asymmetry(matrix) == 0.0
+    assert np.all(np.isfinite(matrix.data))
+    assert np.all(matrix.diagonal() > 0.0)
 
 
 def _shuffled(mesh, order, turns):
@@ -1065,6 +1168,26 @@ def test_clipped_integrals_peak_memory():
     tracemalloc.start()
     try:
         fem._clipped_integrals(mesh, w, -0.2, 0.2, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 75 * mesh.n_cells
+
+
+def test_evaluate_peak_memory():
+    # the mass loads are written into the planes of a cell-major array, so
+    # the scatter ravels the loads with no copy.  On a level-7 disc mesh,
+    # at the benchmark problem with alpha 1 and bounds +-0.2 and c = 1,
+    # after a first call has cached the areas and the scatter bins, the
+    # residual evaluation peaked at 70 bytes a cell (85 with the 24-byte
+    # copy of the loads); the bound leaves 7 % over it
+    mesh = build_disc_mesh(level=7)
+    problem = benchmark_problem(ExactSolution(alpha=1.0, lower=-0.2, upper=0.2))
+    system = ReducedSystem(problem, mesh, VARIATIONAL)
+    system.evaluate(np.ones(1))
+    tracemalloc.start()
+    try:
+        system.evaluate(np.ones(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

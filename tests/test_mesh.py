@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,18 @@ def test_mesh_rejects_bad_cell_arrays(cells):
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError):
         Mesh(vertices, cells, np.ones(3, dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_vertices(bad):
+    # the unit square split at its centre into four cells, the centre not
+    # finite: its cell areas would be nan or infinite, after a warning
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [bad, bad]])
+    cells = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeshError, match="finite"):
+            Mesh(vertices, cells, np.arange(5) < 4)
 
 
 def test_dump_round_trip():
