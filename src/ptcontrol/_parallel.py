@@ -25,7 +25,7 @@ completes in the calling thread alone.
 
 Three loops drain: a study's levels (``cli.run_study``), the chunks of the
 smooth load and the error quadrature, through one chunk loop
-(``error._over_chunks``), and the blocks of a text dump
+(``_over_chunks``), and the blocks of a text dump
 (``_text.text_rows``).  Drains nest: a study drains its levels, finest
 first, and each level's smooth load and error quadrature drain their
 chunks.  The caller solves the finest level, its first item, while the
@@ -35,12 +35,24 @@ that thread runs out of levels; it then shares the remaining chunks,
 unless the caller has run them all and cancelled it.  A chunk drain
 inside a level that the pool's thread solves is run by that thread alone:
 the helper it submits cannot start before it is cancelled.
+
+A chunk holds cells of about ``CHUNK_POINTS`` quadrature nodes, so each of
+its temporaries (node coordinates, field values, differences) takes at most
+1 MiB and stays in cache between the passes that build, sample and reduce
+it.  The chunk boundaries do not depend on the threads, and each chunk
+writes only its own cells' rows; the sum over all cells runs in the caller
+afterwards, as an ``np.einsum``, which never calls BLAS (OpenBLAS splits a
+long dot product across its threads, which moves the last bits).  So every
+result is bitwise the same with or without the helper.
 """
 
 import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+# quadrature nodes per chunk of ``_over_chunks``
+CHUNK_POINTS = 2**17
 
 # one worker thread for the process, started by the first drain that uses it
 _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ptcontrol-drain")
@@ -95,3 +107,15 @@ def drain(fn, items):
         helper.result()
     if errors:
         raise errors[0]
+
+
+def _over_chunks(n, q, fn):
+    """Call ``fn(part)`` on the slices of range(n) of ``CHUNK_POINTS // q`` items.
+
+    Each item has ``q`` quadrature nodes, so a slice has about
+    ``CHUNK_POINTS`` of them (one item at least).  The slices are drained
+    by the calling thread and a helper, so ``fn`` must write only the
+    slice's own part of its output.
+    """
+    size = max(1, CHUNK_POINTS // q)
+    drain(lambda start: fn(slice(start, start + size)), range(0, n, size))

@@ -27,6 +27,7 @@ from ._parallel import drain
 from ._text import text_rows
 from .greens import ExactSolution
 from .mesh import (
+    MeshError,
     _ancestors,
     _mesh_text,
     build_disc_mesh,
@@ -548,7 +549,8 @@ def main(argv=None):
                 f"wrote {config.out} ({mesh.n_vertices} vertices, "
                 f"{mesh.n_cells} cells)"
             )
-    except ConfigError as exc:
+    except (ConfigError, MeshError) as exc:
+        # a disc that the config's center and radius cannot mesh
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except (control.DivergenceError, oracle.OracleError, fem.FactorizationError) as exc:

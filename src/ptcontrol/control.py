@@ -59,6 +59,9 @@ CELLWISE = "cellwise"
 # fraction of its size at t = 0
 SLOPE_REDUCTION = 0.5
 
+# Newton iterations before ``solve_discrete`` gives up
+MAX_NEWTON_ITERATIONS = 200
+
 
 def _check_tol(tol):
     """Raise ValueError unless 1e-13 <= tol <= 1e-8.
@@ -326,7 +329,7 @@ class ReducedSystem:
         return 0.5 * float(misfit @ misfit) + 0.5 * self.problem.alpha * reg
 
 
-def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
+def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12):
     """Solve the discrete control problem by the reduced coefficient iteration.
 
     Semismooth Newton on F(c) = 0 from the q = 0 coefficients.  Each step d
@@ -349,8 +352,6 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
         Convergence threshold on max|F(c)|, from 1e-13 to 1e-8.  A larger
         one can pass the q = 0 initial guess or an early iterate as
         converged.
-    max_iter : int
-        Iteration cap.
 
     Returns
     -------
@@ -360,9 +361,9 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     Raises
     ------
     DivergenceError
-        If the residual has not reached tol after ``max_iter`` iterations,
-        if a residual is not finite, or if the line search can no longer
-        move the iterate; carries the residual history.
+        If the residual has not reached tol after ``MAX_NEWTON_ITERATIONS``
+        iterations, if a residual is not finite, or if the line search can
+        no longer move the iterate; carries the residual history.
     """
     _check_tol(tol)
     system = ReducedSystem(problem, mesh, variant)
@@ -375,9 +376,9 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12, max_iter=200):
     while not res <= tol:
         if not np.isfinite(res):
             raise DivergenceError(f"non-finite residual {res}", residual_history)
-        if iterations >= max_iter:
+        if iterations >= MAX_NEWTON_ITERATIONS:
             raise DivergenceError(
-                f"no convergence after {max_iter} iterations "
+                f"no convergence after {MAX_NEWTON_ITERATIONS} iterations "
                 f"(residual {res:.3e})",
                 residual_history,
             )

@@ -5,43 +5,25 @@ cell, fine enough to resolve the kinks of clamped fields and the curved
 active-set boundary below discretization error while staying deterministic
 (no adaptivity, so repeated runs are bit-identical).
 
-The rule is evaluated over chunks of about ``CHUNK_POINTS`` quadrature
-nodes: many cells of the 192-point depth-2 rule, or a few of the deeper rule
-at a singular vertex.  Every temporary of a chunk (node coordinates, field
-values, differences) then holds at most ``CHUNK_POINTS`` doubles, 1 MiB,
-so it stays in cache between the passes that build, sample and reduce it;
-with a chunk of many such blocks, each pass would stream through main
-memory.
-Each chunk maps the rule's barycentric nodes to physical points with one
-matmul, as an x plane and a y plane, so a field reads contiguous
+The rule runs on the chunk loop of ``_parallel`` (``_over_chunks``), which
+also serves ``fem.load_smooth``; its chunk size, threads and determinism
+are set out there.  Each chunk maps the rule's barycentric nodes to
+physical points with the mesh's node map, so a field reads contiguous
 coordinate columns.  It samples both fields there and reduces the squared
 (L2) or absolute (L1) differences with one matmul against the weights,
 giving one value per cell.  The cell values of all chunks are summed with
-the cell areas in one dot product at the end, so the result does not
-depend on where the chunks split.  That dot product is an ``np.einsum``,
-which never calls BLAS: OpenBLAS splits a long dot product across its
-threads, and the split would move the last bits with the thread count.
-
-The chunks (``_over_chunks``) are shared by the calling thread and, on a
-machine where the process may use two or more CPUs, one helper thread
-(``_parallel.drain``):
-their ufuncs and matmuls release the GIL, so the two run at once.  The
-chunk boundaries do not depend on the threads, every chunk is computed by
-the same operations whichever thread takes it and writes only its own
-cells' values, and the final dot product runs in the caller after all
-chunks.  So the result is bitwise the same with or without the helper.
-
-The same chunk loop serves ``fem.load_smooth``: chunks of about
-``CHUNK_POINTS`` nodes of the 6-point load rule, each contracted into its
-own cells' rows of the cell loads.
+the cell areas in one ``np.einsum`` at the end, so the result does not
+depend on where the chunks split.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._parallel import drain
+from ._parallel import _over_chunks
+from .mesh import _physical_points
 from .quadrature import subdivided_rule
 
 __all__ = [
@@ -63,8 +45,6 @@ CUT = 2
 
 DEFAULT_DEPTH = 2
 SINGULAR_EXTRA_DEPTH = 4
-# quadrature nodes per chunk: temporaries of 1 MiB stay in cache
-CHUNK_POINTS = 2**17
 
 
 @dataclass
@@ -79,17 +59,6 @@ class ConvergenceRecord:
     eoc: Optional[float] = None
 
 
-def _physical_points(mesh, bary, cells):
-    """Physical points of barycentric nodes ``bary`` in each of ``cells``.
-
-    Returns a (len(cells) * len(bary), 2) array, node-major within each
-    cell, whose two columns are contiguous: it is the transpose of the
-    stacked x and y planes.
-    """
-    planes = np.matmul(mesh.vertices.T[:, mesh.cells[cells]], bary.T)
-    return planes.reshape(2, -1).T
-
-
 def _sample(field, bary, cells, physical):
     """Sample a field on quadrature nodes of the given cells, shape (n, q).
 
@@ -101,18 +70,6 @@ def _sample(field, bary, cells, physical):
         return field.sample_cells(bary, cells)
     values = np.asarray(field(physical), dtype=float)
     return values.reshape(len(cells), len(bary))
-
-
-def _over_chunks(n, q, fn):
-    """Call ``fn(part)`` on the slices of range(n) of ``CHUNK_POINTS // q`` items.
-
-    Each item has ``q`` quadrature nodes, so a slice has about
-    ``CHUNK_POINTS`` of them (one item at least).  The slices are drained
-    by the calling thread and a helper, so ``fn`` must write only the
-    slice's own part of its output.
-    """
-    size = max(1, CHUNK_POINTS // q)
-    drain(lambda start: fn(slice(start, start + size)), range(0, n, size))
 
 
 def _cell_errors(mesh, first, second, bary, weights, cells, squared, out):
@@ -249,7 +206,9 @@ def estimate_eoc(records):
 
 
 def eoc_least_squares(records, window=3):
-    """Least-squares slope of log(error) vs log(h) over the last records."""
+    """Least-squares slope of log(error) vs log(h) over the last ``window`` records."""
+    if not (isinstance(window, numbers.Integral) and window >= 2):
+        raise ValueError("window must be an integer of at least 2")
     h = np.array([float(r[0]) for r in records])[-window:]
     e = np.array([float(r[1]) for r in records])[-window:]
     if len(h) < 2:

@@ -24,14 +24,15 @@ of a dense Cholesky factor.  A matrix without such a chain (a coarse or
 free-standing mesh, any matrix but the mesh's own) gets that dense
 solve alone, up to ``DENSE_LIMIT`` dofs.  Iteration stops at a normwise
 backward error near machine precision, once the residual contract holds;
-see ``Factorization``.
+see ``Factorization``, which also sets out what is checked (its SPD scope).
 """
 
 import numpy as np
 import scipy.sparse as sparse
 
-from . import error
-from .mesh import PointNotFoundError, _ancestors, locate_point, cell_centroids
+from ._parallel import _over_chunks
+from .mesh import (MeshError, PointNotFoundError, _ancestors, _physical_points,
+                   cell_centroids, locate_point)
 from .quadrature import rule_degree4
 
 __all__ = [
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 
-class AssemblyError(Exception):
+class AssemblyError(MeshError):
     """Raised when assembly meets a degenerate (nonpositive-area) cell."""
 
 
@@ -139,13 +140,16 @@ class StiffnessMatrix:
         The assembled matrix, symmetric positive definite.
     mesh : Mesh
     interior : int array
-        Vertex index of each dof (mesh order).
+        Vertex index of each dof (mesh order), the mesh's interior vertices.
     """
 
-    def __init__(self, mat, mesh, interior):
+    def __init__(self, mat, mesh):
         self.mat = mat
         self.mesh = mesh
-        self.interior = interior
+
+    @property
+    def interior(self):
+        return self.mesh.interior_vertices()
 
     @property
     def n(self):
@@ -183,7 +187,7 @@ def assemble_stiffness(mesh):
     with mesh._stiffness_lock:
         if mesh._stiffness is None:
             mesh._stiffness = _stiffness_csr(mesh)
-    return StiffnessMatrix(mesh._stiffness, mesh, mesh.interior_vertices())
+    return StiffnessMatrix(mesh._stiffness, mesh)
 
 
 def _stiffness_csr(mesh):
@@ -294,11 +298,9 @@ class Factorization:
     ``SMOOTHING_SWEEPS`` sweeps from zero before the coarse correction and
     as many after it, so the cycle is symmetric.  The bottom operator is
     solved by one product with its inverse, formed once from its dense
-    Cholesky factor; the factorization succeeds exactly when the operator
-    is positive definite, so it is the definiteness test.  A matrix without
-    a chain is its own bottom level, and the V-cycle is then the direct
-    solve.  A bottom operator of more than ``DENSE_LIMIT`` (512) dofs
-    raises before any dense array is formed.
+    Cholesky factor.  A matrix without a chain is its own bottom level, and
+    the V-cycle is then the direct solve.  A bottom operator of more than
+    ``DENSE_LIMIT`` (512) dofs raises before any dense array is formed.
 
     A solve starts from the preconditioned right-hand side and iterates
     until the normwise backward error reaches machine precision,
@@ -309,12 +311,14 @@ class Factorization:
     meshes the load b shrinks like h^2 while |A||x| does not, so there the
     contract is the tighter rule.
 
-    SPD scope: the mesh's own stiffness, the CSR that ``assemble_stiffness``
-    checks once and caches on the mesh, is trusted by identity (``mat is
-    mesh._stiffness``) and gets the hierarchy.  Any other matrix, scipy or a
-    hand-built ``StiffnessMatrix``, is its own bottom level and is checked
-    here: finite, symmetric to 1e-12 relative, with a positive diagonal and
-    a Cholesky factor.  A CG curvature p.Ap <= 0 raises as well.
+    SPD scope: for every matrix, the dense bottom operator is checked for
+    finite entries, symmetry to 1e-12 relative and a positive diagonal, and
+    has a Cholesky factor exactly when it is positive definite.  Only the
+    mesh's own stiffness (``mat is mesh._stiffness``) has a chain, so its
+    bottom is the stiffness of the chain's coarsest mesh, on level 2 (49
+    dofs on the disc, 9 on the square) when it reaches that far, and its
+    finer operators, SPD by construction, are never scanned.  Any other
+    matrix is its own bottom.  A CG curvature p.Ap <= 0 raises too.
     """
 
     RESIDUAL_CONTRACT = 1e-10
@@ -325,30 +329,31 @@ class Factorization:
 
     def __init__(self, matrix):
         mat = matrix.mat if isinstance(matrix, StiffnessMatrix) else matrix
-        # the mesh's own stiffness, checked at assembly (see the SPD scope)
-        assembled = isinstance(matrix, StiffnessMatrix) and mat is matrix.mesh._stiffness
-        chain = _ancestors(matrix.mesh, COARSE_LEVEL) if assembled else []
+        # only the mesh's own stiffness has a chain (see the SPD scope)
+        own = isinstance(matrix, StiffnessMatrix) and mat is matrix.mesh._stiffness
+        chain = _ancestors(matrix.mesh, COARSE_LEVEL) if own else []
         self.iterations = []
         bottom = len(chain[-1].interior_vertices()) if chain else mat.shape[0]
         if bottom > DENSE_LIMIT:
             raise FactorizationError(f"bottom of {bottom} dofs exceeds DENSE_LIMIT")
         self.mat = mat = mat.tocsr()
-        if not assembled:
-            if not np.all(np.isfinite(mat.data)):
-                raise FactorizationError("matrix has a non-finite entry")
-            asym = _relative_asymmetry(mat)
-            if asym > 1e-12:
-                raise FactorizationError(f"matrix is not symmetric ({asym:.2e} relative)")
-            if np.any(mat.diagonal() <= 0.0):
-                raise FactorizationError("matrix has a nonpositive diagonal entry")
         operators = [mat] + [assemble_stiffness(coarse).mat for coarse in chain[1:]]
         self._levels = [
             (a, self.SMOOTHING_WEIGHT / a.diagonal(), p, p.T.tocsr())
             for a, p in zip(operators, map(_prolongation, chain, chain[1:]))
         ]
         self._abs = abs(mat)
+        dense = operators[-1].toarray()
+        if not np.all(np.isfinite(dense)):
+            raise FactorizationError("matrix has a non-finite entry")
+        scale = np.max(np.abs(dense), initial=0.0)
+        asym = np.max(np.abs(dense - dense.T), initial=0.0)
+        if asym > 1e-12 * scale:
+            raise FactorizationError(f"matrix is not symmetric ({asym / scale:.2e} relative)")
+        if np.any(np.diagonal(dense) <= 0.0):
+            raise FactorizationError("matrix has a nonpositive diagonal entry")
         try:
-            factor = np.linalg.cholesky(operators[-1].toarray())
+            factor = np.linalg.cholesky(dense)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError("matrix is not positive definite") from exc
         inverse_factor = np.linalg.inv(factor)
@@ -429,14 +434,6 @@ class Factorization:
         raise FactorizationError(f"solve residual {worst:.2e} exceeds the contract")
 
 
-def _relative_asymmetry(mat):
-    diff = (mat - mat.T).tocoo()
-    if diff.nnz == 0:
-        return 0.0
-    scale = np.max(np.abs(mat.data)) if mat.nnz else 1.0
-    return float(np.max(np.abs(diff.data)) / scale)
-
-
 def _prolongation(fine, coarse):
     """Interpolation from the dofs of ``coarse``, the parent, to those of ``fine``.
 
@@ -459,9 +456,9 @@ def factorize(matrix):
     """Set up the solve handle of an SPD matrix (StiffnessMatrix or scipy sparse).
 
     The mesh's own stiffness (``assemble_stiffness``) gets multigrid CG
-    with a dense Cholesky solve on level 2, unchecked beyond that factor;
-    any other matrix is checked and solved densely alone, with at most
-    ``DENSE_LIMIT`` (512) dofs.  See the SPD scope of ``Factorization``.
+    with a dense Cholesky solve on level 2; any other matrix is solved
+    densely alone, with at most ``DENSE_LIMIT`` (512) dofs.  What is
+    checked is set out in the SPD scope of ``Factorization``.
 
     Returns
     -------
@@ -497,25 +494,22 @@ def load_smooth(mesh, f):
         Vectorized scalar field: maps an (m, 2) array of points to (m,)
         values.  Must be bounded at the quadrature points (all of which lie
         strictly inside cells).  It is called on the points of the chunks
-        of the error quadrature's loop (``error._over_chunks``), shared by
-        the calling thread and a helper.  Each chunk contracts its values
-        with the weights, the rule's barycentric rows and the cell areas
-        into its own rows of the (n_cells, 3) cell loads, so the load does
-        not depend on the threads and no array of every node's value is
-        formed.
+        of ``_parallel._over_chunks``, the error quadrature's loop.  Each
+        chunk contracts its values with the weights, the rule's barycentric
+        rows and the cell areas into its own rows of the (n_cells, 3) cell
+        loads, so no array of every node's value is formed.
     """
     bary, weights = rule_degree4()
     areas = mesh.cell_areas()
     contrib = np.empty((mesh.n_cells, 3))
 
     def contract(part):
-        points = np.matmul(bary, mesh.vertices[mesh.cells[part]])
-        fvals = np.multiply(np.reshape(f(points.reshape(-1, 2)), (-1, len(weights))),
-                            weights)
+        points = _physical_points(mesh, bary, part)
+        fvals = np.multiply(np.reshape(f(points), (-1, len(weights))), weights)
         np.matmul(fvals, bary, out=contrib[part])
         contrib[part] *= areas[part, None]
 
-    error._over_chunks(mesh.n_cells, len(weights), contract)
+    _over_chunks(mesh.n_cells, len(weights), contract)
     return _scatter_cell_loads(mesh, contrib)
 
 

@@ -289,7 +289,9 @@ def build_disc_mesh(center=(0.5, 0.5), radius=0.5, level=0):
         If ``level`` is negative, or the center or the radius is not finite.
     """
     domain = DiscDomain(center, radius)
-    vertices = np.vstack([domain.center, domain.center + radius * _OCTAGON])
+    # an overflowing vertex is inf, which Mesh rejects
+    with np.errstate(over="ignore"):
+        vertices = np.vstack([domain.center, domain.center + radius * _OCTAGON])
     cells = np.array([[0, 1 + k, 1 + (k + 1) % 8] for k in range(8)], dtype=np.int64)
     boundary = np.ones(9, dtype=bool)
     boundary[0] = False
@@ -363,10 +365,12 @@ def refine_uniform(mesh):
     n_v = mesh.n_vertices
     cells = mesh.cells
     uniq, inverse, counts = _unique_edges(cells, n_v)
-    midpoints = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
     on_boundary = counts == 1
-    if mesh.domain is not None and on_boundary.any():
-        midpoints[on_boundary] = mesh.domain.snap_to_boundary(midpoints[on_boundary])
+    # an overflow, or a midpoint snapped from the center (0 / 0), Mesh rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        midpoints = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
+        if mesh.domain is not None and on_boundary.any():
+            midpoints[on_boundary] = mesh.domain.snap_to_boundary(midpoints[on_boundary])
     vertices = np.vstack([mesh.vertices, midpoints])
     boundary = np.concatenate([mesh.boundary, on_boundary])
     # midpoint index per cell edge: (01, 12, 20)
@@ -470,6 +474,19 @@ def _box_candidates(mesh, x):
         code |= (coordinate > value + margin).view(np.uint8) << 2 * bit + 1
     corners = code[mesh.cells]
     return np.flatnonzero((corners[:, 0] & corners[:, 1] & corners[:, 2]) == 0)
+
+
+def _physical_points(mesh, bary, cells):
+    """Physical points of barycentric nodes ``bary`` in each of ``cells``.
+
+    ``cells`` is an index array or a slice.  Returns a (n * len(bary), 2)
+    array, node-major within each cell, whose two columns are contiguous:
+    the transposed x and y planes, from one matmul of the (2 n, 3) corner
+    coordinates, so that even one cell (a one-row product, which numpy
+    would round apart) gives the bits of ``np.matmul(bary, corners)``.
+    """
+    corners = mesh.vertices.T[:, mesh.cells[cells]].reshape(-1, 3)
+    return np.matmul(corners, bary.T).reshape(2, -1).T
 
 
 def cell_centroids(mesh):

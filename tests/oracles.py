@@ -431,17 +431,17 @@ def recut_integrals_and_gram(mesh, w, lower, upper, alpha, fields):
 def sliced_load_smooth(mesh, f):
     """Load vector (f, phi_i) by the 6-point degree-4 rule, from one values array.
 
-    The field is sampled on slices of ``error.CHUNK_POINTS // 6`` cells into
+    The field is sampled on slices of ``_parallel.CHUNK_POINTS // 6`` cells into
     one array of every node's value, which is then weighted, contracted
     with the rule's barycentric rows and scaled by the cell areas as a
     whole, before ``fem._scatter_cell_loads`` sums the cell loads.
     """
-    from ptcontrol import error, fem
+    from ptcontrol import _parallel, fem
     from ptcontrol.quadrature import rule_degree4
 
     bary, weights = rule_degree4()
     q = len(weights)
-    step = max(1, error.CHUNK_POINTS // q)
+    step = max(1, _parallel.CHUNK_POINTS // q)
     fvals = np.empty(mesh.n_cells * q)
     for start in range(0, mesh.n_cells, step):
         points = np.matmul(bary, mesh.vertices[mesh.cells[start : start + step]])

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import os
@@ -91,6 +92,24 @@ def test_classify_cells_takes_no_tolerance():
     assert list(parameters) == ["mesh", "control", "lower", "upper"]
     assert not hasattr(ptcontrol.error, "CLASSIFY_RTOL")
     assert not hasattr(ptcontrol.error, "_CLASSIFY_BARY")
+
+
+def test_fem_does_not_import_error():
+    # the node map lives in mesh and the chunk loop in _parallel, so fem
+    # sits below error: it binds no error name and imports nothing of it
+    assert not hasattr(ptcontrol.fem, "error")
+    tree = ast.parse(pathlib.Path(ptcontrol.fem.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # "from .error import x", "from . import error" and their
+            # absolute forms all name ".error" or "ptcontrol.error"
+            base = "." * node.level + (node.module or "")
+            modules.add(base)
+            modules.update(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+    assert not modules & {".error", "ptcontrol.error"}, modules
 
 
 SOLUTION_FIELDS = [

@@ -416,6 +416,32 @@ def test_square_domain_study_rejected(tmp_path):
     assert main(["study", "--config", str(config_file)]) == 3
 
 
+UNMESHABLE_DISCS = [
+    # the level-0 vertices overflow, and the mesh rejects them
+    pytest.param("study", "center = 1e308, 1e308\nradius = 1e308\n", "2..3",
+                 id="overflow"),
+    # the refined midpoints all snap from the center itself, 0 / 0
+    pytest.param("mesh-dump", "radius = 1e-160\n", "1..1", id="snap-from-center"),
+    # every level-0 vertex rounds to the center, so no cell has an area
+    pytest.param("solve", "radius = 1e-160\n", "0..0", id="no-area-solve"),
+    pytest.param("oracle", "radius = 1e-160\n", "0..0", id="no-area-oracle"),
+]
+
+
+@pytest.mark.parametrize("command, text, levels", UNMESHABLE_DISCS)
+def test_a_disc_that_cannot_be_meshed_is_a_config_error(tmp_path, capsys, command,
+                                                        text, levels):
+    # a valid config whose disc has no mesh exits 3, with no traceback and
+    # no RuntimeWarning (an error under the suite's filters) on the way
+    config_file = tmp_path / "disc.cfg"
+    config_file.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(config_file), "--levels", levels,
+                 "--out", str(out)]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_subcommand(capsys):
     code = main(["oracle", "--levels", "1..1", "--bounds=-0.2,0.2"])
     assert code == 0

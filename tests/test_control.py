@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ptcontrol import fem, oracle
+from ptcontrol import control, fem, oracle
 from ptcontrol.control import (
     CELLWISE,
     VARIATIONAL,
@@ -443,10 +443,11 @@ def test_variational_solution_builds_its_adjoint_once(narrow_problem):
     assert solution.control.adjoint is solution.adjoint
 
 
-def test_divergence_error_carries_history(wide_problem):
+def test_divergence_error_carries_history(wide_problem, monkeypatch):
+    monkeypatch.setattr(control, "MAX_NEWTON_ITERATIONS", 0)
     mesh = build_disc_mesh(level=1)
-    with pytest.raises(DivergenceError) as info:
-        solve_discrete(wide_problem, mesh, CELLWISE, max_iter=0)
+    with pytest.raises(DivergenceError, match="no convergence after 0 iterations") as info:
+        solve_discrete(wide_problem, mesh, CELLWISE)
     assert len(info.value.residual_history) == 1
     assert info.value.residual_history[0] > 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ptcontrol import error, fem
+from ptcontrol import _parallel, fem
 from ptcontrol.control import (
     CELLWISE,
     VARIATIONAL,
@@ -24,7 +24,7 @@ from ptcontrol.error import (
     l2_error_control,
 )
 from ptcontrol.greens import ExactSolution
-from ptcontrol.mesh import build_disc_mesh
+from ptcontrol.mesh import _physical_points, build_disc_mesh
 from ptcontrol.quadrature import rule_degree4, subdivided_rule
 
 from oracles import exact_cell_tags
@@ -154,7 +154,7 @@ def test_errors_do_not_depend_on_the_chunking(level, c, seed, cells_per_chunk):
     values = []
     for budget in (1, cells_per_chunk * 192, mesh.n_cells * len(subdivided_rule(6)[1])):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(error, "CHUNK_POINTS", budget)
+            patch.setattr(_parallel, "CHUNK_POINTS", budget)
             values.append((l2_error_control(mesh, exact, fe),
                            l1_error_fe(mesh, exact, fe, singular_point=center)))
     for l2, l1 in values[:2]:
@@ -169,7 +169,7 @@ def test_node_planes_match_matmul_layout(depth):
     mesh = disc_mesh(3)
     bary, _ = subdivided_rule(depth)
     cells = np.arange(1, mesh.n_cells, 37)
-    points = error._physical_points(mesh, bary, cells)
+    points = _physical_points(mesh, bary, cells)
     want = np.matmul(bary, mesh.vertices[mesh.cells[cells]]).reshape(-1, 2)
     assert points.shape == want.shape
     assert points[:, 0].flags.c_contiguous and points[:, 1].flags.c_contiguous
@@ -348,6 +348,17 @@ def test_eoc_least_squares_recovers_power_law():
     assert eoc_least_squares(records) == pytest.approx(1.5, abs=1e-12)
     assert eoc_least_squares(records, window=4) == pytest.approx(1.5, abs=1e-12)
     assert np.isnan(eoc_least_squares([(0.2, 0.1), (0.1, 0.0), (0.05, 0.1)]))
+
+
+@pytest.mark.parametrize("window", [0, -1, -2, 1, 2.0, 3.5, "3", None])
+def test_eoc_least_squares_rejects_a_window_below_two(window):
+    # window 0 once kept every record, and a negative one the last few
+    h = np.array([0.4, 0.2, 0.1, 0.05])
+    records = list(zip(h, [1.0, 0.2, 0.02, 0.002]))
+    with pytest.raises(ValueError, match="window"):
+        eoc_least_squares(records, window=window)
+    assert eoc_least_squares(records, window=np.int64(2)) == eoc_least_squares(
+        records, window=2)
 
 
 def test_l2_handles_cellwise_and_implicit_fields(narrow_exact):

@@ -162,7 +162,7 @@ def test_factorize_detects_indefinite_shift(ratio):
         # multigrid skips the Cholesky test only for assemble_stiffness
         # output; the shift wrapped by hand is still factored
         with pytest.raises(FactorizationError):
-            factorize(StiffnessMatrix(shifted, stiffness.mesh, stiffness.interior))
+            factorize(StiffnessMatrix(shifted, stiffness.mesh))
     else:
         fact = factorize(shifted)
         b = load_point(stiffness.mesh, (0.3, 0.6))
@@ -420,24 +420,30 @@ def test_hierarchy_on_a_large_hand_built_root_raises():
 
 
 def test_the_mesh_own_stiffness_is_trusted_by_identity(monkeypatch):
-    # a StiffnessMatrix wrapped by hand around the mesh's own CSR gets the
-    # hierarchy and no check; a copy of that CSR is a foreign matrix, its
-    # own bottom level, and is checked
-    checked = []
-    asymmetry = fem._relative_asymmetry
-    monkeypatch.setattr(fem, "_relative_asymmetry",
-                        lambda mat: checked.append(mat) or asymmetry(mat))
-    for level in (3, 4):
-        own = assemble_stiffness(build_disc_mesh(level=level))
-        wrapped = StiffnessMatrix(own.mat, own.mesh, own.interior)
-        assert len(factorize(wrapped)._levels) == level - fem.COARSE_LEVEL
-    assert checked == []
-    copy = StiffnessMatrix(own.mat.copy(), own.mesh, own.interior)
-    with pytest.raises(FactorizationError, match="DENSE_LIMIT"):
-        factorize(copy)
-    level3 = assemble_stiffness(build_disc_mesh(level=3)).mat.copy()
-    assert factorize(level3)._levels == []
-    assert len(checked) == 1 and checked[0] is level3
+    # the mesh's own stiffness, as assembled or wrapped by hand around its
+    # CSR, gets the hierarchy, and only its level-2 bottom (49 dofs on the
+    # disc, 9 on the square) is made dense, checked and factored; a copy of
+    # that CSR is a foreign matrix, its own bottom, factored whole
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: factored.append(a.shape) or cholesky(a))
+    for build, bottom in ((build_disc_mesh, 49), (build_square_mesh, 9)):
+        factored.clear()
+        for level in range(3, 8):
+            own = assemble_stiffness(build(level=level))
+            for matrix in (own, StiffnessMatrix(own.mat, own.mesh)):
+                assert len(factorize(matrix)._levels) == level - fem.COARSE_LEVEL
+        assert factored == [(bottom, bottom)] * 10
+        factored.clear()
+        level3 = assemble_stiffness(build(level=3))
+        copy = level3.mat.copy()
+        for matrix in (copy, StiffnessMatrix(copy, level3.mesh)):
+            assert factorize(matrix)._levels == []
+        assert factored == [copy.shape] * 2
+        with pytest.raises(FactorizationError, match="DENSE_LIMIT"):
+            factorize(StiffnessMatrix(own.mat.copy(), own.mesh))
+        assert len(factored) == 2
 
 
 @pytest.mark.parametrize("defect, message", [
@@ -459,7 +465,7 @@ def test_foreign_matrices_keep_their_checks(defect, message, wrapped):
         dense[1, 1] = 0.0
     matrix = sp.csr_matrix(dense)
     if wrapped:
-        matrix = StiffnessMatrix(matrix, stiffness.mesh, stiffness.interior)
+        matrix = StiffnessMatrix(matrix, stiffness.mesh)
     with pytest.raises(FactorizationError, match=message):
         factorize(matrix)
 
@@ -818,7 +824,6 @@ def test_assembled_stiffness_is_exactly_symmetric_finite_and_positive_on_the_dia
         mesh = refine_uniform(mesh)
     matrix = assemble_stiffness(mesh).mat
     assert (matrix != matrix.T).nnz == 0
-    assert fem._relative_asymmetry(matrix) == 0.0
     assert np.all(np.isfinite(matrix.data))
     assert np.all(matrix.diagonal() > 0.0)
 

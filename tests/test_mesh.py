@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptcontrol.mesh import (
     _ancestors,
+    _physical_points,
     CapacityError,
     Mesh,
     MeshError,
@@ -20,6 +21,7 @@ from ptcontrol.mesh import (
     locate_point,
     refine_uniform,
 )
+from ptcontrol.quadrature import rule_degree4, subdivided_rule
 
 from oracles import (
     locate_point_scan,
@@ -462,3 +464,28 @@ def test_degenerate_cell_rejected():
     flags = np.array([True, True, True])
     with pytest.raises(MeshError):
         audit_mesh(Mesh(vertices, cells, flags))
+
+
+NODE_MAP_MESHES = {(build, level): build(level=level)
+                   for build in (build_disc_mesh, build_square_mesh) for level in range(6)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(build=st.sampled_from([build_disc_mesh, build_square_mesh]),
+       level=st.integers(0, 5), rule=st.sampled_from(["degree-4", "depth-2"]),
+       data=st.data())
+def test_node_map_is_the_matmul_of_the_corners_to_the_bit(build, level, rule, data):
+    # the node map that the error quadrature and the smooth load share
+    # gives the points of matmul(bary, corners), bit for bit, in
+    # contiguous coordinate columns, for index arrays and slices alike
+    mesh = NODE_MAP_MESHES[build, level]
+    bary = rule_degree4()[0] if rule == "degree-4" else subdivided_rule(2)[0]
+    start = data.draw(st.integers(0, mesh.n_cells - 1))
+    stop = data.draw(st.integers(start + 1, mesh.n_cells))
+    chosen = data.draw(st.lists(st.integers(0, mesh.n_cells - 1), min_size=1,
+                                max_size=min(mesh.n_cells, 64), unique=True))
+    for cells in (np.array(sorted(chosen)), np.array(chosen), slice(start, stop)):
+        want = np.matmul(bary, mesh.vertices[mesh.cells[cells]]).reshape(-1, 2)
+        got = _physical_points(mesh, bary, cells)
+        assert got[:, 0].flags.c_contiguous and got[:, 1].flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -61,7 +61,7 @@ def helper_joins(fn, items):
 
 @pytest.fixture
 def with_helper(monkeypatch):
-    monkeypatch.setattr(error, "drain", helper_joins)
+    monkeypatch.setattr(_parallel, "drain", helper_joins)
 
 
 def quadratic(c):
@@ -81,7 +81,7 @@ def results(mesh, exact, discrete, source):
        closed_form=st.booleans(),
        c=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
        seed=st.integers(0, 2**32 - 1),
-       budget=st.sampled_from([1, 192, 4 * 192 + 5, error.CHUNK_POINTS])
+       budget=st.sampled_from([1, 192, 4 * 192 + 5, _parallel.CHUNK_POINTS])
        | st.integers(64, 20000))
 def test_helper_keeps_every_bit(level, kind, closed_form, c, seed, budget):
     # the same budget with the helper taking chunks and without a helper
@@ -98,9 +98,9 @@ def test_helper_keeps_every_bit(level, kind, closed_form, c, seed, budget):
     runs = []
     for helper in (True, False):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(error, "CHUNK_POINTS", budget)
+            patch.setattr(_parallel, "CHUNK_POINTS", budget)
             if helper:
-                patch.setattr(error, "drain", helper_joins)
+                patch.setattr(_parallel, "drain", helper_joins)
             else:
                 patch.setattr(_parallel, "_usable_cpus", lambda: 1)
             runs.append(results(mesh, exact, discrete, source))
@@ -116,7 +116,7 @@ def test_load_smooth_keeps_the_bits_of_one_call():
     mesh = build_disc_mesh(level=6)
     bary, weights = rule_degree4()
     points = np.matmul(bary, mesh.vertices[mesh.cells]).reshape(-1, 2)
-    assert len(points) > error.CHUNK_POINTS
+    assert len(points) > _parallel.CHUNK_POINTS
     fvals = EXACT.source(points).reshape(mesh.n_cells, len(weights))
     want = fem._scatter_cell_loads(
         mesh, ((fvals * weights) @ bary) * mesh.cell_areas()[:, None])
@@ -135,7 +135,7 @@ def test_load_smooth_keeps_the_bits_of_the_sliced_formula(monkeypatch, build, th
     # a single array of every node's value, bit for bit, on levels 0-7,
     # with the helper taking chunks and on one CPU
     if threads == "helper":
-        monkeypatch.setattr(error, "drain", helper_joins)
+        monkeypatch.setattr(_parallel, "drain", helper_joins)
     else:
         monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 1)
     mesh = build(level=0)
@@ -296,7 +296,7 @@ def divides_by_zero_in(thread):
 @pytest.mark.parametrize("thread", ["caller", "helper"])
 def test_errstate_holds_in_both_threads(with_helper, monkeypatch, thread):
     mesh = MESHES[3]
-    monkeypatch.setattr(error, "CHUNK_POINTS", 4 * 192)
+    monkeypatch.setattr(_parallel, "CHUNK_POINTS", 4 * 192)
     field = divides_by_zero_in(thread)
     for run in (lambda: error.l2_error_control(mesh, field, fem.FeFunction(
                     mesh, np.zeros(mesh.n_vertices))),
@@ -333,7 +333,7 @@ def test_first_failure_propagates_and_stops_the_hand_out():
 
 def test_field_failure_propagates_from_the_quadrature(with_helper, monkeypatch):
     mesh = MESHES[3]
-    monkeypatch.setattr(error, "CHUNK_POINTS", 2 * 192)
+    monkeypatch.setattr(_parallel, "CHUNK_POINTS", 2 * 192)
     calls = []
 
     def field(p):
