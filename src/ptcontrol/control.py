@@ -156,12 +156,17 @@ class VariationalControl:
     """Implicit control field clamp(-z/alpha, lower, upper) of an adjoint z.
 
     The control is never stored on a grid; sampling clips the interpolated
-    adjoint, so sampled values lie in [lower, upper] exactly.
+    adjoint, so sampled values lie in [lower, upper] exactly.  Raises
+    ``ValueError`` unless alpha > 0 and lower < upper.
     """
 
     def __init__(self, adjoint, alpha, lower, upper):
         if not isinstance(adjoint, FeFunction):
             raise TypeError("adjoint must be an FeFunction")
+        if not alpha > 0:
+            raise ValueError("alpha must be positive")
+        if not lower < upper:
+            raise ValueError("bounds must satisfy lower < upper")
         self.adjoint = adjoint
         self.alpha = float(alpha)
         self.lower = float(lower)

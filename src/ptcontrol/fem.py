@@ -20,11 +20,11 @@ V-cycle over the mesh's uniform-refinement chain: damped Jacobi smoothing
 (weight 0.8, two sweeps before and two after the coarse correction),
 restriction by the transpose of the midpoint interpolation, the stiffness
 matrix of each parent mesh as coarse operator and, on level 2, the inverse
-of a dense Cholesky factor.  A matrix without such a chain (a coarse or
-free-standing mesh, any matrix but the mesh's own) gets that dense
-solve alone, up to ``DENSE_LIMIT`` dofs.  Iteration stops at a normwise
-backward error near machine precision, once the residual contract holds;
-see ``Factorization``, which also sets out what is checked (its SPD scope).
+of a dense Cholesky factor.  A coarse or free-standing mesh, without such
+a chain, gets that dense solve alone, up to ``DENSE_LIMIT`` dofs.
+Iteration stops at a normwise backward error near machine precision, once
+the residual contract holds; see ``factorize``, which takes only the
+stiffness that ``assemble_stiffness`` returns.
 """
 
 import numpy as np
@@ -286,7 +286,7 @@ DENSE_LIMIT = 512
 
 
 class Factorization:
-    """Reusable solve handle for an SPD system.
+    """Reusable solve handle for the stiffness of a mesh.
 
     Conjugate gradients preconditioned by one symmetric V-cycle (Hackbusch,
     *Multi-Grid Methods and Applications*, 1985; Bramble, Pasciak and Xu,
@@ -298,7 +298,7 @@ class Factorization:
     ``SMOOTHING_SWEEPS`` sweeps from zero before the coarse correction and
     as many after it, so the cycle is symmetric.  The bottom operator is
     solved by one product with its inverse, formed once from its dense
-    Cholesky factor.  A matrix without a chain is its own bottom level, and
+    Cholesky factor.  A mesh without a chain is its own bottom level, and
     the V-cycle is then the direct solve.  A bottom operator of more than
     ``DENSE_LIMIT`` (512) dofs raises before any dense array is formed.
 
@@ -310,15 +310,6 @@ class Factorization:
     to ``iterations``.  The result must then meet the contract.  On fine
     meshes the load b shrinks like h^2 while |A||x| does not, so there the
     contract is the tighter rule.
-
-    SPD scope: for every matrix, the dense bottom operator is checked for
-    finite entries, symmetry to 1e-12 relative and a positive diagonal, and
-    has a Cholesky factor exactly when it is positive definite.  Only the
-    mesh's own stiffness (``mat is mesh._stiffness``) has a chain, so its
-    bottom is the stiffness of the chain's coarsest mesh, on level 2 (49
-    dofs on the disc, 9 on the square) when it reaches that far, and its
-    finer operators, SPD by construction, are never scanned.  Any other
-    matrix is its own bottom.  A CG curvature p.Ap <= 0 raises too.
     """
 
     RESIDUAL_CONTRACT = 1e-10
@@ -328,32 +319,23 @@ class Factorization:
     SMOOTHING_SWEEPS = 2
 
     def __init__(self, matrix):
-        mat = matrix.mat if isinstance(matrix, StiffnessMatrix) else matrix
-        # only the mesh's own stiffness has a chain (see the SPD scope)
-        own = isinstance(matrix, StiffnessMatrix) and mat is matrix.mesh._stiffness
-        chain = _ancestors(matrix.mesh, COARSE_LEVEL) if own else []
-        self.iterations = []
-        bottom = len(chain[-1].interior_vertices()) if chain else mat.shape[0]
+        # SPD by construction, as the assembly checks; no other matrix
+        if not (isinstance(matrix, StiffnessMatrix) and matrix.mat is matrix.mesh._stiffness):
+            raise TypeError("factorize takes the stiffness that assemble_stiffness returns")
+        chain = _ancestors(matrix.mesh, COARSE_LEVEL)
+        bottom = len(chain[-1].interior_vertices())
         if bottom > DENSE_LIMIT:
             raise FactorizationError(f"bottom of {bottom} dofs exceeds DENSE_LIMIT")
-        self.mat = mat = mat.tocsr()
-        operators = [mat] + [assemble_stiffness(coarse).mat for coarse in chain[1:]]
+        operators = [assemble_stiffness(mesh).mat for mesh in chain]
+        self.mat = operators[0]
+        self.iterations = []
         self._levels = [
             (a, self.SMOOTHING_WEIGHT / a.diagonal(), p, p.T.tocsr())
             for a, p in zip(operators, map(_prolongation, chain, chain[1:]))
         ]
-        self._abs = abs(mat)
-        dense = operators[-1].toarray()
-        if not np.all(np.isfinite(dense)):
-            raise FactorizationError("matrix has a non-finite entry")
-        scale = np.max(np.abs(dense), initial=0.0)
-        asym = np.max(np.abs(dense - dense.T), initial=0.0)
-        if asym > 1e-12 * scale:
-            raise FactorizationError(f"matrix is not symmetric ({asym / scale:.2e} relative)")
-        if np.any(np.diagonal(dense) <= 0.0):
-            raise FactorizationError("matrix has a nonpositive diagonal entry")
+        self._abs = abs(self.mat)
         try:
-            factor = np.linalg.cholesky(dense)
+            factor = np.linalg.cholesky(operators[-1].toarray())
         except np.linalg.LinAlgError as exc:
             raise FactorizationError("matrix is not positive definite") from exc
         inverse_factor = np.linalg.inv(factor)
@@ -453,12 +435,11 @@ def _prolongation(fine, coarse):
 
 
 def factorize(matrix):
-    """Set up the solve handle of an SPD matrix (StiffnessMatrix or scipy sparse).
+    """Set up the solve handle of the stiffness that ``assemble_stiffness`` returns.
 
-    The mesh's own stiffness (``assemble_stiffness``) gets multigrid CG
-    with a dense Cholesky solve on level 2; any other matrix is solved
-    densely alone, with at most ``DENSE_LIMIT`` (512) dofs.  What is
-    checked is set out in the SPD scope of ``Factorization``.
+    Multigrid CG with a dense Cholesky solve on level 2, or that dense
+    solve alone on a mesh without a chain to level 2 (see
+    ``Factorization``).
 
     Returns
     -------
@@ -466,9 +447,13 @@ def factorize(matrix):
 
     Raises
     ------
+    TypeError
+        If ``matrix`` is any other matrix: a scipy matrix, or a
+        ``StiffnessMatrix`` around a CSR that is not its mesh's own.
     FactorizationError
-        If the matrix is not symmetric positive definite, or its bottom
-        operator has more than ``DENSE_LIMIT`` dofs.
+        If the bottom operator has more than ``DENSE_LIMIT`` dofs or no
+        Cholesky factor; a solve raises it too, on a CG curvature
+        p.Ap <= 0 or a missed residual contract.
     """
     return Factorization(matrix)
 
@@ -568,6 +553,8 @@ def load_point(mesh, x0):
 
 def evaluate(u, x):
     """Point value of an FeFunction by barycentric interpolation."""
+    if not isinstance(u, FeFunction):
+        raise TypeError("evaluate expects an FeFunction")
     k, lam = locate_point(u.mesh, x)
     return float(u.values[u.mesh.cells[k]] @ lam)
 
@@ -591,6 +578,8 @@ def centroid_project(mesh, w):
 
 def l2_norm(u):
     """Exact L2 norm of an FeFunction via the per-cell P1 mass matrix."""
+    if not isinstance(u, FeFunction):
+        raise TypeError("l2_norm expects an FeFunction")
     v = u.values[u.mesh.cells]
     squares = (v**2).sum(axis=1)
     cross = v[:, 0] * v[:, 1] + v[:, 1] * v[:, 2] + v[:, 2] * v[:, 0]

@@ -4,6 +4,7 @@ Both rules use interior points only, so no quadrature node ever coincides
 with a mesh vertex (important when integrands are singular at a vertex).
 """
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -66,6 +67,7 @@ def subdivided_rule(depth):
     Parameters
     ----------
     depth : int
+        Nonnegative; anything else raises ``ValueError``.
 
     Returns
     -------
@@ -74,6 +76,8 @@ def subdivided_rule(depth):
     weights : (12 * 4**depth,) array
         Weights summing to 1.
     """
+    if not (isinstance(depth, numbers.Integral) and depth >= 0):
+        raise ValueError(f"depth must be a nonnegative integer, not {depth!r}")
     bary, weights = rule_degree6()
     corners = [np.eye(3)]
     for _ in range(depth):

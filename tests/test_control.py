@@ -800,6 +800,27 @@ def test_post_process_basics(narrow_problem):
         )
 
 
+@pytest.mark.parametrize("alpha, lower, upper, message", [
+    (1.0, 0.2, -0.2, "lower < upper"),
+    (1.0, 0.2, 0.2, "lower < upper"),
+    (1.0, np.nan, 0.2, "lower < upper"),
+    (-1.0, -0.2, 0.2, "alpha must be positive"),
+    (0.0, -0.2, 0.2, "alpha must be positive"),
+    (np.nan, -0.2, 0.2, "alpha must be positive"),
+], ids=["reversed", "equal", "nan-bound", "negative-alpha", "zero-alpha", "nan-alpha"])
+def test_post_process_rejects_bad_alpha_and_bounds(narrow_problem, alpha, lower, upper,
+                                                   message):
+    # each once gave a control without a word: reversed bounds or a
+    # negative alpha a wrong one, a nan alpha nan errors, a zero alpha a
+    # divide-by-zero warning
+    mesh = build_disc_mesh(level=3)
+    solution = solve_discrete(narrow_problem, mesh, CELLWISE)
+    with pytest.raises(ValueError, match=message):
+        post_process(solution, alpha, lower, upper)
+    with pytest.raises(ValueError, match=message):
+        control.VariationalControl(solution.adjoint, alpha, lower, upper)
+
+
 def test_post_process_zero_adjoint():
     # no tracking error means no adjoint, so the processed control is the
     # projection of zero

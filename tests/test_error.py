@@ -202,6 +202,24 @@ def test_l1_requires_vertex_singularity():
         l1_error_fe(mesh, constant_field(0.0), fe, singular_point=(0.51, 0.5))
 
 
+@pytest.mark.parametrize("depth", [-1, -3, 1.5])
+def test_quadrature_depth_must_be_a_nonnegative_integer(depth):
+    # a negative depth was once taken as depth 0, and a fractional one
+    # failed inside the subdivision loop
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        subdivided_rule(depth)
+    mesh = build_disc_mesh(level=1)
+    fe = fem.FeFunction(mesh, np.zeros(mesh.n_vertices))
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        l2_error_control(mesh, constant_field(0.0), fe, depth=depth)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        l1_error_fe(mesh, constant_field(0.0), fe, depth=depth)
+    # the singular cells' depth is checked too, on its own
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        l1_error_fe(mesh, constant_field(0.0), fe, singular_point=(0.5, 0.5), depth=0,
+                    extra_depth=depth)
+
+
 def test_classify_constant_control_all_at_bound():
     mesh = build_disc_mesh(level=2)
     tags = classify_cells(mesh, constant_field(-0.2), -0.2, 0.2)

@@ -1,4 +1,3 @@
-import functools
 import sys
 import threading
 import time
@@ -111,30 +110,71 @@ def test_stiffness_positive_definite():
         assert np.linalg.eigvalsh(dense).min() > 0
 
 
-def test_factorize_matches_elimination_oracle():
-    rng = np.random.default_rng(11)
-    base = rng.standard_normal((5, 5))
-    spd = base.T @ base + 5 * np.eye(5)
-    b = rng.standard_normal(5)
-    x = factorize(sp.csr_matrix(spd)).solve(b)
-    assert np.max(np.abs(x - gaussian_elimination(spd, b))) <= 1e-12
+def _moved_mesh(build, level, seed):
+    """A hand-built copy of ``build(level)``, interior vertices moved by up to 0.3 h.
+
+    It keeps the level of the mesh it copies, but has no parent.
+    """
+    base = build(level=level)
+    rng = np.random.default_rng(seed)
+    vertices = base.vertices.copy()
+    inner = ~base.boundary
+    angle = rng.uniform(0.0, 2.0 * np.pi, inner.sum())
+    radius = rng.uniform(0.0, 0.3 * base.h, inner.sum())
+    vertices[inner] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    return Mesh(vertices, base.cells, base.boundary, level=level)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    build=st.sampled_from([build_disc_mesh, build_square_mesh]),
+    level=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    refined=st.booleans(),
+)
+def test_factorize_matches_elimination_oracle(build, level, seed, refined):
+    # the assembled stiffness of a moved mesh, solved densely alone or, on
+    # its refinement past level 2, by multigrid down to the moved mesh
+    mesh = _moved_mesh(build, level, seed)
+    assume(np.all(mesh.cell_areas() > 0.0))
+    if refined:
+        mesh = refine_uniform(mesh)
+    assume(len(mesh.interior_vertices()) <= fem.DENSE_LIMIT)
+    matrix = assemble_stiffness(mesh)
+    b = np.random.default_rng(seed).standard_normal(matrix.n)
+    x = factorize(matrix).solve(b)
+    want = gaussian_elimination(matrix.mat.toarray(), b)
+    assert x.shape == want.shape
+    assert np.all(np.abs(x - want) <= 1e-12 * np.max(np.abs(want), initial=0.0))
 
 
 def test_factorize_identity_and_zero_rhs():
-    eye = sp.identity(7, format="csr")
-    fact = factorize(eye)
-    b = np.arange(7.0)
-    assert np.array_equal(fact.solve(b), b)
-    assert np.array_equal(fact.solve(np.zeros(7)), np.zeros(7))
+    # a zero right-hand side returns zeros, with no iteration, on every path
+    for level in (1, 3):
+        mesh = build_disc_mesh(level=level)
+        fact = factorize(assemble_stiffness(mesh))
+        zero = np.zeros(len(mesh.interior_vertices()))
+        assert np.array_equal(fact.solve(zero), zero)
+        assert fact.iterations == [0]
 
 
-def test_factorize_rejects_indefinite():
-    indefinite = sp.csr_matrix(np.diag([1.0, -1.0, 2.0]))
-    with pytest.raises(FactorizationError):
-        factorize(indefinite)
-    asymmetric = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    with pytest.raises(FactorizationError):
-        factorize(asymmetric)
+def test_factorize_rejects_indefinite(monkeypatch):
+    # the two checks that stay: a bottom without a Cholesky factor, and a
+    # CG curvature p.Ap <= 0, here of a handle whose matrix was negated
+    # after setup
+    mesh = build_disc_mesh(level=3)
+    matrix = assemble_stiffness(mesh)
+    fact = factorize(matrix)
+    fact.mat = -fact.mat
+    with pytest.raises(FactorizationError, match="not positive definite"):
+        fact.solve(load_point(mesh, (0.3, 0.6)))
+
+    def no_factor(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    with pytest.raises(FactorizationError, match="not positive definite"):
+        factorize(matrix)
 
 
 @pytest.mark.parametrize("entries", [
@@ -143,31 +183,10 @@ def test_factorize_rejects_indefinite():
     [[1.0, 1.0], [1.0, 1.0]],
 ], ids=["nan", "inf", "singular"])
 def test_factorize_failures_are_typed(entries):
-    with pytest.raises(FactorizationError):
+    # a matrix that is not a mesh's assembled stiffness is a TypeError,
+    # before any of its entries is read
+    with pytest.raises(TypeError, match="assemble_stiffness"):
         factorize(sp.csr_matrix(np.array(entries)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(ratio=st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)))
-def test_factorize_detects_indefinite_shift(ratio):
-    # K - sigma I is SPD exactly when sigma < lambda_min(K), and exactly
-    # then has a Cholesky factor
-    stiffness = assemble_stiffness(build_disc_mesh(level=3))
-    matrix = stiffness.mat
-    lambda_min = np.linalg.eigvalsh(matrix.toarray())[0]
-    shifted = (matrix - ratio * lambda_min * sp.identity(matrix.shape[0])).tocsr()
-    if ratio > 1.0:
-        with pytest.raises(FactorizationError):
-            factorize(shifted)
-        # multigrid skips the Cholesky test only for assemble_stiffness
-        # output; the shift wrapped by hand is still factored
-        with pytest.raises(FactorizationError):
-            factorize(StiffnessMatrix(shifted, stiffness.mesh))
-    else:
-        fact = factorize(shifted)
-        b = load_point(stiffness.mesh, (0.3, 0.6))
-        x = fact.solve(b)
-        assert np.max(np.abs(shifted @ x - b)) <= fact.RESIDUAL_CONTRACT * np.max(np.abs(b))
 
 
 def test_solve_residual_contract():
@@ -319,91 +338,33 @@ def test_multigrid_iterations_do_not_grow_with_level(build):
 
 
 def test_coarse_and_plain_matrices_use_the_dense_solve_alone():
-    for matrix in (
-        assemble_stiffness(build_disc_mesh(level=2)),
-        assemble_stiffness(build_disc_mesh(level=3)).mat,
-    ):
-        fact = factorize(matrix)
+    # a mesh on or below level 2 is its own bottom, solved by one product
+    # with the inverse of its Cholesky factor
+    for build, level in ((build_disc_mesh, 0), (build_disc_mesh, 2), (build_square_mesh, 1),
+                         (build_square_mesh, 2)):
+        fact = factorize(assemble_stiffness(build(level=level)))
         assert fact._levels == []
         fact.solve(np.ones(fact.mat.shape[0]))
         assert fact.iterations == [1]
 
 
-@functools.cache
-def level3_stiffness():
-    """The level-3 disc stiffness, dense, and its least eigenvalue."""
-    dense = assemble_stiffness(build_disc_mesh(level=3)).mat.toarray()
-    return dense, np.linalg.eigvalsh(dense)[0]
-
-
-@st.composite
-def plain_matrices(draw):
-    """Small dense matrices on either side of the SPD set, clear of its edge."""
-    kind = draw(st.sampled_from(
-        ["spd", "shift", "singular", "asymmetric", "non-finite", "coarse"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 12))
-    # eigenvalues spread over up to two decades in a random basis, exactly
-    # symmetric
-    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    spd = (basis * np.logspace(0.0, -draw(st.floats(0.0, 2.0)), n)) @ basis.T
-    spd = draw(st.floats(1e-3, 1e3)) * (spd + spd.T) / 2.0
-    if kind == "spd":
-        return spd
-    if kind == "shift":
-        dense, lambda_min = level3_stiffness()
-        ratio = draw(st.one_of(st.floats(0.2, 0.9), st.floats(1.1, 4.0)))
-        return dense - ratio * lambda_min * np.eye(len(dense))
-    if kind == "singular":
-        # beside the SPD block, a * [[1, 1], [1, 1]] with a a power of 4:
-        # Cholesky meets an exact zero pivot, in any symmetric order
-        a = 4.0 ** draw(st.integers(-3, 3))
-        dense = np.zeros((n + 2, n + 2))
-        dense[:n, :n] = spd
-        dense[n:, n:] = a
-        order = rng.permutation(n + 2)
-        return dense[np.ix_(order, order)]
-    i, j = rng.choice(n, size=2, replace=False)
-    if kind == "asymmetric":
-        spd[i, j] += draw(st.floats(1e-9, 1.0)) * np.max(np.abs(spd))
-        return spd
-    if kind == "non-finite":
-        spd[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-        if draw(st.booleans()):
-            spd[j, i] = spd[i, j]
-        return spd
-    # square level 0 has no dof, disc level 0 one
-    build = draw(st.sampled_from([build_square_mesh, build_disc_mesh]))
-    return assemble_stiffness(build(level=0)).mat.toarray()
-
-
-@settings(max_examples=150, deadline=None)
-@given(dense=plain_matrices(), seed=st.integers(0, 2**32 - 1))
-def test_dense_solve_raises_exactly_off_spd_property(dense, seed):
-    eigenvalues = (np.linalg.eigvalsh(dense)
-                   if np.all(np.isfinite(dense)) and np.array_equal(dense, dense.T)
-                   else np.array([-np.inf]))
-    if eigenvalues.size and not eigenvalues[0] > 1e-8 * np.max(np.abs(eigenvalues)):
-        with pytest.raises(FactorizationError):
-            factorize(sp.csr_matrix(dense))
-        return
-    fact = factorize(sp.csr_matrix(dense))
-    b = np.random.default_rng(seed).standard_normal(len(dense))
-    x = fact.solve(b)
-    want = gaussian_elimination(dense, b)
-    assert x.shape == want.shape
-    assert np.all(np.abs(x - want) <= 1e-12 * np.max(np.abs(want), initial=0.0))
+def _traced_peak_of_refusal(call, error, match):
+    """The traced peak of ``call()``, which must raise ``error`` matching ``match``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_dense_limit_raises_before_any_dense_array():
-    eye = sp.identity(fem.DENSE_LIMIT + 1, format="csr")
-    tracemalloc.start()
-    try:
-        with pytest.raises(FactorizationError, match="DENSE_LIMIT"):
-            factorize(eye)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    level4 = build_disc_mesh(level=4)
+    root = Mesh(level4.vertices, level4.cells, level4.boundary, level=4)
+    matrix = assemble_stiffness(root)
+    assert matrix.n > fem.DENSE_LIMIT
+    peak = _traced_peak_of_refusal(lambda: factorize(matrix), FactorizationError, "DENSE_LIMIT")
     # the dense array would take 8 n^2 bytes; not one of its rows is formed
     assert peak < 8 * (fem.DENSE_LIMIT + 1)
 
@@ -422,8 +383,8 @@ def test_hierarchy_on_a_large_hand_built_root_raises():
 def test_the_mesh_own_stiffness_is_trusted_by_identity(monkeypatch):
     # the mesh's own stiffness, as assembled or wrapped by hand around its
     # CSR, gets the hierarchy, and only its level-2 bottom (49 dofs on the
-    # disc, 9 on the square) is made dense, checked and factored; a copy of
-    # that CSR is a foreign matrix, its own bottom, factored whole
+    # disc, 9 on the square) is made dense and factored; a copy of that CSR
+    # is not the mesh's own and is refused
     factored = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky",
@@ -435,39 +396,25 @@ def test_the_mesh_own_stiffness_is_trusted_by_identity(monkeypatch):
             for matrix in (own, StiffnessMatrix(own.mat, own.mesh)):
                 assert len(factorize(matrix)._levels) == level - fem.COARSE_LEVEL
         assert factored == [(bottom, bottom)] * 10
-        factored.clear()
-        level3 = assemble_stiffness(build(level=3))
-        copy = level3.mat.copy()
-        for matrix in (copy, StiffnessMatrix(copy, level3.mesh)):
-            assert factorize(matrix)._levels == []
-        assert factored == [copy.shape] * 2
-        with pytest.raises(FactorizationError, match="DENSE_LIMIT"):
+        with pytest.raises(TypeError, match="assemble_stiffness"):
             factorize(StiffnessMatrix(own.mat.copy(), own.mesh))
-        assert len(factored) == 2
+        assert len(factored) == 10
 
 
-@pytest.mark.parametrize("defect, message", [
-    ("nan", "non-finite"),
-    ("asymmetric", "not symmetric"),
-    ("diagonal", "nonpositive diagonal"),
-])
-@pytest.mark.parametrize("wrapped", [False, True], ids=["scipy", "hand-built"])
-def test_foreign_matrices_keep_their_checks(defect, message, wrapped):
-    # each defect of a foreign matrix raises its own error before the
-    # Cholesky test, also wrapped by hand with the mesh it came from
-    stiffness = assemble_stiffness(build_disc_mesh(level=3))
-    dense = stiffness.mat.toarray()
-    if defect == "nan":
-        dense[0, 0] = np.nan
-    elif defect == "asymmetric":
-        dense[0, 1] += 1e-6 * dense[0, 0]
-    else:
-        dense[1, 1] = 0.0
-    matrix = sp.csr_matrix(dense)
-    if wrapped:
-        matrix = StiffnessMatrix(matrix, stiffness.mesh)
-    with pytest.raises(FactorizationError, match=message):
-        factorize(matrix)
+@pytest.mark.parametrize("kind", ["scipy", "copy", "other-mesh"])
+def test_factorize_refuses_other_matrices_before_any_dense_array(kind):
+    # a scipy matrix, the mesh's CSR copied, or another mesh's stiffness
+    # (the same numbers) wrapped with this mesh: refused by type before any
+    # array of a matrix's size is formed, not even one row of a dense one
+    mesh = build_disc_mesh(level=4)
+    own = assemble_stiffness(mesh)
+    matrix = {
+        "scipy": own.mat,
+        "copy": StiffnessMatrix(own.mat.copy(), mesh),
+        "other-mesh": StiffnessMatrix(assemble_stiffness(build_disc_mesh(level=4)).mat, mesh),
+    }[kind]
+    peak = _traced_peak_of_refusal(lambda: factorize(matrix), TypeError, "assemble_stiffness")
+    assert peak < 8 * own.n
 
 
 def test_load_smooth_constant_gives_star_areas():
@@ -582,6 +529,56 @@ def test_load_point_boundary_rejection():
         load_point(mesh, mid)
     with pytest.raises(PointNotFoundError):
         load_point(mesh, (2.0, 2.0))
+
+
+def test_evaluate_and_l2_norm_take_only_fe_functions():
+    # both once read a cellwise field's cell values at vertex indices
+    mesh = build_disc_mesh(level=2)
+    q = CellwiseFunction(mesh, np.arange(float(mesh.n_cells)))
+    assert q((0.3, 0.5)) == 50.0
+    with pytest.raises(TypeError, match="FeFunction"):
+        evaluate(q, (0.3, 0.5))
+    with pytest.raises(TypeError, match="FeFunction"):
+        l2_norm(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    build=st.sampled_from([build_disc_mesh, build_square_mesh]),
+    level=st.integers(0, 3),
+    edge=st.integers(0, 2**32 - 1),
+    chord=st.booleans(),
+    t=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-9, 1.0 - 1e-9)),
+)
+def test_load_point_on_edges_and_vertices(build, level, edge, chord, t):
+    # a point x = (1 - t) p + t q of an edge (p, q) has the load
+    # (1 - t) e_p + t e_q on the dofs: the zero vector on a chord, an
+    # interior edge between two boundary vertices, and a ValueError exactly
+    # on a boundary edge or a boundary vertex.  Chords are few, so half the
+    # draws take one
+    mesh = build(level=level)
+    edges, counts = mesh.edges()
+    if chord:
+        picked = np.flatnonzero((counts == 2) & mesh.boundary[edges].all(axis=1))
+        assume(len(picked))
+        edge = picked[edge % len(picked)]
+    else:
+        edge %= len(edges)
+    p, q = edges[edge]
+    x = (1.0 - t) * mesh.vertices[p] + t * mesh.vertices[q]
+    at_vertex = {0.0: p, 1.0: q}.get(t)
+    on_boundary = mesh.boundary[at_vertex] if at_vertex is not None else counts[edge] == 1
+    if on_boundary:
+        with pytest.raises(ValueError, match="boundary"):
+            load_point(mesh, x)
+        return
+    dof = mesh.dof_map()
+    expected = np.zeros(len(mesh.interior_vertices()))
+    for vertex, weight in ((p, 1.0 - t), (q, t)):
+        if dof[vertex] >= 0:
+            expected[dof[vertex]] += weight
+    load = load_point(mesh, x)
+    assert np.max(np.abs(load - expected), initial=0.0) <= 1e-12
 
 
 def test_evaluate_affine_and_vertices():
@@ -811,14 +808,7 @@ def test_assembled_stiffness_is_exactly_symmetric_finite_and_positive_on_the_dia
     # what factorize trusts the mesh's own stiffness for, checked to the
     # bit on hand-built meshes whose interior vertices moved by up to
     # 0.3 h, and on their refinements
-    base = build(level=level)
-    rng = np.random.default_rng(seed)
-    vertices = base.vertices.copy()
-    inner = ~base.boundary
-    angle = rng.uniform(0.0, 2.0 * np.pi, inner.sum())
-    radius = rng.uniform(0.0, 0.3 * base.h, inner.sum())
-    vertices[inner] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
-    mesh = Mesh(vertices, base.cells, base.boundary)
+    mesh = _moved_mesh(build, level, seed)
     assume(np.all(mesh.cell_areas() > 0.0))
     if refined:
         mesh = refine_uniform(mesh)
