@@ -214,7 +214,8 @@ class ReducedSystem:
     """Precomputed machinery shared by all residual evaluations on one mesh.
 
     Bundles the problem, the mesh, the stiffness matrix and the point-load
-    solutions g_i, stored once as the rows of G, their interior dofs.  The
+    solutions g_i, stored once as the rows of G, their interior dofs: the
+    one point-sized array of either variant.  The
     residual is F(c) = c - (G (b_f + b(c)) - target) for the source load
     b_f and the control load b(c), so one residual evaluation costs a load
     assembly and no sparse solve: the N solves that build G are all.
@@ -244,11 +245,6 @@ class ReducedSystem:
         # OpenBLAS splits a long dot product across its threads, so its last
         # bits would move with the thread count
         self._source_misfit = np.einsum("ij,j->i", self._green, load_source) - problem.targets
-        if variant == CELLWISE:
-            # filled a row at a time, so the means are held once
-            self._adjoint_cell_means = np.empty((problem.n_points, mesh.n_cells))
-            for row, g in zip(self._adjoint_cell_means, self._green):
-                row[:] = fem.l2_project_cells(mesh, self.matrix.field(g)).values
 
     def initial_guess(self):
         """Coefficients of the q = 0 state: u_f(x_i) - target_i."""
@@ -261,7 +257,7 @@ class ReducedSystem:
     def _cell_values(self, c):
         """Clamped cell means of the scaled adjoint (cellwise variant)."""
         p = self.problem
-        means = np.asarray(c, dtype=float) @ self._adjoint_cell_means
+        means = fem.l2_project_cells(self.mesh, self.adjoint_of(c)).values
         # a quotient that overflows is infinite, which the clamp makes a bound
         with np.errstate(over="ignore"):
             return np.clip(-means / p.alpha, p.lower, p.upper)
@@ -279,20 +275,16 @@ class ReducedSystem:
         One pass over the cells: the squares come from the same pass as the
         load, and ``objective`` sums them.  The free set is where the
         control lies strictly within its bounds, the input of ``jacobian``:
-        the mask of cells whose -mean/alpha is inside the bounds (cellwise),
+        the cells whose -mean/alpha is inside the bounds (cellwise),
         or the free set of the adjoint that the load was integrated from
-        (variational): the cells' labels and the mass of the free fan of
-        each crossed cell, cut once for the load and the Jacobian, so
-        holding it through a line search costs a byte a cell and 72 bytes
-        a crossed cell.
+        (variational), with the free-fan mass of each crossed cell, cut
+        once for the load and the Jacobian.
         """
         c = np.asarray(c, dtype=float)
         p = self.problem
         if self.variant == CELLWISE:
             values = self._cell_values(c)
-            # the clamp keeps a mean strictly within the bounds, and moves
-            # every other one onto a bound
-            free = (values > p.lower) & (values < p.upper)
+            free = fem._cellwise_free_set(self.mesh, values, p.lower, p.upper)
             squares = values**2 * self.mesh.cell_areas()
             load = fem.load_cellwise(self.mesh, values)
         else:
@@ -308,18 +300,12 @@ class ReducedSystem:
 
         ``free`` is the free set that ``evaluate`` returns with F, and M_F
         the mass form on the free part of the control, where it lies
-        strictly within the bounds: the free cells of the cellwise variant,
-        J_ij = delta_ij + (1/alpha) sum_K |K| mean_K g_i mean_K g_j, or the
-        free set of the variational control, with the exact free-fan mass
-        of each crossed cell that the evaluation cut
-        (``fem._free_mass_gram``).  J is symmetric and J >= I.
+        strictly within the bounds.  Both variants form G M_F G^T by
+        ``fem._free_mass_gram``, a column at a time with no BLAS call on a
+        long reduction.  J is symmetric and J >= I.
         """
-        if self.variant == CELLWISE:
-            means = self._adjoint_cell_means[:, free]
-            gram = (means * self.mesh.cell_areas()[free]) @ means.T
-        else:
-            gram = fem._free_mass_gram(self.mesh, free, self._green)
-        return np.eye(len(gram)) + gram / self.problem.alpha
+        return np.eye(self.problem.n_points) + fem._free_mass_gram(
+            self.mesh, free, self._green) / self.problem.alpha
 
     def objective(self, c, F, squares):
         """Discrete objective at c from the residual evaluation at c.

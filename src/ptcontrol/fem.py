@@ -500,6 +500,8 @@ def load_smooth(mesh, f):
 
 def load_cellwise(mesh, q):
     """Load vector (q, phi_i) for piecewise-constant q; exact: q_K |K| / 3 per vertex."""
+    if isinstance(q, CellwiseFunction) and q.mesh is not mesh:
+        raise ValueError("the field lives on another mesh")
     values = q.values if isinstance(q, CellwiseFunction) else np.asarray(q, dtype=float)
     if values.shape != (mesh.n_cells,):
         raise ValueError("cell value count must equal the cell count")
@@ -567,7 +569,11 @@ def l2_project_cells(mesh, v):
     """
     if not isinstance(v, FeFunction):
         raise TypeError("l2_project_cells expects an FeFunction")
-    return CellwiseFunction(mesh, v.values[mesh.cells].mean(axis=1))
+    if v.mesh is not mesh:
+        raise ValueError("the field lives on another mesh")
+    # summed from +0.0 as .mean(axis=1) sums a row, so three -0.0 give +0.0
+    planes = mesh._vertex_planes(v.values)
+    return CellwiseFunction(mesh, (0.0 + planes[0] + planes[1] + planes[2]) / 3.0)
 
 
 def centroid_project(mesh, w):
@@ -797,29 +803,38 @@ def load_clipped_linear(mesh, w, lower, upper, alpha):
     return _scatter_cell_loads(mesh, loads)
 
 
+def _cellwise_free_set(mesh, values, lower, upper):
+    """Free set of clamped cell values, in the form ``_free_mass_gram`` reads.
+
+    A cell strictly within the bounds takes the rank-one mass |K|/9 11^T of
+    its mean; no cell is labelled for the P1 form.
+    """
+    cells = np.flatnonzero((values > lower) & (values < upper))
+    mass = np.broadcast_to((mesh.cell_areas()[cells] / 9.0)[:, None, None], (len(cells), 3, 3))
+    return np.full(mesh.n_cells, _CROSSED, np.int8), cells, mass
+
+
 def _free_mass_gram(mesh, free_set, fields):
     """Gram matrix int_free f_i f_j of dof fields (rows of ``fields``).
 
-    ``free_set`` is the free set that ``_clipped_integrals`` returns for
-    some w, lower, upper and alpha; the free set is where
-    lower <= -w/alpha <= upper.  The fields are interior dof vectors, zero
-    on the boundary.  With w = sum_j c_j f_j, column j is minus alpha times
-    the derivative in c_j of the ``load_clipped_linear`` load tested with
-    each f_i.  A free cell takes the P1 mass form, a cell at a bound
-    nothing, and a crossed cell the free-fan mass that the free set holds,
-    so no cell is cut again.  One column at a time, so no (fields,
-    vertices) array is formed.
+    ``free_set`` is ``(labels, listed, mass)``: the cells labelled
+    ``_FREE`` take the P1 mass form, cell ``listed[k]`` the (3, 3) element
+    ``mass[k]`` in its vertex slots, and every other cell nothing: what
+    ``_clipped_integrals`` or ``_cellwise_free_set`` returns.  The
+    fields are interior dof vectors, zero on the boundary.  One column at
+    a time, so no (fields, vertices) array is formed, and every long sum
+    by einsum, which never calls BLAS.
     """
-    labels, crossed, mass = free_set
+    labels, listed, mass = free_set
     free_areas = np.where(labels == _FREE, mesh.cell_areas(), 0.0)
-    crossed_cells = mesh.cells[crossed]
+    listed_cells = np.take(mesh.cells, listed, axis=0)
     interior = mesh.interior_vertices()
     values = np.zeros(mesh.n_vertices)
     gram = np.empty((len(fields), len(fields)))
     for j, field in enumerate(fields):
         values[interior] = field
         loads = _mass_loads(mesh._vertex_planes(values), free_areas)
-        loads[:, crossed] = np.einsum("nab,nb->na", mass, values[crossed_cells]).T
+        loads[:, listed] = np.einsum("nab,nb->na", mass, values[listed_cells]).T
         # by einsum, with no BLAS thread split (see Factorization.solve)
         gram[:, j] = np.einsum("ij,j->i", fields, _scatter_cell_loads(mesh, loads.T))
     return gram

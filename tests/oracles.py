@@ -24,6 +24,10 @@ call the package's kernels that other oracles certify: the clipped
 integrals with a Jacobian Gram matrix that cuts every crossed cell again
 (``recut_integrals_and_gram``), and the smooth load that samples every
 node into one array before it contracts them (``sliced_load_smooth``).
+The cellwise Jacobian's earlier form, a table of every point field's cell
+means and a matrix product of its free columns, is the reference for the
+one Gram routine that both control variants now share
+(``table_cellwise_jacobian``).
 """
 
 import numpy as np
@@ -426,6 +430,25 @@ def recut_integrals_and_gram(mesh, w, lower, upper, alpha, fields):
         cell_loads[crossed] = np.einsum("nab,nb->na", mass, nodal[crossed])
         gram[:, j] = np.einsum("ij,j->i", fields, fem._scatter_cell_loads(mesh, cell_loads))
     return loads.T, square, gram
+
+
+def table_cellwise_jacobian(mesh, fields, c, alpha, lower, upper):
+    """The values -mean/alpha of a cellwise control and its Jacobian, by a table.
+
+    ``fields`` holds the interior dofs of the point fields g_i as rows.
+    The (N, n_c) table of their cell means, one projection each through a
+    whole gather of the cells, gives the unclamped values
+    -(c @ means)/alpha, and the free cells, where they lie strictly within
+    the bounds, give J = I + (1/alpha) sum_K |K| mean_K g_i mean_K g_j as
+    the product of the table's free columns.
+    """
+    nodal = np.zeros((len(fields), mesh.n_vertices))
+    nodal[:, mesh.interior_vertices()] = fields
+    means = nodal[:, mesh.cells].mean(axis=2)
+    values = -(c @ means) / alpha
+    free = (values > lower) & (values < upper)
+    gram = (means[:, free] * mesh.cell_areas()[free]) @ means[:, free].T
+    return values, np.eye(len(fields)) + gram / alpha
 
 
 def sliced_load_smooth(mesh, f):

@@ -550,13 +550,16 @@ def test_tiny_alpha_study_raises_no_warning(tmp_path, variant, alpha, code):
     assert out.exists() == (code == 0)
 
 
-# a level-6 solve dump and three acceptance studies, each past the 10 000
-# entries from which OpenBLAS splits a dot product across its threads
+# a level-6 solve dump, three acceptance studies and an unbounded cellwise
+# study, each past the 10 000 entries from which OpenBLAS splits a dot
+# product across its threads
 THREAD_OUTPUTS = (
-    ("solve", "variational", "6..6", "-0.2,0.2", "solve-6.txt"),
-    ("study", "cellwise", "2..7", "-1,1", "cellwise.csv"),
-    ("study", "variational", "2..6", "-0.2,0.2", "variational.csv"),
-    ("study", "greens", "2..6", "-1,1", "greens.csv"),
+    ("solve", "variational", "6..6", "-0.2,0.2", "1", "solve-6.txt"),
+    ("study", "cellwise", "2..7", "-1,1", "1", "cellwise.csv"),
+    ("study", "variational", "2..6", "-0.2,0.2", "1", "variational.csv"),
+    ("study", "greens", "2..6", "-1,1", "1", "greens.csv"),
+    # every cell free: the cellwise Jacobian sums the whole mesh
+    ("study", "cellwise", "2..6", "-inf,inf", "1e-3", "cellwise-unbounded.csv"),
 )
 
 
@@ -568,8 +571,9 @@ def test_outputs_keep_their_bytes_at_any_blas_thread_count(tmp_path):
     code = (
         "import sys\n"
         "from ptcontrol.cli import main\n"
-        f"for command, variant, levels, bounds, name in {THREAD_OUTPUTS!r}:\n"
-        "    args = [command, '--variant', variant, '--levels', levels, '--bounds=' + bounds]\n"
+        f"for command, variant, levels, bounds, alpha, name in {THREAD_OUTPUTS!r}:\n"
+        "    args = [command, '--variant', variant, '--levels', levels, '--bounds=' + bounds,\n"
+        "            '--alpha', alpha]\n"
         "    assert main(args + ['--out', sys.argv[1] + '/' + name]) == 0\n"
     )
     for threads in ("1", "2"):

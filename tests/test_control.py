@@ -24,6 +24,7 @@ from oracles import (
     interior_load,
     polygon_clipped_integrals,
     recut_integrals_and_gram,
+    table_cellwise_jacobian,
 )
 
 
@@ -524,7 +525,7 @@ def kink_pattern(system, c):
     """Where the control meets its bounds: fixed between two kinks of F."""
     p = system.problem
     if system.variant == CELLWISE:
-        values = -(c @ system._adjoint_cell_means) / p.alpha
+        values = -fem.l2_project_cells(system.mesh, system.adjoint_of(c)).values / p.alpha
         return np.stack([values > p.lower, values < p.upper])
     _, v = fem._classify_cells(system.mesh, system.adjoint_of(c), p.lower, p.upper, p.alpha)
     return np.concatenate([v < p.lower, v > p.upper])
@@ -556,6 +557,45 @@ def test_jacobian_matches_central_differences(variant, n_points, bounds, c):
         assume(np.array_equal(kink_pattern(system, c - step), pattern))
         column = (system.evaluate(c + step)[0] - system.evaluate(c - step)[0]) / (2 * h)
         assert np.max(np.abs(column - jacobian[:, j])) <= 1e-6 * np.max(np.abs(jacobian))
+
+
+TABLE_MESHES = [build(level=level) for build in (build_disc_mesh, build_square_mesh)
+                for level in range(5)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mesh_index=st.integers(0, len(TABLE_MESHES) - 1),
+    polar=st.lists(st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 2 * np.pi)),
+                   min_size=1, max_size=4),
+    log_alpha=st.floats(-6.0, 0.0),
+    bounds=st.tuples(
+        st.one_of(st.just(-np.inf), st.floats(-0.5, 0.1)),
+        st.one_of(st.just(np.inf), st.floats(-0.1, 0.5)),
+    ).filter(lambda b: b[0] < b[1]),
+    c=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+)
+def test_cellwise_jacobian_matches_the_table_gram(mesh_index, polar, log_alpha, bounds, c):
+    # the cellwise Jacobian by the shared Gram routine against a table of
+    # every point field's cell means, on disc and square meshes from one
+    # cell per dof to thousands; points within 0.4 of the centre lie
+    # inside either domain at every level, and c scales with alpha so
+    # that the control meets its bounds on some cells and not on others
+    mesh = TABLE_MESHES[mesh_index]
+    points = 0.5 + np.array([[r * np.cos(t), r * np.sin(t)] for r, t in polar])
+    assume(len(np.unique(points, axis=0)) == len(points))
+    n, alpha = len(points), 10.0**log_alpha
+    problem = ControlProblem(points, np.zeros(n), alpha, *bounds, ExactSolution().source)
+    system = ReducedSystem(problem, mesh, CELLWISE)
+    c = 10.0 * alpha * np.array(c[:n])
+    values, want = table_cellwise_jacobian(mesh, system._green, c, alpha, *bounds)
+    # a value within rounding of a bound may fall on either side of it
+    for bound in filter(np.isfinite, bounds):
+        assume(np.all(np.abs(values - bound) > 1e-12 * max(1.0, np.max(np.abs(values)))))
+    free = system.evaluate(c)[2]
+    assert np.array_equal(free[1], np.flatnonzero((values > bounds[0]) & (values < bounds[1])))
+    jacobian = system.jacobian(free)
+    assert np.max(np.abs(jacobian - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("bounds", [(-np.inf, np.inf), (-1e3, 1e3)])
@@ -676,8 +716,9 @@ def test_jacobian_of_the_evaluated_free_set_is_the_fresh_one(variant, n_points, 
     system = ReducedSystem(problem, JACOBIAN_MESH, variant)
     c = np.array(c[:n_points])
     if variant == CELLWISE:
-        values = -(c @ system._adjoint_cell_means) / problem.alpha
-        fresh = (values > problem.lower) & (values < problem.upper)
+        values = np.clip(-fem.l2_project_cells(JACOBIAN_MESH, system.adjoint_of(c)).values
+                         / problem.alpha, problem.lower, problem.upper)
+        fresh = fem._cellwise_free_set(JACOBIAN_MESH, values, problem.lower, problem.upper)
     else:
         fresh = fem._clipped_integrals(JACOBIAN_MESH, system.adjoint_of(c),
                                        problem.lower, problem.upper, problem.alpha)[2]
@@ -703,12 +744,12 @@ def test_reduced_system_setup_peak_memory():
     assert peak < 400 * mesh.n_cells
 
 
-def test_cellwise_setup_holds_the_cell_means_once():
-    # the (N, n_c) point-field cell means are filled a row at a time, not
-    # stacked from N projections.  On a fresh level-5 disc mesh with
-    # N = 16 the cellwise setup peaked at 421-425 bytes per cell, on one
-    # CPU and on two (514-517 with the stack); the bound leaves 8 % over
-    # the highest
+def test_cellwise_setup_holds_no_cell_table():
+    # the cellwise setup keeps no (N, n_c) table of the point fields' cell
+    # means: an evaluation projects the one adjoint, and the Jacobian reads
+    # the point fields themselves.  On a fresh level-5 disc mesh with
+    # N = 16 the cellwise setup peaked at 354.5 bytes per cell, on one CPU
+    # and on two (424.5 with the table); the bound leaves 8 % over it
     ring = np.pi / 8 * np.arange(16)
     points = 0.5 + 0.3 * np.stack([np.cos(ring), np.sin(ring)], axis=1)
     problem = ControlProblem(points, np.full(16, 0.1), 1e-3, -0.2, 0.2,
@@ -720,16 +761,16 @@ def test_cellwise_setup_holds_the_cell_means_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 460 * mesh.n_cells
+    assert peak < 385 * mesh.n_cells
 
 
-def test_reduced_system_stores_the_point_fields_once():
-    # the variational system keeps G, the interior dofs of the point
-    # fields, as its one point-sized array; the nodal fields are built on
-    # demand
+@pytest.mark.parametrize("variant", [VARIATIONAL, CELLWISE])
+def test_reduced_system_stores_the_point_fields_once(variant):
+    # either system keeps G, the interior dofs of the point fields, as its
+    # one point-sized array; the nodal fields are built on demand
     problem = ControlProblem(JACOBIAN_POINTS, np.zeros(4), 1e-2, -0.1, 0.2,
                              ExactSolution().source)
-    system = ReducedSystem(problem, JACOBIAN_MESH, VARIATIONAL)
+    system = ReducedSystem(problem, JACOBIAN_MESH, variant)
     arrays = {name for name, value in vars(system).items()
               if isinstance(value, np.ndarray) and value.ndim == 2}
     assert arrays == {"_green"}

@@ -933,6 +933,45 @@ def test_projection_operators():
                        rtol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    build=st.sampled_from([build_disc_mesh, build_square_mesh]),
+    level=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 1.0),
+)
+def test_cell_means_keep_the_bits_of_the_whole_gather(build, level, seed, zeros):
+    # the projection sums the three vertex planes; the whole (n_c, 3)
+    # gather and its row means give the same bits, also on zeros of
+    # either sign
+    mesh = build(level=level)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(mesh.n_vertices)
+    zero = rng.random(mesh.n_vertices) < zeros
+    values[zero] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zero)))
+    means = l2_project_cells(mesh, FeFunction(mesh, values)).values
+    want = values[mesh.cells].mean(axis=1)
+    assert np.array_equal(means.view(np.int64), want.view(np.int64))
+
+
+def test_l2_project_cells_rejects_a_field_of_another_mesh():
+    # the level-1 disc's cells index vertices that the level-2 disc has
+    # too, so a field on the finer mesh gave 32 means with no error
+    coarse, fine = build_disc_mesh(level=1), build_disc_mesh(level=2)
+    with pytest.raises(ValueError, match="another mesh"):
+        l2_project_cells(coarse, FeFunction(fine, np.arange(fine.n_vertices, dtype=float)))
+
+
+def test_load_cellwise_rejects_a_field_of_another_mesh():
+    # a field on a disc of the same cell count elsewhere gave a load with
+    # no error; the mesh's own field and plain cell values still load
+    mesh, moved = build_disc_mesh(level=2), build_disc_mesh(center=(3.0, 1.0), level=2)
+    with pytest.raises(ValueError, match="another mesh"):
+        load_cellwise(mesh, CellwiseFunction(moved, np.ones(moved.n_cells)))
+    own = load_cellwise(mesh, CellwiseFunction(mesh, np.ones(mesh.n_cells)))
+    assert np.array_equal(own, load_cellwise(mesh, np.ones(mesh.n_cells)))
+
+
 def test_clipped_load_trivial_cases():
     mesh = build_disc_mesh(level=1)
     zeros = np.zeros(mesh.n_vertices)
