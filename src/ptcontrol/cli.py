@@ -3,7 +3,7 @@
 Subcommands: ``study`` (level sweep of one discretization variant, CSV
 output), ``solve`` (single solve with field dumps), ``oracle`` (dense
 cross-check on a coarse level), ``mesh-dump`` (triangulation as text).
-Configs are flat "key = value" text files, and flags override six of the
+Configs are flat "key = value" text files, and flags override five of the
 keys; a StudyConfig validates itself on construction.  Exit codes: 0
 success, 1 oracle comparison failed, 2 solver failure, 3 config error, 4
 output write failed.  Every output file is written atomically.
@@ -78,7 +78,6 @@ class StudyConfig:
     alpha: float = 1.0
     lower: float = -1.0
     upper: float = 1.0
-    tol: float = 1e-12
     out: Optional[str] = None
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ class StudyConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not all(_is_int(level) for level in (self.level_min, self.level_max)):
             raise ConfigError("levels must be integers")
-        for name in ("radius", "alpha", "lower", "upper", "tol"):
+        for name in ("radius", "alpha", "lower", "upper"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number")
         if not (0 <= self.level_min <= self.level_max <= MAX_STUDY_LEVEL):
@@ -106,10 +105,6 @@ class StudyConfig:
             raise ConfigError("alpha must be positive and finite")
         if not self.lower < self.upper:
             raise ConfigError("bounds must satisfy lower < upper")
-        try:
-            control._check_tol(self.tol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.out is not None:
             if not isinstance(self.out, str):
                 raise ConfigError("out must be a string")
@@ -124,6 +119,11 @@ class StudyConfig:
     @property
     def levels(self):
         return range(self.level_min, self.level_max + 1)
+
+    @property
+    def tol(self):
+        """The solver's residual threshold, which no config sets."""
+        return control.RESIDUAL_TOL
 
 
 def _fmt(x):
@@ -179,7 +179,6 @@ _KEYS = {
     "alpha": (("alpha",), _parse_float, _fmt, "regularization weight"),
     "bounds": (("lower", "upper"), _parse_pair, _format_pair,
                "control bounds A,B (inf allowed)"),
-    "tol": (("tol",), _parse_float, _fmt, "solver tolerance"),
     "out": (("out",), _parse_text, str, "output path"),
 }
 
@@ -261,7 +260,7 @@ def _solve_variant(config, problem, mesh):
     variant = (
         control.VARIATIONAL if config.variant == "variational" else control.CELLWISE
     )
-    solution = control.solve_discrete(problem, mesh, variant, tol=config.tol)
+    solution = control.solve_discrete(problem, mesh, variant)
     discrete = solution.control
     if config.variant == "postproc":
         discrete = control.post_process(

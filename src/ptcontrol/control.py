@@ -62,20 +62,16 @@ SLOPE_REDUCTION = 0.5
 # Newton iterations before ``solve_discrete`` gives up
 MAX_NEWTON_ITERATIONS = 200
 
-
-def _check_tol(tol):
-    """Raise ValueError unless 1e-13 <= tol <= 1e-8.
-
-    Past 1e-8 a solve can stop short of the discretization error: with
-    1e-6 the level-6 variational error of the disc benchmark moves in its
-    fourth digit, and 1e-2 passes the initial guess.
-    """
-    if not 1e-13 <= tol <= 1e-8:
-        raise ValueError("tol must be finite, at least 1e-13 and at most 1e-8")
+# bounds of ``solve_discrete``'s stop rules: max|F|, last Newton step / eps max|c|
+RESIDUAL_TOL = 1e-12
+STEP_EPS = 4.0
 
 
 class DivergenceError(Exception):
     """Raised when the coefficient iteration fails to converge.
+
+    That is at a non-finite residual, or at a stall or the iteration cap
+    with a last Newton step above working precision.
 
     Attributes
     ----------
@@ -171,6 +167,10 @@ class VariationalControl:
         self.alpha = float(alpha)
         self.lower = float(lower)
         self.upper = float(upper)
+
+    @property
+    def mesh(self):
+        return self.adjoint.mesh
 
     def sample_cells(self, bary, cells=None):
         # -z / alpha, clamped, in place on the fresh sample; z / (-alpha)
@@ -320,7 +320,7 @@ class ReducedSystem:
         return 0.5 * float(misfit @ misfit) + 0.5 * self.problem.alpha * reg
 
 
-def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12):
+def solve_discrete(problem, mesh, variant=CELLWISE):
     """Solve the discrete control problem by the reduced coefficient iteration.
 
     Semismooth Newton on F(c) = 0 from the q = 0 coefficients.  Each step d
@@ -333,16 +333,17 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12):
     phi' keeps; the first t with |phi'(t)| <= SLOPE_REDUCTION |phi'(0)| is
     taken, and so is t = 1 when phi'(1) < 0.
 
+    c converges once max|F(c)| <= ``RESIDUAL_TOL``, or at a line-search
+    stall or the iteration cap once its last Newton step was at most
+    ``STEP_EPS`` eps max|c| in max norm (error-oriented termination,
+    Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 2).
+
     Parameters
     ----------
     problem : ControlProblem
     mesh : Mesh
     variant : str
         "variational" or "cellwise".
-    tol : float
-        Convergence threshold on max|F(c)|, from 1e-13 to 1e-8.  A larger
-        one can pass the q = 0 initial guess or an early iterate as
-        converged.
 
     Returns
     -------
@@ -352,29 +353,26 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12):
     Raises
     ------
     DivergenceError
-        If the residual has not reached tol after ``MAX_NEWTON_ITERATIONS``
-        iterations, if a residual is not finite, or if the line search can
-        no longer move the iterate; carries the residual history.
+        If a residual is not finite, or if the line search stalls or
+        ``MAX_NEWTON_ITERATIONS`` iterations pass with a last Newton step
+        above working precision; carries the residual history.
     """
-    _check_tol(tol)
     system = ReducedSystem(problem, mesh, variant)
     c = system.initial_guess()
     F, squares, free = system.evaluate(c)
     res = float(np.max(np.abs(F)))
     residual_history = [res]
     objective_history = [system.objective(c, F, squares)]
-    iterations = 0
-    while not res <= tol:
+    iterations, step, stop = 0, np.inf, None
+    while not res <= RESIDUAL_TOL:
         if not np.isfinite(res):
             raise DivergenceError(f"non-finite residual {res}", residual_history)
         if iterations >= MAX_NEWTON_ITERATIONS:
-            raise DivergenceError(
-                f"no convergence after {MAX_NEWTON_ITERATIONS} iterations "
-                f"(residual {res:.3e})",
-                residual_history,
-            )
+            stop = f"no convergence after {MAX_NEWTON_ITERATIONS} iterations"
+            break
         iterations += 1
         direction = np.linalg.solve(system.jacobian(free), -F)
+        step = float(np.max(np.abs(direction)))
         target = SLOPE_REDUCTION * abs(direction @ F)
         t, low, high = 1.0, 0.0, 1.0
         previous = c
@@ -382,11 +380,8 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12):
             trial = c + t * direction
             # a step, or a bracket, below the rounding of c moves nothing
             if np.array_equal(trial, previous):
-                raise DivergenceError(
-                    f"line search stalled at step length {t:.3e} "
-                    f"(residual {res:.3e})",
-                    residual_history,
-                )
+                stop = f"line search stalled at step length {t:.3e}"
+                break
             evaluation = system.evaluate(trial)
             slope = direction @ evaluation[0]
             if abs(slope) <= target or (t == 1.0 and slope < 0.0):
@@ -402,11 +397,17 @@ def solve_discrete(problem, mesh, variant=CELLWISE, tol=1e-12):
                 low = t
             previous = trial
             t = 0.5 * (low + high)
+        if stop is not None:
+            break
         c = trial
         F, squares, free = evaluation
         res = float(np.max(np.abs(F)))
         residual_history.append(res)
         objective_history.append(system.objective(c, F, squares))
+    bound = STEP_EPS * np.finfo(float).eps * float(np.max(np.abs(c)))
+    if stop is not None and not step <= bound:
+        raise DivergenceError(f"{stop} (residual {res:.3e}, Newton step {step:.3e} "
+                              f"above {bound:.3e})", residual_history)
     control = system.control_of(c)
     # a variational control holds its adjoint, built once
     adjoint = control.adjoint if system.variant == VARIATIONAL else system.adjoint_of(c)

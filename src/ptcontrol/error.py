@@ -59,6 +59,17 @@ class ConvergenceRecord:
     eoc: Optional[float] = None
 
 
+def _on_mesh(mesh, *fields):
+    """Raise ValueError unless every sampled field lives on ``mesh``.
+
+    Cells are indexed in ``mesh``'s numbering, which another mesh's field
+    reads as its own cells, or past its end.
+    """
+    for field in fields:
+        if hasattr(field, "sample_cells") and field.mesh is not mesh:
+            raise ValueError("the field lives on another mesh")
+
+
 def _sample(field, bary, cells, physical):
     """Sample a field on quadrature nodes of the given cells, shape (n, q).
 
@@ -102,7 +113,8 @@ def l2_error_control(mesh, exact, discrete, depth=DEFAULT_DEPTH):
     exact, discrete : callable or sampled field
         Either vectorized callables on (m, 2) arrays or objects with a
         ``sample_cells`` method (FE functions, cellwise fields, implicit
-        clamped controls).
+        clamped controls) on ``mesh``; a field on another mesh raises
+        ``ValueError``.
     depth : int
         Uniform subdivision depth per cell; depth 2 integrates with 192
         points per cell.
@@ -111,6 +123,7 @@ def l2_error_control(mesh, exact, discrete, depth=DEFAULT_DEPTH):
     -------
     float
     """
+    _on_mesh(mesh, exact, discrete)
     bary, weights = subdivided_rule(depth)
     cellwise = np.empty(mesh.n_cells)
     _cell_errors(mesh, exact, discrete, bary, weights, np.arange(mesh.n_cells), True,
@@ -125,8 +138,10 @@ def l1_error_fe(mesh, exact, fe, singular_point=None, depth=DEFAULT_DEPTH,
     Cells incident to ``singular_point`` (a mesh vertex) are integrated
     with ``extra_depth`` additional subdivision levels; the quadrature
     nodes are strictly interior, so an integrable singularity at the
-    vertex is never evaluated.
+    vertex is never evaluated.  A sampled field on another mesh than
+    ``mesh`` raises ``ValueError``.
     """
+    _on_mesh(mesh, exact, fe)
     bary, weights = subdivided_rule(depth)
     singular_cells = np.zeros(mesh.n_cells, dtype=bool)
     if singular_point is not None:
@@ -153,12 +168,14 @@ def classify_cells(mesh, control, lower, upper):
     everything else is CUT (the cells holding the active-set boundary).
     On a cell where the field is constant or a clamped affine function,
     as every discrete control is, the vertex values are its extremes, so
-    the tags are exact.
+    the tags are exact.  A sampled control on another mesh than ``mesh``
+    raises ``ValueError``.
 
     Returns
     -------
     (n_cells,) int array with values AT_BOUND, FREE, CUT.
     """
+    _on_mesh(mesh, control)
     vertices = np.eye(3)
     cells = np.arange(mesh.n_cells)
     values = _sample(control, vertices, cells, _physical_points(mesh, vertices, cells))

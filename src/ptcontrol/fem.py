@@ -261,16 +261,18 @@ def _element_stiffness(mesh, areas):
     scale = 4.0 * areas
     k_elem = np.empty((3, 3, mesh.n_cells))
     term = np.empty(mesh.n_cells)
-    for i in range(3):
-        for j in range(i, 3):
-            plane = np.multiply(ex[i], ex[j], out=k_elem[i, j])
-            plane += np.multiply(ey[i], ey[j], out=term)
-            if i != j:
-                # + 0.0 turns a -0.0 dot product into +0.0, as a sum from
-                # zero does; a sum of squares is never -0.0
-                plane += 0.0
-            plane /= scale
-            k_elem[j, i] = plane
+    # an overflowing entry is inf or nan, which the assembly rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(3):
+            for j in range(i, 3):
+                plane = np.multiply(ex[i], ex[j], out=k_elem[i, j])
+                plane += np.multiply(ey[i], ey[j], out=term)
+                if i != j:
+                    # + 0.0 turns a -0.0 dot product into +0.0, as a sum
+                    # from zero does; a sum of squares is never -0.0
+                    plane += 0.0
+                plane /= scale
+                k_elem[j, i] = plane
     return k_elem
 
 
@@ -806,12 +808,19 @@ def load_clipped_linear(mesh, w, lower, upper, alpha):
 def _cellwise_free_set(mesh, values, lower, upper):
     """Free set of clamped cell values, in the form ``_free_mass_gram`` reads.
 
-    A cell strictly within the bounds takes the rank-one mass |K|/9 11^T of
-    its mean; no cell is labelled for the P1 form.
+    Each cell is labelled by its value: ``_FREE`` strictly within the
+    bounds, ``_AT_LOWER`` at or below ``lower``, ``_AT_UPPER`` at or above
+    ``upper`` (a nan value stays ``_CROSSED``).  Every free cell is listed
+    with the rank-one mass |K|/9 11^T of its mean, which overwrites the P1
+    form of its label in ``_free_mass_gram``.
     """
+    labels = np.full(mesh.n_cells, _CROSSED, np.int8)
+    labels[values <= lower] = _AT_LOWER
+    labels[values >= upper] = _AT_UPPER
     cells = np.flatnonzero((values > lower) & (values < upper))
+    labels[cells] = _FREE
     mass = np.broadcast_to((mesh.cell_areas()[cells] / 9.0)[:, None, None], (len(cells), 3, 3))
-    return np.full(mesh.n_cells, _CROSSED, np.int8), cells, mass
+    return labels, cells, mass
 
 
 def _free_mass_gram(mesh, free_set, fields):

@@ -189,7 +189,9 @@ class Mesh:
         """
         if self._areas is None:
             x, y = self._planes()
-            areas = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
+            # an overflowing area is inf or nan, which the assembly rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                areas = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
             areas.setflags(write=False)
             self._areas = areas
         return self._areas

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ptcontrol import cli, fem, mesh as mesh_module
+from ptcontrol import cli, control, fem, mesh as mesh_module
 from ptcontrol.cli import (
     ConfigError,
     StudyConfig,
@@ -27,7 +27,7 @@ from ptcontrol.mesh import build_disc_mesh, build_square_mesh, format_mesh
 def test_config_round_trip():
     config = StudyConfig(
         variant="postproc", level_min=1, level_max=3, alpha=0.75,
-        lower=-0.2, upper=0.2, tol=1e-12, out="table.csv",
+        lower=-0.2, upper=0.2, out="table.csv",
     )
     assert parse_config(format_config(config)) == config
 
@@ -72,8 +72,10 @@ bounds = -1, 1
     "alpha = fast",
     "variant = cellwise\nvariant = greens",
     "subdivision = 1.5",
+    # the solver sets its own threshold: tol is no key
     "tol = 1e-20",
     "tol = inf",
+    "tol = 1e-12",
     "solver = quantum",
     "solver = direct",
     "domain = hexagon",
@@ -104,7 +106,6 @@ def test_config_rejects_invalid(text):
     ("alpha", "1"),
     ("lower", None),
     ("upper", "inf"),
-    ("tol", None),
     ("out", 5),
 ])
 def test_config_rejects_bad_types_and_shapes(field, value):
@@ -124,17 +125,16 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
     levels=st.lists(st.integers(0, cli.MAX_STUDY_LEVEL), min_size=2, max_size=2),
     alpha=st.floats(min_value=1e-300, max_value=1e300),
     bounds=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
-    tol=st.floats(min_value=1e-13, max_value=1e-8),
     out=st.none() | st.text("abcXYZ019._-/", min_size=1, max_size=20),
 )
 def test_config_round_trip_property(domain, center, radius, variant, levels,
-                                    alpha, bounds, tol, out):
+                                    alpha, bounds, out):
     lower, upper = sorted(bounds)
     assume(lower < upper)
     config = StudyConfig(
         domain=domain, center=center, radius=radius, variant=variant,
         level_min=min(levels), level_max=max(levels), alpha=alpha,
-        lower=lower, upper=upper, tol=tol, out=out,
+        lower=lower, upper=upper, out=out,
     )
     assert parse_config(format_config(config)) == config
 
@@ -163,20 +163,19 @@ def test_config_rejects_out_that_would_not_round_trip(out):
 @pytest.mark.parametrize("config, text", [
     (StudyConfig(),
      "domain = disc\ncenter = 0.5, 0.5\nradius = 0.5\nvariant = cellwise\n"
-     "levels = 2..4\nalpha = 1\nbounds = -1, 1\ntol = 9.9999999999999998e-13\n"),
+     "levels = 2..4\nalpha = 1\nbounds = -1, 1\n"),
     (StudyConfig(variant="postproc", level_min=1, level_max=3, alpha=0.75,
-                 lower=-0.2, upper=0.2, tol=1e-12, out="table.csv"),
+                 lower=-0.2, upper=0.2, out="table.csv"),
      "domain = disc\ncenter = 0.5, 0.5\nradius = 0.5\nvariant = postproc\n"
      "levels = 1..3\nalpha = 0.75\n"
      "bounds = -0.20000000000000001, 0.20000000000000001\n"
-     "tol = 9.9999999999999998e-13\nout = table.csv\n"),
+     "out = table.csv\n"),
     (StudyConfig(domain="square", center=(0.25, -1e-300), radius=2.0 / 3.0,
                  variant="greens", level_min=0, level_max=8, alpha=1e4,
-                 lower=float("-inf"), upper=float("inf"), tol=1.5e-13,
-                 out="runs/l8.csv"),
+                 lower=float("-inf"), upper=float("inf"), out="runs/l8.csv"),
      "domain = square\ncenter = 0.25, -1e-300\nradius = 0.66666666666666663\n"
      "variant = greens\nlevels = 0..8\nalpha = 10000\nbounds = -inf, inf\n"
-     "tol = 1.4999999999999999e-13\nout = runs/l8.csv\n"),
+     "out = runs/l8.csv\n"),
 ], ids=["default", "postproc-out", "square-unbounded"])
 def test_format_config_bytes(config, text):
     assert format_config(config) == text
@@ -188,7 +187,6 @@ def test_format_config_bytes(config, text):
     ("alpha", "0.25"),
     ("bounds", "-0.2, 0.2"),
     ("out", "table.csv"),
-    ("tol", "1e-11"),
 ])
 def test_flag_matches_config_file(tmp_path, key, value):
     config_file = tmp_path / "one.cfg"
@@ -321,7 +319,7 @@ def test_flag_overrides(tmp_path):
     code = main([
         "study", "--config", str(config_file), "--variant", "variational",
         "--levels", "1..2", "--bounds=-0.2,0.2", "--alpha", "2.0",
-        "--tol", "1e-11", "--out", str(out),
+        "--out", str(out),
     ])
     assert code == 0
     assert out.exists()
@@ -381,33 +379,47 @@ def test_solve_requires_out():
 
 @pytest.mark.parametrize("command", ["study", "solve"])
 def test_infinite_tol_is_a_config_error(tmp_path, capsys, command):
-    # an infinite tol would pass the initial guess as converged, so study
-    # would write the q = 0 errors and solve their dump
+    # the solver sets its own threshold, so --tol is no flag: any value, an
+    # infinite one too, exits 3 before anything is solved or written
     out = tmp_path / "out.txt"
     assert main([command, "--variant", "variational", "--levels", "3..3",
                  "--bounds=-0.2,0.2", "--tol", "inf", "--out", str(out)]) == 3
-    assert "tol must be finite" in capsys.readouterr().err
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e300])
-def test_tol_is_capped_at_1e_8(tol):
-    # 1e-8 is the largest tol accepted, and the float after it is not
-    if tol == 1e-8:
-        assert StudyConfig(tol=tol).tol == tol
-        tol = float(np.nextafter(tol, 1.0))
-    with pytest.raises(ConfigError, match="at most 1e-8"):
-        StudyConfig(tol=tol)
 
 
 @pytest.mark.parametrize("command", ["study", "solve"])
 def test_large_tol_is_a_config_error(tmp_path, capsys, command):
-    # tol = 1e-2 would write the errors of the q = 0 guess
+    # nor is tol a config key: a tol line exits 3, as an unknown key does
+    config_file = tmp_path / "tol.cfg"
+    config_file.write_text("variant = variational\nbounds = -0.2, 0.2\ntol = 1e-2\n")
     out = tmp_path / "out.txt"
-    assert main([command, "--variant", "variational", "--levels", "3..3",
-                 "--bounds=-0.2,0.2", "--tol", "1e-2", "--out", str(out)]) == 3
-    assert "at most 1e-8" in capsys.readouterr().err
+    assert main([command, "--config", str(config_file), "--levels", "3..3",
+                 "--out", str(out)]) == 3
+    assert "unknown key 'tol'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_tol_is_the_solver_constant():
+    # a read-only property, not a field: no constructor argument sets it
+    # and format_config writes no line for it
+    config = StudyConfig()
+    assert config.tol == control.RESIDUAL_TOL == 1e-12
+    with pytest.raises(AttributeError):
+        config.tol = 1e-10
+    with pytest.raises(TypeError, match="tol"):
+        StudyConfig(tol=1e-12)
+    assert "tol" not in format_config(config)
+
+
+def test_a_study_that_stalls_at_its_rounding_floor_succeeds(tmp_path, capsys):
+    # alpha = 1e-10 and no lower bound: each level's solve stalls with
+    # max|F| near 1e-8, its last Newton step at working precision, and is
+    # accepted, where a residual threshold alone would exit 2
+    out = tmp_path / "stall.csv"
+    assert main(["study", "--variant", "variational", "--levels", "2..3",
+                 "--alpha", "1e-10", "--bounds=-inf,0.2", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_square_domain_study_rejected(tmp_path):
@@ -425,6 +437,8 @@ UNMESHABLE_DISCS = [
     # every level-0 vertex rounds to the center, so no cell has an area
     pytest.param("solve", "radius = 1e-160\n", "0..0", id="no-area-solve"),
     pytest.param("oracle", "radius = 1e-160\n", "0..0", id="no-area-oracle"),
+    # finite vertices, but the areas and the element entries overflow
+    pytest.param("solve", "center = 0, 0\nradius = 1e308\n", "0..0", id="overflowing-area"),
 ]
 
 

@@ -388,3 +388,35 @@ def test_l2_handles_cellwise_and_implicit_fields(narrow_exact):
     variational = solve_discrete(problem, mesh, VARIATIONAL)
     finer = l2_error_control(mesh, narrow_exact.control, variational.control)
     assert 0 < finer < value
+
+
+FIELD_MESHES = {level: build_disc_mesh(level=level) for level in (3, 4)}
+
+
+def field_of_kind(kind, mesh):
+    """A sampled field on ``mesh``: P1, cellwise or an implicit control."""
+    nodal = fem.FeFunction(mesh, np.sin(mesh.vertices[:, 0]))
+    if kind == "fe":
+        return nodal
+    if kind == "cellwise":
+        return fem.l2_project_cells(mesh, nodal)
+    return VariationalControl(nodal, 1e-2, -0.2, 0.2)
+
+
+ERROR_CALLS = {
+    "l2_error_control": lambda mesh, field: l2_error_control(mesh, constant_field(0.1), field),
+    "l1_error_fe": lambda mesh, field: l1_error_fe(mesh, constant_field(0.1), field),
+    "classify_cells": lambda mesh, field: classify_cells(mesh, field, -0.2, 0.2),
+}
+
+
+@pytest.mark.parametrize("levels", [(3, 4), (4, 3)], ids=["finer-field", "coarser-field"])
+@pytest.mark.parametrize("kind", ["fe", "cellwise", "variational"])
+@pytest.mark.parametrize("name", list(ERROR_CALLS))
+def test_a_field_on_another_mesh_is_rejected(name, kind, levels):
+    # cells are read in the mesh's numbering: a finer field would be read
+    # on the wrong cells with no error, a coarser one past its last cell
+    mesh, other = (FIELD_MESHES[level] for level in levels)
+    with pytest.raises(ValueError, match="another mesh"):
+        ERROR_CALLS[name](mesh, field_of_kind(kind, other))
+    ERROR_CALLS[name](mesh, field_of_kind(kind, mesh))
