@@ -17,7 +17,7 @@ import numpy as np
 
 from ptcontrol import (
     ExactSolution,
-    assemble_stiffness,
+    FeFunction,
     build_disc_mesh,
     centroid_project,
     evaluate,
@@ -45,11 +45,10 @@ for r in (0.05, r_star, 0.3, 0.5):
 # a fine mesh; the discrete state must reproduce the exact state value 1
 # at the tracking point up to discretization error.
 mesh = build_disc_mesh(level=5)
-matrix = assemble_stiffness(mesh)
 rhs = load_smooth(mesh, exact.source) + load_cellwise(
     mesh, centroid_project(mesh, exact.control).values
 )
-state = matrix.field(factorize(matrix).solve(rhs))
+state = FeFunction.from_dofs(mesh, factorize(mesh).solve(rhs))
 value = evaluate(state, (0.5, 0.5))
 print(f"\nstate at the tracking point, level 5: {value:.6f} (exact 1)")
 print(f"defect {abs(value - 1.0):.2e}")

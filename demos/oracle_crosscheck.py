@@ -16,7 +16,6 @@ import numpy as np
 from ptcontrol import (
     CELLWISE,
     ExactSolution,
-    assemble_stiffness,
     benchmark_problem,
     build_disc_mesh,
     factorize,
@@ -45,7 +44,7 @@ solution = solve_discrete(free, mesh, CELLWISE)
 q_ref, u_ref, _ = unconstrained_kkt(free, mesh)
 # the solution holds no state field; one stiffness solve of the source and
 # control loads gives it
-state = factorize(assemble_stiffness(mesh)).solve(
+state = factorize(mesh).solve(
     load_smooth(mesh, free.source) + load_cellwise(mesh, solution.control)
 )
 print(f"\nunconstrained, level 2: "

@@ -43,7 +43,6 @@ from .fem import (
     Factorization,
     FactorizationError,
     FeFunction,
-    StiffnessMatrix,
     assemble_stiffness,
     centroid_project,
     evaluate,
@@ -92,7 +91,6 @@ __all__ = [
     "MeshError",
     "PointNotFoundError",
     "ReducedSystem",
-    "StiffnessMatrix",
     "VARIATIONAL",
     "VariationalControl",
     "assemble_stiffness",

@@ -281,9 +281,8 @@ def _study_meshes(config):
 def _level_error(config, exact, mesh):
     """Solve on one level's mesh and measure the error against the exact solution."""
     if config.variant == "greens":
-        g = fem.assemble_stiffness(mesh)
-        factorization = fem.factorize(g)
-        field = g.field(factorization.solve(fem.load_point(mesh, config.center)))
+        solved = fem.factorize(mesh).solve(fem.load_point(mesh, config.center))
+        field = fem.FeFunction.from_dofs(mesh, solved)
         value = error.l1_error_fe(
             mesh,
             exact.greens,
@@ -370,7 +369,8 @@ def _write_text(path, data):
     target; on failure the temp file is removed.  The temp file is created
     with mode 0o666 for the kernel to mask with the umask, as ``open``
     would; reading the umask in Python means setting it, which races other
-    threads.  An ``OSError`` about the temp file is raised naming ``path``.
+    threads.  An ``OSError`` about the temp file is raised anew, of the same
+    errno, naming ``path`` alone.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(
@@ -389,7 +389,7 @@ def _write_text(path, data):
     except OSError as exc:
         # the error names the target, not the temp file the user never chose
         if exc.filename == tmp:
-            exc.filename, exc.filename2 = path, None
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

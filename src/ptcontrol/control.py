@@ -196,10 +196,9 @@ class DiscreteSolution:
     equals the coefficient combination of the point-load solutions by
     construction; ``objective_history`` records the discrete objective at
     every accepted iterate (diagnostic).  No state field is solved for: it
-    is ``matrix.field(factorize(matrix).solve(load_smooth(mesh, source) +
-    load))`` with ``matrix = assemble_stiffness(mesh)`` and ``load`` from
-    ``load_cellwise(mesh, control)`` or ``load_clipped_linear(mesh,
-    adjoint, lower, upper, alpha)``.
+    is ``FeFunction.from_dofs(mesh, factorize(mesh).solve(load_smooth(mesh,
+    source) + load))`` with ``load`` from ``load_cellwise(mesh, control)``
+    or ``load_clipped_linear(mesh, adjoint, lower, upper, alpha)``.
     """
 
     control: object
@@ -213,12 +212,12 @@ class DiscreteSolution:
 class ReducedSystem:
     """Precomputed machinery shared by all residual evaluations on one mesh.
 
-    Bundles the problem, the mesh, the stiffness matrix and the point-load
-    solutions g_i, stored once as the rows of G, their interior dofs: the
-    one point-sized array of either variant.  The
-    residual is F(c) = c - (G (b_f + b(c)) - target) for the source load
-    b_f and the control load b(c), so one residual evaluation costs a load
-    assembly and no sparse solve: the N solves that build G are all.
+    Bundles the problem, the mesh and the point-load solutions g_i, stored
+    once as the rows of G, their interior dofs: the one point-sized array
+    of either variant.  The residual is F(c) = c - (G (b_f + b(c)) -
+    target) for the source load b_f and the control load b(c), so one
+    residual evaluation costs a load assembly and no sparse solve: the N
+    solves that build G are all.
     """
 
     def __init__(self, problem, mesh, variant):
@@ -227,14 +226,14 @@ class ReducedSystem:
         self.problem = problem
         self.mesh = mesh
         self.variant = variant
-        self.matrix = fem.assemble_stiffness(mesh)
-        # the source load before the multigrid hierarchy, which its
-        # temporaries need not share memory with
+        # the fine stiffness, then the source load before the multigrid
+        # hierarchy, which its temporaries need not share memory with
+        n = fem.assemble_stiffness(mesh).shape[0]
         load_source = fem.load_smooth(mesh, problem.source)
-        factorization = fem.factorize(self.matrix)
+        factorization = fem.factorize(mesh)
 
         # discrete point-source solutions, one row per tracking point
-        self._green = np.empty((problem.n_points, self.matrix.n))
+        self._green = np.empty((problem.n_points, n))
         for row, x in zip(self._green, problem.points):
             try:
                 load = fem.load_point(mesh, x)
@@ -252,7 +251,7 @@ class ReducedSystem:
 
     def adjoint_of(self, c):
         """Adjoint field sum_i c_i g_i."""
-        return self.matrix.field(np.asarray(c, dtype=float) @ self._green)
+        return FeFunction.from_dofs(self.mesh, np.asarray(c, dtype=float) @ self._green)
 
     def _cell_values(self, c):
         """Clamped cell means of the scaled adjoint (cellwise variant)."""

@@ -169,13 +169,15 @@ def classify_cells(mesh, control, lower, upper):
     On a cell where the field is constant or a clamped affine function,
     as every discrete control is, the vertex values are its extremes, so
     the tags are exact.  A sampled control on another mesh than ``mesh``
-    raises ``ValueError``.
+    raises ``ValueError``, and so do bounds that fail lower < upper.
 
     Returns
     -------
     (n_cells,) int array with values AT_BOUND, FREE, CUT.
     """
     _on_mesh(mesh, control)
+    if not lower < upper:
+        raise ValueError("bounds must satisfy lower < upper")
     vertices = np.eye(3)
     cells = np.arange(mesh.n_cells)
     values = _sample(control, vertices, cells, _physical_points(mesh, vertices, cells))
@@ -205,14 +207,13 @@ def estimate_eoc(records):
     Raises
     ------
     ValueError
-        Fewer than two records, or h not strictly decreasing.
+        Fewer than two records, or h not finite, positive and strictly
+        decreasing.
     """
-    h = np.array([float(r[0]) for r in records])
+    h = _mesh_sizes(records)
     e = np.array([float(r[1]) for r in records])
     if len(h) < 2:
         raise ValueError("need at least two records")
-    if not np.all(np.diff(h) < 0):
-        raise ValueError("h must be strictly decreasing")
     orders = []
     for k in range(1, len(h)):
         if e[k - 1] <= 0 or e[k] <= 0:
@@ -222,11 +223,23 @@ def estimate_eoc(records):
     return orders
 
 
+def _mesh_sizes(records):
+    """The h of each (h, error) record, checked finite, positive and strictly decreasing."""
+    h = np.array([float(r[0]) for r in records])
+    if not (np.all(np.isfinite(h)) and np.all(h > 0) and np.all(np.diff(h) < 0)):
+        raise ValueError("h must be finite, positive and strictly decreasing")
+    return h
+
+
 def eoc_least_squares(records, window=3):
-    """Least-squares slope of log(error) vs log(h) over the last ``window`` records."""
+    """Least-squares slope of log(error) vs log(h) over the last ``window`` records.
+
+    Raises ``ValueError`` for a window below two, fewer than two records,
+    or h not finite, positive and strictly decreasing, as ``estimate_eoc``.
+    """
     if not (isinstance(window, numbers.Integral) and window >= 2):
         raise ValueError("window must be an integer of at least 2")
-    h = np.array([float(r[0]) for r in records])[-window:]
+    h = _mesh_sizes(records)[-window:]
     e = np.array([float(r[1]) for r in records])[-window:]
     if len(h) < 2:
         raise ValueError("need at least two records in the window")

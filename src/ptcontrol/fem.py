@@ -23,15 +23,15 @@ matrix of each parent mesh as coarse operator and, on level 2, the inverse
 of a dense Cholesky factor.  A coarse or free-standing mesh, without such
 a chain, gets that dense solve alone, up to ``DENSE_LIMIT`` dofs.
 Iteration stops at a normwise backward error near machine precision, once
-the residual contract holds; see ``factorize``, which takes only the
-stiffness that ``assemble_stiffness`` returns.
+the residual contract holds; see ``factorize``, which takes the mesh
+whose stiffness it solves with.
 """
 
 import numpy as np
 import scipy.sparse as sparse
 
 from ._parallel import _over_chunks
-from .mesh import (MeshError, PointNotFoundError, _ancestors, _physical_points,
+from .mesh import (Mesh, MeshError, PointNotFoundError, _ancestors, _physical_points,
                    cell_centroids, locate_point)
 from .quadrature import rule_degree4
 
@@ -40,7 +40,6 @@ __all__ = [
     "FactorizationError",
     "FeFunction",
     "CellwiseFunction",
-    "StiffnessMatrix",
     "Factorization",
     "assemble_stiffness",
     "factorize",
@@ -92,6 +91,16 @@ class FeFunction:
         self.mesh = mesh
         self.values = values
 
+    @classmethod
+    def from_dofs(cls, mesh, dof_values):
+        """The field of the interior dof values ``dof_values``, zero on the boundary."""
+        interior = mesh.interior_vertices()
+        if np.shape(dof_values) != interior.shape:
+            raise ValueError("dof value count must equal the interior vertex count")
+        values = np.zeros(mesh.n_vertices)
+        values[interior] = dof_values
+        return cls(mesh, values)
+
     def interior(self):
         """Restriction to the interior dofs, in dof order."""
         return self.values[self.mesh.interior_vertices()]
@@ -131,37 +140,6 @@ class CellwiseFunction:
         return self.values[k]
 
 
-class StiffnessMatrix:
-    """CSR stiffness operator with its dof bookkeeping.
-
-    Attributes
-    ----------
-    mat : scipy.sparse.csr_matrix
-        The assembled matrix, symmetric positive definite.
-    mesh : Mesh
-    interior : int array
-        Vertex index of each dof (mesh order), the mesh's interior vertices.
-    """
-
-    def __init__(self, mat, mesh):
-        self.mat = mat
-        self.mesh = mesh
-
-    @property
-    def interior(self):
-        return self.mesh.interior_vertices()
-
-    @property
-    def n(self):
-        return self.mat.shape[0]
-
-    def field(self, dof_values):
-        """Wrap a dof vector as an FeFunction (zeros at eliminated vertices)."""
-        values = np.zeros(self.mesh.n_vertices)
-        values[self.interior] = dof_values
-        return FeFunction(self.mesh, values)
-
-
 def assemble_stiffness(mesh):
     """Assemble the P1 stiffness matrix integral of grad(phi_i).grad(phi_j).
 
@@ -187,7 +165,7 @@ def assemble_stiffness(mesh):
     with mesh._stiffness_lock:
         if mesh._stiffness is None:
             mesh._stiffness = _stiffness_csr(mesh)
-    return StiffnessMatrix(mesh._stiffness, mesh)
+    return mesh._stiffness
 
 
 def _stiffness_csr(mesh):
@@ -292,7 +270,7 @@ class Factorization:
 
     Conjugate gradients preconditioned by one symmetric V-cycle (Hackbusch,
     *Multi-Grid Methods and Applications*, 1985; Bramble, Pasciak and Xu,
-    Math. Comp. 55, 1990) over the refinement chain of the matrix's mesh,
+    Math. Comp. 55, 1990) over the refinement chain of the mesh,
     down to ``COARSE_LEVEL``.  Coarse operators are the stiffness matrices
     of the parent meshes and residuals are restricted by the transposed
     midpoint interpolation.  On each level but the bottom the V-cycle
@@ -320,15 +298,15 @@ class Factorization:
     SMOOTHING_WEIGHT = 0.8
     SMOOTHING_SWEEPS = 2
 
-    def __init__(self, matrix):
-        # SPD by construction, as the assembly checks; no other matrix
-        if not (isinstance(matrix, StiffnessMatrix) and matrix.mat is matrix.mesh._stiffness):
-            raise TypeError("factorize takes the stiffness that assemble_stiffness returns")
-        chain = _ancestors(matrix.mesh, COARSE_LEVEL)
+    def __init__(self, mesh):
+        # the stiffness of a mesh is SPD by construction, as the assembly checks
+        if not isinstance(mesh, Mesh):
+            raise TypeError("factorize takes a Mesh, whose stiffness it solves with")
+        chain = _ancestors(mesh, COARSE_LEVEL)
         bottom = len(chain[-1].interior_vertices())
         if bottom > DENSE_LIMIT:
             raise FactorizationError(f"bottom of {bottom} dofs exceeds DENSE_LIMIT")
-        operators = [assemble_stiffness(mesh).mat for mesh in chain]
+        operators = [assemble_stiffness(level) for level in chain]
         self.mat = operators[0]
         self.iterations = []
         self._levels = [
@@ -436,8 +414,8 @@ def _prolongation(fine, coarse):
     return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
-def factorize(matrix):
-    """Set up the solve handle of the stiffness that ``assemble_stiffness`` returns.
+def factorize(mesh):
+    """Set up the solve handle of the stiffness of ``mesh``.
 
     Multigrid CG with a dense Cholesky solve on level 2, or that dense
     solve alone on a mesh without a chain to level 2 (see
@@ -450,14 +428,14 @@ def factorize(matrix):
     Raises
     ------
     TypeError
-        If ``matrix`` is any other matrix: a scipy matrix, or a
-        ``StiffnessMatrix`` around a CSR that is not its mesh's own.
+        If ``mesh`` is not a ``Mesh``: a matrix, even the one that
+        ``assemble_stiffness`` returns, is refused.
     FactorizationError
         If the bottom operator has more than ``DENSE_LIMIT`` dofs or no
         Cholesky factor; a solve raises it too, on a CG curvature
         p.Ap <= 0 or a missed residual contract.
     """
-    return Factorization(matrix)
+    return Factorization(mesh)
 
 
 def _scatter_cell_loads(mesh, contrib):

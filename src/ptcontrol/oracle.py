@@ -108,8 +108,7 @@ def cellwise_qp_oracle(problem, mesh, tol=STATIONARITY_TOL):
     Returns the optimal cell values, for comparison with the cellwise
     values produced by the reduced iteration.
     """
-    matrix = fem.assemble_stiffness(mesh)
-    factorization = fem.factorize(matrix)
+    factorization = fem.factorize(mesh)
     u_source = factorization.solve(fem.load_smooth(mesh, problem.source))
     evaluate = _evaluation_matrix(mesh, problem.points)
     offsets = evaluate @ u_source - problem.targets
@@ -140,7 +139,7 @@ def unconstrained_kkt(problem, mesh):
         Multiplier; equals minus the adjoint state of the reduced
         formulation.
     """
-    stiffness = fem.assemble_stiffness(mesh).mat.toarray()
+    stiffness = fem.assemble_stiffness(mesh).toarray()
     B = _cell_load_matrix(mesh)
     E = _evaluation_matrix(mesh, problem.points)
     areas = mesh.cell_areas()

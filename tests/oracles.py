@@ -727,9 +727,8 @@ def discrete_state(problem, mesh, solution, variant):
         load = fem.load_clipped_linear(
             mesh, solution.adjoint, problem.lower, problem.upper, problem.alpha
         )
-    matrix = fem.assemble_stiffness(mesh)
     source = fem.load_smooth(mesh, problem.source)
-    return matrix.field(fem.factorize(matrix).solve(source + load))
+    return fem.FeFunction.from_dofs(mesh, fem.factorize(mesh).solve(source + load))
 
 
 def gaussian_elimination(matrix, rhs):

@@ -28,7 +28,6 @@ PUBLIC_API = [
     "MeshError",
     "PointNotFoundError",
     "ReducedSystem",
-    "StiffnessMatrix",
     "VARIATIONAL",
     "VariationalControl",
     "__version__",
@@ -76,9 +75,12 @@ def test_public_api_is_pinned():
         "parse_mesh",
         "assemble_mass",
         "clipped_field_l2_sq",
+        "StiffnessMatrix",
     ):
         assert removed not in ptcontrol.__all__
         assert not hasattr(ptcontrol, removed)
+    # the mesh is the handle of its stiffness; no wrapper stands for it
+    assert not hasattr(ptcontrol.fem, "StiffnessMatrix")
     # only tests and the benchmark's tracer call it, through the module
     assert callable(ptcontrol.fem.clipped_field_l2_sq)
     # point location tests bounding boxes; no per-cell inverse maps are kept

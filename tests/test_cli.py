@@ -1,3 +1,4 @@
+import errno
 import os
 import pathlib
 import subprocess
@@ -488,6 +489,27 @@ def test_missing_output_directory_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     # the message names the target, not the temp file beside it
     assert "output error:" in err and str(out) in err and ".tmp" not in err
+    assert "-> None" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_errors_name_the_target_once(tmp_path, monkeypatch):
+    # the temp file's open and its rename over the target fail with the
+    # errno subclass kept, and the message names the target alone
+    out = tmp_path / "missing" / "x.csv"
+    with pytest.raises(FileNotFoundError) as caught:
+        cli._write_text(str(out), b"")
+    assert caught.value.filename == str(out) and caught.value.filename2 is None
+    assert str(caught.value) == f"[Errno {errno.ENOENT}] No such file or directory: '{out}'"
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src, None, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "out.txt"
+    with pytest.raises(PermissionError) as caught:
+        cli._write_text(str(out), b"")
+    assert str(caught.value) == f"[Errno {errno.EACCES}] Permission denied: '{out}'"
     assert list(tmp_path.iterdir()) == []
 
 

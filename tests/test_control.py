@@ -67,10 +67,10 @@ def fresh_residual(c, problem, mesh, variant):
     field), one state solve, and point evaluation by barycentric lookup.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    matrix = fem.assemble_stiffness(mesh)
-    fact = fem.factorize(matrix)
+    fact = fem.factorize(mesh)
     fields = [
-        matrix.field(fact.solve(fem.load_point(mesh, x))) for x in problem.points
+        fem.FeFunction.from_dofs(mesh, fact.solve(fem.load_point(mesh, x)))
+        for x in problem.points
     ]
     z = c @ np.stack([g.values for g in fields])
     if variant == CELLWISE:
@@ -82,7 +82,7 @@ def fresh_residual(c, problem, mesh, variant):
         load = fem.load_clipped_linear(
             mesh, z, problem.lower, problem.upper, problem.alpha
         )
-    u = matrix.field(fact.solve(fem.load_smooth(mesh, problem.source) + load))
+    u = fem.FeFunction.from_dofs(mesh, fact.solve(fem.load_smooth(mesh, problem.source) + load))
     at_points = np.array([fem.evaluate(u, x) for x in problem.points])
     return c - (at_points - problem.targets)
 
@@ -416,7 +416,7 @@ def test_adjoint_is_point_field_combination(narrow_problem):
     system = ReducedSystem(narrow_problem, mesh, CELLWISE)
     solution = solve_discrete(narrow_problem, mesh, CELLWISE)
     combo = sum(
-        c * system.matrix.field(g).values
+        c * fem.FeFunction.from_dofs(mesh, g).values
         for c, g in zip(solution.coefficients, system._green)
     )
     assert np.max(np.abs(solution.adjoint.values - combo)) <= 1e-12
@@ -754,7 +754,8 @@ def test_jacobian_with_every_cell_free_is_the_mass_gram(bounds):
                              bounds[0], bounds[1], exact.source)
     system = ReducedSystem(problem, JACOBIAN_MESH, VARIATIONAL)
     c = np.array([0.02, -0.01, 0.03])
-    fields = np.stack([system.matrix.field(g).values for g in system._green])
+    fields = np.stack([fem.FeFunction.from_dofs(JACOBIAN_MESH, g).values
+                       for g in system._green])
     expected = np.eye(3) + fields @ (assemble_mass(JACOBIAN_MESH) @ fields.T) / 1e-2
     jacobian = system.jacobian(system.evaluate(c)[2])
     assert np.max(np.abs(jacobian - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -921,9 +922,12 @@ def test_reduced_system_stores_the_point_fields_once(variant):
     arrays = {name for name, value in vars(system).items()
               if isinstance(value, np.ndarray) and value.ndim == 2}
     assert arrays == {"_green"}
+    # the mesh is the handle of its stiffness; the system keeps no matrix
+    assert not hasattr(system, "matrix")
     assert system._green.shape == (4, len(JACOBIAN_MESH.interior_vertices()))
     for e, g in zip(np.eye(4), system._green):
-        assert np.array_equal(system.adjoint_of(e).values, system.matrix.field(g).values)
+        assert np.array_equal(system.adjoint_of(e).values,
+                              fem.FeFunction.from_dofs(JACOBIAN_MESH, g).values)
 
 
 @pytest.mark.parametrize("level", [1, 2])

@@ -185,9 +185,8 @@ def test_l1_affine_interpolant_is_exact():
 
 def test_l1_singular_refinement_stable(narrow_exact):
     mesh = build_disc_mesh(level=3)
-    matrix = fem.assemble_stiffness(mesh)
-    g = matrix.field(
-        fem.factorize(matrix).solve(fem.load_point(mesh, (0.5, 0.5)))
+    g = fem.FeFunction.from_dofs(
+        mesh, fem.factorize(mesh).solve(fem.load_point(mesh, (0.5, 0.5)))
     )
     base = l1_error_fe(mesh, narrow_exact.greens, g, singular_point=(0.5, 0.5))
     finer = l1_error_fe(mesh, narrow_exact.greens, g, singular_point=(0.5, 0.5),
@@ -379,6 +378,17 @@ def test_eoc_least_squares_rejects_a_window_below_two(window):
         records, window=2)
 
 
+@pytest.mark.parametrize("h", [
+    [0.2, 0.2], [0.2, 0.0], [0.2, -0.1], [-0.1, -0.2], [0.1, 0.2], [np.inf, 0.1], [0.2, np.nan],
+], ids=["equal", "zero", "negative", "both-negative", "increasing", "inf", "nan"])
+@pytest.mark.parametrize("estimate", [eoc_least_squares, estimate_eoc])
+def test_eoc_rejects_h_not_finite_positive_and_decreasing(estimate, h):
+    # equal h once gave eoc_least_squares a slope of 0.108, and h <= 0 an
+    # untyped LinAlgError
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="h must be"):
+        estimate(list(zip(h, [1.0, 0.5])))
+
+
 def test_l2_handles_cellwise_and_implicit_fields(narrow_exact):
     mesh = build_disc_mesh(level=2)
     problem = benchmark_problem(narrow_exact)
@@ -408,6 +418,16 @@ ERROR_CALLS = {
     "l1_error_fe": lambda mesh, field: l1_error_fe(mesh, constant_field(0.1), field),
     "classify_cells": lambda mesh, field: classify_cells(mesh, field, -0.2, 0.2),
 }
+
+
+@pytest.mark.parametrize("bounds", [(1.0, -1.0), (0.5, 0.5), (np.nan, 1.0), (-1.0, np.nan)],
+                         ids=["reversed", "equal", "nan-lower", "nan-upper"])
+def test_classify_cells_rejects_bounds_out_of_order(bounds):
+    # reversed bounds once tagged every cell AT_BOUND, and nan ones CUT
+    mesh = build_disc_mesh(level=2)
+    control = fem.CellwiseFunction(mesh, np.zeros(mesh.n_cells))
+    with pytest.raises(ValueError, match="lower < upper"):
+        classify_cells(mesh, control, *bounds)
 
 
 @pytest.mark.parametrize("levels", [(3, 4), (4, 3)], ids=["finer-field", "coarser-field"])

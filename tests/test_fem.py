@@ -15,7 +15,6 @@ from ptcontrol.fem import (
     CellwiseFunction,
     FactorizationError,
     FeFunction,
-    StiffnessMatrix,
     assemble_stiffness,
     centroid_project,
     clipped_field_l2_sq,
@@ -69,8 +68,8 @@ def test_element_stiffness_unit_triangle():
     # with e its boundary edge (squared lengths 1, 2, 1; areas 0.15, 0.25, 0.1)
     matrix = assemble_stiffness(split_unit_triangle_mesh())
     expected = 1.0 / 0.6 + 2.0 / 1.0 + 1.0 / 0.4
-    assert matrix.mat.shape == (1, 1)
-    assert matrix.mat[0, 0] == pytest.approx(expected, rel=1e-14)
+    assert matrix.shape == (1, 1)
+    assert matrix[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_stiffness_interior_rows_sum_to_zero():
@@ -78,7 +77,7 @@ def test_stiffness_interior_rows_sum_to_zero():
     # that couples to no boundary vertex still sums to zero after the
     # boundary columns are eliminated
     mesh = build_disc_mesh(level=2)
-    matrix = assemble_stiffness(mesh).mat
+    matrix = assemble_stiffness(mesh)
     a, b = mesh.edges()[0].T
     touches_boundary = np.zeros(mesh.n_vertices, dtype=bool)
     touches_boundary[a[mesh.boundary[b]]] = True
@@ -93,8 +92,7 @@ def test_stiffness_interior_rows_sum_to_zero():
 def test_square_mesh_five_point_stencil():
     # right-triangle P1 Laplacian reduces to the classic 5-point stencil
     mesh = build_square_mesh(level=2)
-    matrix = assemble_stiffness(mesh)
-    dense = matrix.mat.toarray()
+    dense = assemble_stiffness(mesh).toarray()
     dof = mesh.dof_map()
     center = dof[np.where(np.all(mesh.vertices == [0.5, 0.5], axis=1))[0][0]]
     row = dense[center]
@@ -106,7 +104,7 @@ def test_square_mesh_five_point_stencil():
 
 def test_stiffness_positive_definite():
     for mesh in (build_disc_mesh(level=1), build_square_mesh(level=2)):
-        dense = assemble_stiffness(mesh).mat.toarray()
+        dense = assemble_stiffness(mesh).toarray()
         assert np.linalg.eigvalsh(dense).min() > 0
 
 
@@ -141,9 +139,9 @@ def test_factorize_matches_elimination_oracle(build, level, seed, refined):
         mesh = refine_uniform(mesh)
     assume(len(mesh.interior_vertices()) <= fem.DENSE_LIMIT)
     matrix = assemble_stiffness(mesh)
-    b = np.random.default_rng(seed).standard_normal(matrix.n)
-    x = factorize(matrix).solve(b)
-    want = gaussian_elimination(matrix.mat.toarray(), b)
+    b = np.random.default_rng(seed).standard_normal(matrix.shape[0])
+    x = factorize(mesh).solve(b)
+    want = gaussian_elimination(matrix.toarray(), b)
     assert x.shape == want.shape
     assert np.all(np.abs(x - want) <= 1e-12 * np.max(np.abs(want), initial=0.0))
 
@@ -152,7 +150,7 @@ def test_factorize_identity_and_zero_rhs():
     # a zero right-hand side returns zeros, with no iteration, on every path
     for level in (1, 3):
         mesh = build_disc_mesh(level=level)
-        fact = factorize(assemble_stiffness(mesh))
+        fact = factorize(mesh)
         zero = np.zeros(len(mesh.interior_vertices()))
         assert np.array_equal(fact.solve(zero), zero)
         assert fact.iterations == [0]
@@ -163,8 +161,7 @@ def test_factorize_rejects_indefinite(monkeypatch):
     # CG curvature p.Ap <= 0, here of a handle whose matrix was negated
     # after setup
     mesh = build_disc_mesh(level=3)
-    matrix = assemble_stiffness(mesh)
-    fact = factorize(matrix)
+    fact = factorize(mesh)
     fact.mat = -fact.mat
     with pytest.raises(FactorizationError, match="not positive definite"):
         fact.solve(load_point(mesh, (0.3, 0.6)))
@@ -174,7 +171,7 @@ def test_factorize_rejects_indefinite(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", no_factor)
     with pytest.raises(FactorizationError, match="not positive definite"):
-        factorize(matrix)
+        factorize(mesh)
 
 
 @pytest.mark.parametrize("entries", [
@@ -183,21 +180,20 @@ def test_factorize_rejects_indefinite(monkeypatch):
     [[1.0, 1.0], [1.0, 1.0]],
 ], ids=["nan", "inf", "singular"])
 def test_factorize_failures_are_typed(entries):
-    # a matrix that is not a mesh's assembled stiffness is a TypeError,
-    # before any of its entries is read
-    with pytest.raises(TypeError, match="assemble_stiffness"):
+    # a matrix is not a mesh: a TypeError, before any of its entries is read
+    with pytest.raises(TypeError, match="takes a Mesh"):
         factorize(sp.csr_matrix(np.array(entries)))
 
 
 def test_solve_residual_contract():
     mesh = build_disc_mesh(level=4)
     matrix = assemble_stiffness(mesh)
-    fact = factorize(matrix)
+    fact = factorize(mesh)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        b = rng.standard_normal(matrix.n)
+        b = rng.standard_normal(matrix.shape[0])
         x = fact.solve(b)
-        residual = np.max(np.abs(matrix.mat @ x - b))
+        residual = np.max(np.abs(matrix @ x - b))
         assert residual <= fact.RESIDUAL_CONTRACT * np.max(np.abs(b))
 
 
@@ -207,7 +203,7 @@ def test_solve_rejects_non_finite_rhs(level, bad):
     # a caller's error, told apart from a matrix outside the SPD contract
     # before any iteration, and without a floating-point warning
     mesh = build_disc_mesh(level=level)
-    fact = factorize(assemble_stiffness(mesh))
+    fact = factorize(mesh)
     b = load_point(mesh, (0.3, 0.6))
     b[np.argmax(b)] = bad
     with np.errstate(all="raise"), pytest.raises(ValueError, match="non-finite"):
@@ -219,11 +215,10 @@ def test_direct_matches_dense_solve():
     # level 2 takes the dense solve alone, level 3 one V-cycle level above it
     for level in (2, 3):
         mesh = build_disc_mesh(level=level)
-        matrix = assemble_stiffness(mesh)
-        fact = factorize(matrix)
+        fact = factorize(mesh)
         assert len(fact._levels) == level - fem.COARSE_LEVEL
         for b in (load_smooth(mesh, lambda p: np.ones(len(p))), load_point(mesh, (0.3, 0.6))):
-            dense_x = np.linalg.solve(matrix.mat.toarray(), b)
+            dense_x = np.linalg.solve(assemble_stiffness(mesh).toarray(), b)
             x = fact.solve(b)
             assert np.max(np.abs(x - dense_x)) <= 1e-12 * np.max(np.abs(dense_x))
 
@@ -239,8 +234,9 @@ MULTIGRID_SYSTEMS = {}
 def multigrid_system(key):
     """Assembled matrix with its multigrid handle and its sparse LU, cached."""
     if key not in MULTIGRID_SYSTEMS:
-        matrix = assemble_stiffness(MULTIGRID_MESHES[key])
-        MULTIGRID_SYSTEMS[key] = matrix, factorize(matrix), sparse_lu(matrix.mat)
+        mesh = MULTIGRID_MESHES[key]
+        matrix = assemble_stiffness(mesh)
+        MULTIGRID_SYSTEMS[key] = matrix, factorize(mesh), sparse_lu(matrix)
     return MULTIGRID_SYSTEMS[key]
 
 
@@ -252,12 +248,12 @@ def multigrid_system(key):
 )
 def test_multigrid_matches_coarse_lu_property(key, kind, seed):
     matrix, multigrid, direct = multigrid_system(key)
-    mesh = matrix.mesh
+    mesh = MULTIGRID_MESHES[key]
     assert multigrid._levels
     rng = np.random.default_rng(seed)
     interior = mesh.vertices[mesh.interior_vertices()]
     if kind == "random":
-        b = rng.standard_normal(matrix.n)
+        b = rng.standard_normal(matrix.shape[0])
     else:
         # a random point of a random cell, an interior vertex, or the
         # midpoint of a cell edge that is not a boundary edge
@@ -273,11 +269,11 @@ def test_multigrid_matches_coarse_lu_property(key, kind, seed):
     x = multigrid.solve(b)
     reference = direct.solve(b)
     assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
-    residual = np.max(np.abs(matrix.mat @ x - b))
+    residual = np.max(np.abs(matrix @ x - b))
     assert residual <= multigrid.RESIDUAL_CONTRACT * np.max(np.abs(b))
     # the stop rule, not only the contract: a normwise backward error near
     # machine precision
-    assert residual <= 1e-14 * np.max(abs(matrix.mat) @ np.abs(x) + np.abs(b))
+    assert residual <= 1e-14 * np.max(abs(matrix) @ np.abs(x) + np.abs(b))
 
 
 @pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
@@ -315,12 +311,11 @@ def test_multigrid_iterates_to_the_contract(monkeypatch):
     # must still iterate until the contract holds
     monkeypatch.setattr(fem.Factorization, "BACKWARD_ERROR", 1.0)
     mesh = build_disc_mesh(level=4)
-    matrix = assemble_stiffness(mesh)
-    fact = factorize(matrix)
+    fact = factorize(mesh)
     b = load_smooth(mesh, lambda p: np.ones(len(p)))
     x = fact.solve(b)
     assert fact.iterations[-1] > 1
-    assert np.max(np.abs(matrix.mat @ x - b)) <= fact.RESIDUAL_CONTRACT * np.max(np.abs(b))
+    assert np.max(np.abs(assemble_stiffness(mesh) @ x - b)) <= fact.RESIDUAL_CONTRACT * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
@@ -328,10 +323,9 @@ def test_multigrid_iterations_do_not_grow_with_level(build):
     rng = np.random.default_rng(5)
     for level in range(3, 8):
         mesh = build(level=level)
-        matrix = assemble_stiffness(mesh)
-        fact = factorize(matrix)
+        fact = factorize(mesh)
         assert len(fact._levels) == level - fem.COARSE_LEVEL
-        fact.solve(rng.standard_normal(matrix.n))
+        fact.solve(rng.standard_normal(fact.mat.shape[0]))
         fact.solve(load_point(mesh, (0.5 + 1e-3, 0.5 - 2e-3)))
         assert len(fact.iterations) == 2
         assert max(fact.iterations) <= 15, (level, fact.iterations)
@@ -342,7 +336,7 @@ def test_coarse_and_plain_matrices_use_the_dense_solve_alone():
     # with the inverse of its Cholesky factor
     for build, level in ((build_disc_mesh, 0), (build_disc_mesh, 2), (build_square_mesh, 1),
                          (build_square_mesh, 2)):
-        fact = factorize(assemble_stiffness(build(level=level)))
+        fact = factorize(build(level=level))
         assert fact._levels == []
         fact.solve(np.ones(fact.mat.shape[0]))
         assert fact.iterations == [1]
@@ -362,10 +356,10 @@ def _traced_peak_of_refusal(call, error, match):
 def test_dense_limit_raises_before_any_dense_array():
     level4 = build_disc_mesh(level=4)
     root = Mesh(level4.vertices, level4.cells, level4.boundary, level=4)
-    matrix = assemble_stiffness(root)
-    assert matrix.n > fem.DENSE_LIMIT
-    peak = _traced_peak_of_refusal(lambda: factorize(matrix), FactorizationError, "DENSE_LIMIT")
-    # the dense array would take 8 n^2 bytes; not one of its rows is formed
+    assert len(root.interior_vertices()) > fem.DENSE_LIMIT
+    peak = _traced_peak_of_refusal(lambda: factorize(root), FactorizationError, "DENSE_LIMIT")
+    # the dense array would take 8 n^2 bytes; not one of its rows is formed,
+    # and the refusal comes before the stiffness is assembled
     assert peak < 8 * (fem.DENSE_LIMIT + 1)
 
 
@@ -375,16 +369,15 @@ def test_hierarchy_on_a_large_hand_built_root_raises():
     root = Mesh(level4.vertices, level4.cells, level4.boundary, level=4)
     assert len(root.interior_vertices()) > fem.DENSE_LIMIT
     with pytest.raises(FactorizationError, match="DENSE_LIMIT"):
-        factorize(assemble_stiffness(refine_uniform(root)))
+        factorize(refine_uniform(root))
     # the same mesh built by refinement has a bottom at COARSE_LEVEL
-    assert len(factorize(assemble_stiffness(level4))._levels) == 4 - fem.COARSE_LEVEL
+    assert len(factorize(level4)._levels) == 4 - fem.COARSE_LEVEL
 
 
-def test_the_mesh_own_stiffness_is_trusted_by_identity(monkeypatch):
-    # the mesh's own stiffness, as assembled or wrapped by hand around its
-    # CSR, gets the hierarchy, and only its level-2 bottom (49 dofs on the
-    # disc, 9 on the square) is made dense and factored; a copy of that CSR
-    # is not the mesh's own and is refused
+def test_factorize_makes_only_the_level_2_bottom_dense(monkeypatch):
+    # the hierarchy of a mesh's refinement chain makes only its level-2
+    # bottom (49 dofs on the disc, 9 on the square) dense and factors it,
+    # once per call
     factored = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky",
@@ -392,29 +385,20 @@ def test_the_mesh_own_stiffness_is_trusted_by_identity(monkeypatch):
     for build, bottom in ((build_disc_mesh, 49), (build_square_mesh, 9)):
         factored.clear()
         for level in range(3, 8):
-            own = assemble_stiffness(build(level=level))
-            for matrix in (own, StiffnessMatrix(own.mat, own.mesh)):
-                assert len(factorize(matrix)._levels) == level - fem.COARSE_LEVEL
-        assert factored == [(bottom, bottom)] * 10
-        with pytest.raises(TypeError, match="assemble_stiffness"):
-            factorize(StiffnessMatrix(own.mat.copy(), own.mesh))
-        assert len(factored) == 10
+            assert len(factorize(build(level=level))._levels) == level - fem.COARSE_LEVEL
+        assert factored == [(bottom, bottom)] * 5
 
 
-@pytest.mark.parametrize("kind", ["scipy", "copy", "other-mesh"])
+@pytest.mark.parametrize("kind", ["assembled", "scipy", "none"])
 def test_factorize_refuses_other_matrices_before_any_dense_array(kind):
-    # a scipy matrix, the mesh's CSR copied, or another mesh's stiffness
-    # (the same numbers) wrapped with this mesh: refused by type before any
-    # array of a matrix's size is formed, not even one row of a dense one
+    # the CSR that assemble_stiffness returns, a scipy matrix or None is
+    # not a mesh: refused by type before any array of a matrix's size is
+    # formed, not even one row of a dense one
     mesh = build_disc_mesh(level=4)
     own = assemble_stiffness(mesh)
-    matrix = {
-        "scipy": own.mat,
-        "copy": StiffnessMatrix(own.mat.copy(), mesh),
-        "other-mesh": StiffnessMatrix(assemble_stiffness(build_disc_mesh(level=4)).mat, mesh),
-    }[kind]
-    peak = _traced_peak_of_refusal(lambda: factorize(matrix), TypeError, "assemble_stiffness")
-    assert peak < 8 * own.n
+    matrix = {"assembled": own, "scipy": sp.csr_matrix(own.toarray()), "none": None}[kind]
+    peak = _traced_peak_of_refusal(lambda: factorize(matrix), TypeError, "takes a Mesh")
+    assert peak < 8 * own.shape[0]
 
 
 def test_load_smooth_constant_gives_star_areas():
@@ -646,22 +630,44 @@ def test_fe_sampling_matches_einsum_form(level, seed, n_nodes, subset):
     assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
+@pytest.mark.parametrize("build", [build_disc_mesh, build_square_mesh])
+def test_from_dofs_puts_the_dofs_on_the_interior_and_zeros_on_the_boundary(build):
+    mesh = build(level=3)
+    interior = mesh.interior_vertices()
+    dofs = np.random.default_rng(3).standard_normal(len(interior))
+    field = FeFunction.from_dofs(mesh, dofs)
+    assert field.mesh is mesh
+    assert np.array_equal(field.values[interior].view(np.int64), dofs.view(np.int64))
+    assert np.array_equal(field.values[mesh.boundary].view(np.int64),
+                          np.zeros(mesh.boundary.sum(), dtype=np.int64))
+    assert np.array_equal(field.interior(), dofs)
+    assert not field.values.flags.writeable
+    with pytest.raises(ValueError):
+        field.values[interior[0]] = 1.0
+    dofs[0] = 7.0
+    assert field.values[interior[0]] != 7.0
+    # a scalar or a vector of another length is not broadcast
+    for bad in (1.0, dofs[:-1], np.append(dofs, 0.0), np.zeros(mesh.n_vertices)):
+        with pytest.raises(ValueError, match="dof value count"):
+            FeFunction.from_dofs(mesh, bad)
+
+
 def test_stiffness_cached_per_mesh_and_read_only():
     # the assembly count down a study chain is in test_cli
     mesh = build_disc_mesh(level=3)
     first, second = assemble_stiffness(mesh), assemble_stiffness(mesh)
-    assert second.mat is first.mat
+    assert second is first
     fresh = fem._stiffness_csr(mesh)
-    assert (fresh != first.mat).nnz == 0
-    for array in (first.mat.data, first.mat.indices, first.mat.indptr):
+    assert (fresh != first).nnz == 0
+    for array in (first.data, first.indices, first.indptr):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
-        first.mat.data[0] = 1.0
+        first.data[0] = 1.0
     with pytest.raises(ValueError):
-        first.mat[0, 0] = 1.0
+        first[0, 0] = 1.0
     with pytest.raises(ValueError):
-        first.mat *= 2.0
-    assert (first.mat != fresh).nnz == 0
+        first *= 2.0
+    assert (first != fresh).nnz == 0
 
 
 TIMEOUT_S = 30.0
@@ -695,8 +701,8 @@ def test_concurrent_assembly_of_one_mesh_runs_once(monkeypatch):
     with ThreadPoolExecutor(max_workers=2) as pool:
         first, second = pool.map(assemble, range(2), timeout=TIMEOUT_S)
     assert calls == [mesh]
-    assert second.mat is first.mat
-    for array in (first.mat.data, first.mat.indices, first.mat.indptr):
+    assert second is first
+    for array in (first.data, first.indices, first.indptr):
         assert not array.flags.writeable
 
 
@@ -709,7 +715,7 @@ def test_assemblies_of_two_meshes_do_not_wait_for_each_other(monkeypatch):
     with ThreadPoolExecutor(max_workers=2) as pool:
         matrices = list(pool.map(assemble_stiffness, meshes, timeout=TIMEOUT_S))
     assert sorted(m.level for m in calls) == [2, 3]
-    assert [m.mesh for m in matrices] == list(meshes)
+    assert all(matrix is mesh._stiffness for matrix, mesh in zip(matrices, meshes))
 
 
 def test_many_threads_assemble_each_mesh_once(monkeypatch):
@@ -725,7 +731,7 @@ def test_many_threads_assemble_each_mesh_once(monkeypatch):
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
             runs = list(pool.map(
-                lambda seed: [(m, assemble_stiffness(m).mat) for m in
+                lambda seed: [(m, assemble_stiffness(m)) for m in
                               np.random.default_rng(seed).permutation(meshes)],
                 range(6), timeout=TIMEOUT_S))
     finally:
@@ -812,7 +818,7 @@ def test_assembled_stiffness_is_exactly_symmetric_finite_and_positive_on_the_dia
     assume(np.all(mesh.cell_areas() > 0.0))
     if refined:
         mesh = refine_uniform(mesh)
-    matrix = assemble_stiffness(mesh).mat
+    matrix = assemble_stiffness(mesh)
     assert (matrix != matrix.T).nnz == 0
     assert np.all(np.isfinite(matrix.data))
     assert np.all(matrix.diagonal() > 0.0)
@@ -1450,19 +1456,17 @@ def test_non_finite_field_gives_nan_integrals(bad, alpha):
 def test_galerkin_residual_benchmark_state():
     exact = ExactSolution()
     mesh = build_disc_mesh(level=3)
-    matrix = assemble_stiffness(mesh)
-    fact = factorize(matrix)
+    fact = factorize(mesh)
     b = load_smooth(mesh, exact.source) + load_cellwise(
         mesh, centroid_project(mesh, exact.control).values
     )
     u = fact.solve(b)
-    assert np.max(np.abs(matrix.mat @ u - b)) <= 1e-9
+    assert np.max(np.abs(assemble_stiffness(mesh) @ u - b)) <= 1e-9
 
 
 def test_discrete_maximum_principle():
     mesh = build_disc_mesh(level=2)
-    matrix = assemble_stiffness(mesh)
-    u = factorize(matrix).solve(load_smooth(mesh, lambda p: np.ones(len(p))))
+    u = factorize(mesh).solve(load_smooth(mesh, lambda p: np.ones(len(p))))
     assert u.min() >= -1e-10
 
 
@@ -1470,8 +1474,7 @@ def test_greens_field_positive_and_growing():
     # the discrete point-source solution is positive and grows toward the
     # source like the continuous one
     mesh = build_disc_mesh(level=4)
-    matrix = assemble_stiffness(mesh)
-    g = matrix.field(factorize(matrix).solve(load_point(mesh, (0.5, 0.5))))
+    g = FeFunction.from_dofs(mesh, factorize(mesh).solve(load_point(mesh, (0.5, 0.5))))
     interior = g.values[~mesh.boundary]
     assert interior.min() > 0
     assert evaluate(g, (0.5, 0.5)) > evaluate(g, (0.52, 0.5)) > evaluate(
