@@ -3,10 +3,11 @@
 Subcommands: ``study`` (level sweep of one discretization variant, CSV
 output), ``solve`` (single solve with field dumps), ``oracle`` (dense
 cross-check on a coarse level), ``mesh-dump`` (triangulation as text).
-Configs are flat "key = value" text files, and flags override five of the
-keys; a StudyConfig validates itself on construction.  Exit codes: 0
-success, 1 oracle comparison failed, 2 solver failure, 3 config error, 4
-output write failed.  Every output file is written atomically.
+Every run is on the disc of the config's center and radius, set by flat
+"key = value" config files and five flags; a StudyConfig validates itself
+on construction.  Exit codes: 0 success, 1 oracle comparison failed, 2
+solver failure, 3 config error, 4 output unwritable (a missing directory is
+refused before any solve).  Every output file is written atomically.
 """
 
 import argparse
@@ -31,7 +32,6 @@ from .mesh import (
     _ancestors,
     _mesh_text,
     build_disc_mesh,
-    build_square_mesh,
     cell_centroids,
 )
 
@@ -69,7 +69,6 @@ def _is_real(value):
 class StudyConfig:
     """Everything one run needs; parse/format round-trip exactly."""
 
-    domain: str = "disc"
     center: tuple = (0.5, 0.5)
     radius: float = 0.5
     variant: str = "cellwise"
@@ -81,8 +80,6 @@ class StudyConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.domain not in ("disc", "square"):
-            raise ConfigError(f"unknown domain {self.domain!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not all(_is_int(level) for level in (self.level_min, self.level_max)):
@@ -170,7 +167,6 @@ def _format_pair(pair):
 # parser, its formatter, and the help text of its command-line flag (None
 # for a file-only key).  A key that sets two fields parses to a pair.
 _KEYS = {
-    "domain": (("domain",), _parse_text, str, None),
     "center": (("center",), _parse_pair, _format_pair, None),
     "radius": (("radius",), _parse_float, _fmt, None),
     "variant": (("variant",), _parse_text, str, "|".join(VARIANTS)),
@@ -232,23 +228,12 @@ def format_config(config):
 
 
 def _exact_solution(config):
-    if config.domain != "disc":
-        raise ConfigError(
-            "the convergence benchmark is defined on the disc domain only"
-        )
-    return ExactSolution(
-        center=config.center,
-        radius=config.radius,
-        alpha=config.alpha,
-        lower=config.lower,
-        upper=config.upper,
-    )
+    return ExactSolution(center=config.center, radius=config.radius,
+                         alpha=config.alpha, lower=config.lower, upper=config.upper)
 
 
 def _build_mesh(config, level):
-    if config.domain == "disc":
-        return build_disc_mesh(config.center, config.radius, level)
-    return build_square_mesh(level)
+    return build_disc_mesh(config.center, config.radius, level)
 
 
 def _solve_variant(config, problem, mesh):
@@ -320,6 +305,8 @@ def run_study(config):
     list of ConvergenceRecord
     """
     exact = _exact_solution(config)
+    if config.out is not None:
+        _check_out_dir(config.out)
     meshes = _study_meshes(config)
     records = [None] * len(meshes)
 
@@ -358,6 +345,18 @@ def _write_csv(records, path):
             f"{_fmt(r.error)},{eoc}"
         )
     _write_text(path, ("\n".join(lines) + "\n").encode())
+
+
+def _check_out_dir(path):
+    """Raise now what writing ``path`` would raise for a missing or file parent.
+
+    The ``OSError`` keeps its errno subclass and names ``path`` alone.
+    """
+    try:
+        # the trailing separator makes a file in the directory's place ENOTDIR
+        os.stat(os.path.join(os.path.dirname(os.path.abspath(path)), ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _write_text(path, data):
@@ -409,6 +408,7 @@ def run_solve(config):
     if config.variant == "greens":
         raise ConfigError("solve applies to the control variants only")
     exact = _exact_solution(config)
+    _check_out_dir(config.out)
     level = config.level_min
     mesh = _build_mesh(config, level)
     solution, discrete = _solve_variant(
@@ -471,6 +471,7 @@ def run_mesh_dump(config):
     """Write the level-range-low mesh as text to the output path."""
     if config.out is None:
         raise ConfigError("mesh-dump requires an output path")
+    _check_out_dir(config.out)
     mesh = _build_mesh(config, config.level_min)
     # streamed a block at a time, as run_solve streams its dump
     _write_text(config.out, _mesh_text(mesh))

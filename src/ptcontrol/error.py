@@ -11,9 +11,9 @@ are set out there.  Each chunk maps the rule's barycentric nodes to
 physical points with the mesh's node map, so a field reads contiguous
 coordinate columns.  It samples both fields there and reduces the squared
 (L2) or absolute (L1) differences with one matmul against the weights,
-giving one value per cell.  The cell values of all chunks are summed with
-the cell areas in one ``np.einsum`` at the end, so the result does not
-depend on where the chunks split.
+giving one value per cell; one ``np.einsum`` sums them with the areas.  The
+threads never move the chunk boundaries, but ``CHUNK_POINTS`` is part of the
+numbers: BLAS rounds a row of that gemv by the row's place in its chunk.
 """
 
 import numbers

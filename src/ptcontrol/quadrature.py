@@ -79,20 +79,15 @@ def subdivided_rule(depth):
     if not (isinstance(depth, numbers.Integral) and depth >= 0):
         raise ValueError(f"depth must be a nonnegative integer, not {depth!r}")
     bary, weights = rule_degree6()
-    corners = [np.eye(3)]
+    # (n, 3, 3) corners; child 4 i + k of a step is child k of the last step's i
+    corners = np.eye(3)[None]
     for _ in range(depth):
-        refined = []
-        for T in corners:
-            v0, v1, v2 = T
-            m01, m12, m20 = (v0 + v1) / 2, (v1 + v2) / 2, (v2 + v0) / 2
-            refined += [
-                np.array([v0, m01, m20]),
-                np.array([m01, v1, m12]),
-                np.array([m20, m12, v2]),
-                np.array([m01, m12, m20]),
-            ]
-        corners = refined
-    pts = np.vstack([bary @ T for T in corners])
+        v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
+        m01, m12, m20 = (v0 + v1) / 2, (v1 + v2) / 2, (v2 + v0) / 2
+        children = ((v0, m01, m20), (m01, v1, m12), (m20, m12, v2), (m01, m12, m20))
+        corners = np.stack([np.stack(c, axis=1) for c in children], axis=1)
+        corners = corners.reshape(-1, 3, 3)
+    pts = np.matmul(bary, corners).reshape(-1, 3)
     w = np.tile(weights / len(corners), len(corners))
     pts.setflags(write=False)
     w.setflags(write=False)

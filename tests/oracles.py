@@ -27,7 +27,9 @@ node into one array before it contracts them (``sliced_load_smooth``).
 The cellwise Jacobian's earlier form, a table of every point field's cell
 means and a matrix product of its free columns, is the reference for the
 one Gram routine that both control variants now share
-(``table_cellwise_jacobian``).
+(``table_cellwise_jacobian``).  The subdivided quadrature rule's earlier
+form, a loop over the children of every step, is the reference for its
+array form (``looped_subdivided_rule``).
 """
 
 import numpy as np
@@ -785,6 +787,30 @@ def bisect_root(func, lo, hi, iterations=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def looped_subdivided_rule(bary, weights, depth):
+    """The rule (bary, weights) composed over 4^depth children, one child at a time.
+
+    Each step splits every triangle of the last into its three corner
+    children and its middle one, in that order, and the rule is mapped onto
+    each child by its own matrix product.
+    """
+    corners = [np.eye(3)]
+    for _ in range(depth):
+        refined = []
+        for T in corners:
+            v0, v1, v2 = T
+            m01, m12, m20 = (v0 + v1) / 2, (v1 + v2) / 2, (v2 + v0) / 2
+            refined += [
+                np.array([v0, m01, m20]),
+                np.array([m01, v1, m12]),
+                np.array([m20, m12, v2]),
+                np.array([m01, m12, m20]),
+            ]
+        corners = refined
+    pts = np.vstack([bary @ T for T in corners])
+    return pts, np.tile(weights / len(corners), len(corners))
 
 
 def triangle_quadrature_integral(vertices, func, n=120):

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import os
 import pathlib
@@ -22,7 +23,7 @@ from ptcontrol.cli import (
     run_study,
 )
 from ptcontrol.control import DivergenceError
-from ptcontrol.mesh import build_disc_mesh, build_square_mesh, format_mesh
+from ptcontrol.mesh import build_disc_mesh, format_mesh
 
 
 def test_config_round_trip():
@@ -79,7 +80,10 @@ bounds = -1, 1
     "tol = 1e-12",
     "solver = quantum",
     "solver = direct",
+    # every run is on the disc: domain is no key, whatever its value
     "domain = hexagon",
+    "domain = disc",
+    "domain = square",
     "center = nan, 0.5",
     "center = inf, 0.5",
     "radius = inf",
@@ -119,7 +123,6 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=200, deadline=None)
 @given(
-    domain=st.sampled_from(["disc", "square"]),
     center=st.tuples(finite, finite),
     radius=st.floats(min_value=1e-300, max_value=1e300),
     variant=st.sampled_from(cli.VARIANTS),
@@ -128,12 +131,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
     bounds=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
     out=st.none() | st.text("abcXYZ019._-/", min_size=1, max_size=20),
 )
-def test_config_round_trip_property(domain, center, radius, variant, levels,
-                                    alpha, bounds, out):
+def test_config_round_trip_property(center, radius, variant, levels, alpha,
+                                    bounds, out):
     lower, upper = sorted(bounds)
     assume(lower < upper)
     config = StudyConfig(
-        domain=domain, center=center, radius=radius, variant=variant,
+        center=center, radius=radius, variant=variant,
         level_min=min(levels), level_max=max(levels), alpha=alpha,
         lower=lower, upper=upper, out=out,
     )
@@ -163,21 +166,21 @@ def test_config_rejects_out_that_would_not_round_trip(out):
 
 @pytest.mark.parametrize("config, text", [
     (StudyConfig(),
-     "domain = disc\ncenter = 0.5, 0.5\nradius = 0.5\nvariant = cellwise\n"
+     "center = 0.5, 0.5\nradius = 0.5\nvariant = cellwise\n"
      "levels = 2..4\nalpha = 1\nbounds = -1, 1\n"),
     (StudyConfig(variant="postproc", level_min=1, level_max=3, alpha=0.75,
                  lower=-0.2, upper=0.2, out="table.csv"),
-     "domain = disc\ncenter = 0.5, 0.5\nradius = 0.5\nvariant = postproc\n"
+     "center = 0.5, 0.5\nradius = 0.5\nvariant = postproc\n"
      "levels = 1..3\nalpha = 0.75\n"
      "bounds = -0.20000000000000001, 0.20000000000000001\n"
      "out = table.csv\n"),
-    (StudyConfig(domain="square", center=(0.25, -1e-300), radius=2.0 / 3.0,
+    (StudyConfig(center=(0.25, -1e-300), radius=2.0 / 3.0,
                  variant="greens", level_min=0, level_max=8, alpha=1e4,
                  lower=float("-inf"), upper=float("inf"), out="runs/l8.csv"),
-     "domain = square\ncenter = 0.25, -1e-300\nradius = 0.66666666666666663\n"
+     "center = 0.25, -1e-300\nradius = 0.66666666666666663\n"
      "variant = greens\nlevels = 0..8\nalpha = 10000\nbounds = -inf, inf\n"
      "out = runs/l8.csv\n"),
-], ids=["default", "postproc-out", "square-unbounded"])
+], ids=["default", "postproc-out", "greens-unbounded"])
 def test_format_config_bytes(config, text):
     assert format_config(config) == text
 
@@ -209,14 +212,11 @@ def test_mesh_dump_subcommand(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
-@pytest.mark.parametrize("domain", ["disc", "square"])
-def test_mesh_dump_streams_the_bytes_of_format_mesh(tmp_path, domain):
-    build = build_disc_mesh if domain == "disc" else build_square_mesh
+def test_mesh_dump_streams_the_bytes_of_format_mesh(tmp_path):
     for level in range(7):
         out = tmp_path / f"mesh{level}.txt"
-        cli.run_mesh_dump(StudyConfig(domain=domain, level_min=level, level_max=level,
-                                      out=str(out)))
-        assert out.read_bytes() == format_mesh(build(level=level)).encode()
+        cli.run_mesh_dump(StudyConfig(level_min=level, level_max=level, out=str(out)))
+        assert out.read_bytes() == format_mesh(build_disc_mesh(level=level)).encode()
 
 
 def test_mesh_dump_peak_is_below_the_file_size(tmp_path, monkeypatch):
@@ -423,10 +423,23 @@ def test_a_study_that_stalls_at_its_rounding_floor_succeeds(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 3
 
 
-def test_square_domain_study_rejected(tmp_path):
-    config_file = tmp_path / "sq.cfg"
-    config_file.write_text("domain = square\nvariant = cellwise\n")
-    assert main(["study", "--config", str(config_file)]) == 3
+@pytest.mark.parametrize("value", ["disc", "square"])
+def test_domain_is_a_retired_key(tmp_path, capsys, value):
+    # every run is on the disc, so no key names the domain: a domain line
+    # with either value exits 3 as an unknown key does, and writes nothing
+    with pytest.raises(ConfigError, match="unknown key 'domain'"):
+        parse_config(f"domain = {value}\n")
+    config_file = tmp_path / "domain.cfg"
+    config_file.write_text(f"domain = {value}\nvariant = cellwise\n")
+    out = tmp_path / "out.csv"
+    assert main(["study", "--config", str(config_file), "--levels", "2..2",
+                 "--out", str(out)]) == 3
+    assert "unknown key 'domain'" in capsys.readouterr().err
+    assert not out.exists()
+    assert len(dataclasses.fields(StudyConfig)) == 9
+    assert "domain" not in format_config(StudyConfig())
+    with pytest.raises(TypeError, match="domain"):
+        StudyConfig(domain=value)
 
 
 UNMESHABLE_DISCS = [
@@ -491,6 +504,36 @@ def test_missing_output_directory_exit_code(tmp_path, capsys, command):
     assert "output error:" in err and str(out) in err and ".tmp" not in err
     assert "-> None" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
+@pytest.mark.parametrize("parent, kind", [
+    pytest.param("missing", FileNotFoundError, id="missing"),
+    pytest.param("file", NotADirectoryError, id="file"),
+])
+def test_an_unwritable_out_is_refused_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                       command, parent, kind):
+    # a parent that is missing or is a file is refused before any mesh is
+    # built or level solved, with the errno the write would meet, naming
+    # the target alone; at level 8 the solve alone would take seconds
+    def never(*args, **kwargs):
+        raise AssertionError("built or solved before the output was checked")
+
+    monkeypatch.setattr(cli, "_build_mesh", never)
+    monkeypatch.setattr(control, "solve_discrete", never)
+    monkeypatch.setattr(fem, "factorize", never)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "x.txt"
+    assert main([command, "--levels", "8..8", "--out", str(out)]) == 4
+    code = errno.ENOENT if kind is FileNotFoundError else errno.ENOTDIR
+    assert capsys.readouterr().err == (
+        f"output error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+    )
+    run = {"study": run_study, "solve": run_solve, "mesh-dump": cli.run_mesh_dump}
+    with pytest.raises(kind) as caught:
+        run[command](StudyConfig(level_min=8, level_max=8, out=str(out)))
+    assert caught.value.filename == str(out) and caught.value.filename2 is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_write_errors_name_the_target_once(tmp_path, monkeypatch):

@@ -25,9 +25,9 @@ from ptcontrol.error import (
 )
 from ptcontrol.greens import ExactSolution
 from ptcontrol.mesh import _physical_points, build_disc_mesh
-from ptcontrol.quadrature import rule_degree4, subdivided_rule
+from ptcontrol.quadrature import rule_degree4, rule_degree6, subdivided_rule
 
-from oracles import exact_cell_tags
+from oracles import exact_cell_tags, looped_subdivided_rule
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +199,17 @@ def test_l1_requires_vertex_singularity():
     fe = fem.FeFunction(mesh, np.zeros(mesh.n_vertices))
     with pytest.raises(ValueError):
         l1_error_fe(mesh, constant_field(0.0), fe, singular_point=(0.51, 0.5))
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_subdivided_rule_matches_the_looped_reference_bitwise(depth):
+    # the array form builds the children in the loop's order and with its
+    # midpoint formulas, and one matmul maps the rule as each child's did
+    bary, weights = subdivided_rule(depth)
+    want_bary, want_weights = looped_subdivided_rule(*rule_degree6(), depth)
+    assert bary.shape == (12 * 4**depth, 3) and not bary.flags.writeable
+    assert np.array_equal(bary.view(np.uint64), want_bary.view(np.uint64))
+    assert np.array_equal(weights.view(np.uint64), want_weights.view(np.uint64))
 
 
 @pytest.mark.parametrize("depth", [-1, -3, 1.5])
