@@ -28,6 +28,7 @@ from ._parallel import drain
 from ._text import text_rows
 from .greens import ExactSolution
 from .mesh import (
+    MAX_LEVEL,
     MeshError,
     _ancestors,
     _mesh_text,
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 VARIANTS = ("variational", "cellwise", "postproc", "greens")
-MAX_STUDY_LEVEL = 8
 ORACLE_MATCH_TOL = 1e-8
 KKT_MATCH_TOL = 1e-10
 
@@ -87,10 +87,8 @@ class StudyConfig:
         for name in ("radius", "alpha", "lower", "upper"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number")
-        if not (0 <= self.level_min <= self.level_max <= MAX_STUDY_LEVEL):
-            raise ConfigError(
-                f"levels must satisfy 0 <= min <= max <= {MAX_STUDY_LEVEL}"
-            )
+        if not (0 <= self.level_min <= self.level_max <= MAX_LEVEL):
+            raise ConfigError(f"levels must satisfy 0 <= min <= max <= {MAX_LEVEL}")
         if not (isinstance(self.center, Sequence) and len(self.center) == 2
                 and all(_is_real(x) and math.isfinite(x) for x in self.center)):
             raise ConfigError("center must be two finite numbers")

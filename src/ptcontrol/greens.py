@@ -64,21 +64,24 @@ class ExactSolution:
         self._wave_number = np.pi / (2.0 * self.radius)
 
     def _radius_of(self, x):
-        """Distance of x to the center, a new float array (0-d for one point)."""
+        """Distance of x to the center, a new float array (0-d for one point).
+
+        One point is computed as a batch of one row, so it has the bits it
+        has in any batch.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape == (2,):
-            return np.asarray(np.linalg.norm(x - self.center))
-        if x.ndim == 2 and x.shape[1] == 2:
-            # sqrt(dx*dx + dy*dy) in place: equals np.linalg.norm(x - center,
-            # axis=1) bit for bit, without its temporaries
-            cx, cy = self.center
-            dx = x[:, 0] - cx
-            dy = x[:, 1] - cy
-            dx *= dx
-            dy *= dy
-            dx += dy
-            return np.sqrt(dx, out=dx)
-        raise ValueError("points must have shape (2,) or (m, 2)")
+        if x.shape != (2,) and not (x.ndim == 2 and x.shape[1] == 2):
+            raise ValueError("points must have shape (2,) or (m, 2)")
+        rows = x.reshape(-1, 2)
+        # sqrt(dx*dx + dy*dy) in place: equals np.linalg.norm(x - center,
+        # axis=1) bit for bit, without its temporaries
+        cx, cy = self.center
+        dx = rows[:, 0] - cx
+        dy = rows[:, 1] - cy
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx).reshape(x.shape[:-1])
 
     def greens_radial(self, r):
         """Adjoint value at distance r from the center; +inf at r = 0."""

@@ -1,10 +1,11 @@
 """Dense cross-check solvers for small meshes.
 
-Independent of the reduced coefficient iteration: the cellwise control
-problem is re-solved as a dense box-constrained quadratic program over all
-cell values (projected gradient), and the unconstrained problem as one
-dense saddle-point system.  Everything here is O(dense) and meant for
-coarse levels only.
+Independent of the reduced coefficient iteration and of the multigrid
+solve: the cellwise control problem is re-solved as a dense box-constrained
+quadratic program over all cell values (projected gradient), and the
+unconstrained problem as one dense saddle-point system; both solve with the
+dense stiffness matrix.  Everything here is O(dense) and meant for coarse
+levels only.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ from .mesh import locate_point
 
 __all__ = [
     "OracleError",
-    "cell_footprint_matrix",
     "projected_gradient_qp",
     "cellwise_qp_oracle",
     "unconstrained_kkt",
@@ -49,21 +49,6 @@ def _cell_load_matrix(mesh):
         for vertex in mesh.cells[k]:
             if dof[vertex] >= 0:
                 out[dof[vertex], k] += areas[k] / 3.0
-    return out
-
-
-def cell_footprint_matrix(mesh, factorization, points):
-    """State response of each unit cell indicator at each tracking point.
-
-    Entry (i, k) is the value at points[i] of the homogeneous-Dirichlet
-    solution with source equal to the indicator of cell k; one sparse
-    solve per cell.
-    """
-    evaluate = _evaluation_matrix(mesh, points)
-    loads = _cell_load_matrix(mesh)
-    out = np.empty((len(points), mesh.n_cells))
-    for k in range(mesh.n_cells):
-        out[:, k] = evaluate @ factorization.solve(loads[:, k])
     return out
 
 
@@ -105,17 +90,24 @@ def projected_gradient_qp(footprint, offsets, areas, alpha, lower, upper,
 def cellwise_qp_oracle(problem, mesh, tol=STATIONARITY_TOL):
     """Dense re-solve of the cellwise control problem on a coarse mesh.
 
+    The states of the source load and of every unit-cell-indicator load
+    come from one dense solve with the stiffness matrix; evaluated at the
+    tracking points, they give the offsets and the footprint (entry (i, k)
+    the state of cell k's load at points[i]) of the quadratic program.
+
     Returns the optimal cell values, for comparison with the cellwise
     values produced by the reduced iteration.
     """
-    factorization = fem.factorize(mesh)
-    u_source = factorization.solve(fem.load_smooth(mesh, problem.source))
-    evaluate = _evaluation_matrix(mesh, problem.points)
-    offsets = evaluate @ u_source - problem.targets
-    footprint = cell_footprint_matrix(mesh, factorization, problem.points)
+    stiffness = fem.assemble_stiffness(mesh).toarray()
+    loads = np.column_stack(
+        [fem.load_smooth(mesh, problem.source), _cell_load_matrix(mesh)]
+    )
+    response = _evaluation_matrix(mesh, problem.points) @ np.linalg.solve(
+        stiffness, loads
+    )
     return projected_gradient_qp(
-        footprint,
-        offsets,
+        response[:, 1:],
+        response[:, 0] - problem.targets,
         mesh.cell_areas(),
         problem.alpha,
         problem.lower,

@@ -29,7 +29,9 @@ means and a matrix product of its free columns, is the reference for the
 one Gram routine that both control variants now share
 (``table_cellwise_jacobian``).  The subdivided quadrature rule's earlier
 form, a loop over the children of every step, is the reference for its
-array form (``looped_subdivided_rule``).
+array form (``looped_subdivided_rule``).  The dense cellwise oracle's
+earlier form, one multigrid solve per cell load, is the reference for its
+one dense stiffness solve (``pcg_cellwise_qp_oracle``).
 """
 
 import numpy as np
@@ -731,6 +733,28 @@ def discrete_state(problem, mesh, solution, variant):
         )
     source = fem.load_smooth(mesh, problem.source)
     return fem.FeFunction.from_dofs(mesh, fem.factorize(mesh).solve(source + load))
+
+
+def pcg_cellwise_qp_oracle(problem, mesh, tol):
+    """``oracle.cellwise_qp_oracle`` with its states from ``fem.factorize``.
+
+    The source state and the footprint of every unit cell indicator come
+    from one preconditioned CG solve each, as the package's oracle did
+    before it solved the dense stiffness once for all its loads.
+    """
+    from ptcontrol import fem, oracle
+
+    factorization = fem.factorize(mesh)
+    evaluate = oracle._evaluation_matrix(mesh, problem.points)
+    loads = oracle._cell_load_matrix(mesh)
+    u_source = factorization.solve(fem.load_smooth(mesh, problem.source))
+    footprint = np.empty((len(problem.points), mesh.n_cells))
+    for k in range(mesh.n_cells):
+        footprint[:, k] = evaluate @ factorization.solve(loads[:, k])
+    return oracle.projected_gradient_qp(
+        footprint, evaluate @ u_source - problem.targets, mesh.cell_areas(),
+        problem.alpha, problem.lower, problem.upper, tol=tol,
+    )
 
 
 def gaussian_elimination(matrix, rhs):

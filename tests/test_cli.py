@@ -65,7 +65,7 @@ bounds = -1, 1
 
 @pytest.mark.parametrize("text", [
     "variant = magic",
-    "levels = 2..9",
+    "levels = 2..11",
     "levels = 4..2",
     "bounds = 1, -1",
     "bounds = 1",
@@ -118,6 +118,49 @@ def test_config_rejects_bad_types_and_shapes(field, value):
         StudyConfig(**{field: value})
 
 
+def test_the_mesh_guard_is_the_only_level_bound():
+    # the mesh module owns the level limit: the CLI's only level constant
+    # is the mesh's, and the config takes every level the mesh builds and
+    # refuses the next one, naming the mesh's bound
+    assert [name for name in vars(cli) if name.endswith("LEVEL")] == ["MAX_LEVEL"]
+    assert cli.MAX_LEVEL is mesh_module.MAX_LEVEL == 10
+    config = StudyConfig(level_min=10, level_max=10)
+    assert list(config.levels) == [10]
+    with pytest.raises(ConfigError, match=r"<= 10$"):
+        StudyConfig(level_min=2, level_max=11)
+
+
+class ReachedTheMesh(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
+def test_level_10_reaches_the_mesh_build(tmp_path, monkeypatch, command):
+    def build(config, level):
+        raise ReachedTheMesh(level)
+
+    monkeypatch.setattr(cli, "_build_mesh", build)
+    out = tmp_path / "out.txt"
+    with pytest.raises(ReachedTheMesh, match="^10$"):
+        main([command, "--levels", "10..10", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["study", "solve", "mesh-dump"])
+def test_a_level_past_the_guard_is_refused_before_any_mesh(tmp_path, monkeypatch,
+                                                           capsys, command):
+    def never(*args, **kwargs):
+        raise AssertionError("built a mesh for a refused level")
+
+    monkeypatch.setattr(cli, "_build_mesh", never)
+    out = tmp_path / "over.txt"
+    assert main([command, "--levels", "2..11", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "config error: levels must satisfy 0 <= min <= max <= 10\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -126,7 +169,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
     center=st.tuples(finite, finite),
     radius=st.floats(min_value=1e-300, max_value=1e300),
     variant=st.sampled_from(cli.VARIANTS),
-    levels=st.lists(st.integers(0, cli.MAX_STUDY_LEVEL), min_size=2, max_size=2),
+    levels=st.lists(st.integers(0, mesh_module.MAX_LEVEL), min_size=2, max_size=2),
     alpha=st.floats(min_value=1e-300, max_value=1e300),
     bounds=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
     out=st.none() | st.text("abcXYZ019._-/", min_size=1, max_size=20),

@@ -24,6 +24,7 @@ from oracles import (
     bisect_root,
     discrete_state,
     interior_load,
+    pcg_cellwise_qp_oracle,
     polygon_clipped_integrals,
     recut_integrals_and_gram,
     table_cellwise_jacobian,
@@ -344,6 +345,28 @@ def test_cellwise_matches_dense_qp_oracle(level, wide_problem):
     reference = oracle.cellwise_qp_oracle(wide_problem, mesh)
     values = solution.control.values
     assert np.max(np.abs(values - reference)) <= 1e-8
+
+
+@pytest.mark.parametrize("bounds", [(-1.0, 1.0), (-0.2, 0.2)])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_dense_qp_oracle_matches_its_per_cell_pcg_form(level, bounds):
+    # one dense stiffness solve for every load, against a multigrid solve
+    # per cell load: the same program, so the same cell values
+    problem = benchmark_problem(ExactSolution(lower=bounds[0], upper=bounds[1]))
+    mesh = build_disc_mesh(level=level)
+    dense = oracle.cellwise_qp_oracle(problem, mesh)
+    reference = pcg_cellwise_qp_oracle(problem, mesh, oracle.STATIONARITY_TOL)
+    assert np.max(np.abs(dense - reference)) <= 1e-13
+
+
+def test_the_dense_qp_oracle_runs_no_multigrid(monkeypatch, wide_problem):
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle factored the stiffness it checks")
+
+    monkeypatch.setattr(fem, "factorize", never)
+    mesh = build_disc_mesh(level=2)
+    assert oracle.cellwise_qp_oracle(wide_problem, mesh).shape == (mesh.n_cells,)
+    assert not hasattr(oracle, "cell_footprint_matrix")
 
 
 def test_pinned_control_by_extreme_targets():

@@ -135,6 +135,28 @@ def test_fields_match_norm_based_values_bitwise(bounds):
         assert exact.source(points[k]) == source[k]
 
 
+@pytest.mark.parametrize("bounds", [(-0.2, 0.2), (-1.0, 1.0)])
+def test_a_lone_point_has_the_bits_of_a_batch(bounds):
+    # a (2,) point is evaluated as a batch of one row: random points, the
+    # center and points on the rim give the value, bit for bit, that they
+    # have in any batch, as a float
+    exact = ExactSolution(center=(0.3, 0.7), radius=0.6, lower=bounds[0],
+                          upper=bounds[1])
+    rng = np.random.default_rng(36)
+    angles = np.linspace(0.0, 2 * np.pi, 13)
+    points = np.vstack([
+        exact.center,
+        exact.center + rng.uniform(-0.6, 0.6, (2000, 2)),
+        exact.center + 0.6 * np.column_stack([np.cos(angles), np.sin(angles)]),
+    ])
+    for method in (exact.greens, exact.state, exact.control, exact.source):
+        batch = method(points)
+        lone = [method(x) for x in points]
+        assert all(type(value) is float for value in lone)
+        assert np.array_equal(np.array(lone), batch)
+    assert exact.target() == 0.0
+
+
 @pytest.mark.parametrize("radius", [0.3, 0.5, 0.8, 2.0])
 def test_state_vanishes_on_the_rim_of_any_disc(radius):
     exact = ExactSolution(center=(0.5, 0.5), radius=radius, alpha=0.7)
